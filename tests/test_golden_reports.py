@@ -1,0 +1,26 @@
+"""Bit-identity of run_trial against recorded reports.
+
+golden_reports.json holds (config, report) pairs recorded before the trial
+kernel was restructured. The configs cover both phase models, window 1 and
+33, remove_mean on and off, delay offsets 0/7/-5, kappa 0/8/infinite, the
+baseline on and off, max_lag 16 and 0, zero additive noise, both pipelines,
+and four edge cases (a noiseless channel, an unconfident delay estimate, a
+stream too short for the delay search and a one-symbol trial). Every report
+must come back exactly, float for float. The file is a fixed record: do not
+regenerate it from the code under test.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from duolink import run_trial, trial_config_from_dict
+
+CASES = json.loads(Path(__file__).with_name("golden_reports.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", CASES, ids=[f"golden-{i:02d}" for i in range(len(CASES))])
+def test_report_matches_golden(case):
+    report = run_trial(trial_config_from_dict(case["config"]))
+    assert json.loads(json.dumps(report.to_dict())) == case["report"]
