@@ -28,6 +28,7 @@ from .compensation import (
     EstimatorConfig,
     apply_compensation,
     compensate_pair,
+    compensate_traces,
     estimate_common_phase,
 )
 from .cpe import (
@@ -56,10 +57,13 @@ from .harness import (
 )
 from .qpsk import (
     DemapDiagnostics,
+    GRAY_DISTANCE,
     SYMBOLS,
     bits_from_quadrants,
     count_errors,
+    count_quadrant_errors,
     demap_symbols,
+    gray_indices,
     map_symbols,
     quadrant_indices,
 )

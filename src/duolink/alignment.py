@@ -12,12 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 # Peak correlation at or above this is considered a reliable delay estimate.
 CONFIDENCE_THRESHOLD = 0.5
+
+# Correlations closer than this count as tied in the delay search: exactly
+# periodic traces give equal correlations at several lags, which rounding in
+# the overlap sums would otherwise break at random.
+TIE_TOL = 1e-12
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -50,25 +55,54 @@ class KappaSearchResult:
     bracket_warning: bool = False
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    # constant traces carry no alignment information (and mean subtraction
-    # would leave only rounding dust that self-correlates)
-    if x.max() == x.min() or y.max() == y.min():
-        return 0.0
-    dx = x - x.mean()
-    dy = y - y.mean()
-    denom = math.sqrt(float(np.dot(dx, dx)) * float(np.dot(dy, dy)))
-    if denom == 0:
-        return 0.0
-    return float(np.dot(dx, dy)) / denom
+class _Cuts(NamedTuple):
+    """Sum and sum of squares of a centered trace with j samples cut off one
+    end, and whether the trace varies on what is left; indexed by j."""
+
+    sums: list[float]
+    squares: list[float]
+    varies: list[bool]
+
+
+def _cuts(t: np.ndarray, c: np.ndarray, k: int) -> tuple[_Cuts, _Cuts]:
+    """_Cuts of c (t centered) for j = 0..k, cut from the head (c[j:]) and
+    from the tail (c[:n-j]).
+
+    The full sums are taken once and only the cut ends go through prefix
+    sums, so rounding stays that of one pass over c. Whether t varies is
+    exact: t is constant on [a, b) iff it changes at no index in [a, b-2].
+    """
+    n = t.size
+    changed = t[1:] != t[:-1]
+    if changed.any():
+        first, last = int(changed.argmax()), n - 2 - int(changed[::-1].argmax())
+    else:
+        first, last = n, -1
+    total, total_sq = c.sum(), np.dot(c, c)
+
+    def cut(end: np.ndarray, varies) -> _Cuts:
+        sums = total - np.concatenate(([0.0], np.cumsum(end)))
+        squares = total_sq - np.concatenate(([0.0], np.cumsum(end * end)))
+        return _Cuts(sums.tolist(), squares.tolist(), [varies(j) for j in range(k + 1)])
+
+    head = cut(c[:k], lambda j: last >= j)
+    tail = cut(c[n - k:][::-1], lambda j: first <= n - 2 - j)
+    return head, tail
 
 
 def estimate_delay(
     trace1: np.ndarray, trace2: np.ndarray, max_lag: int
 ) -> AlignmentResult:
     """Lag in [-max_lag, max_lag] maximizing the normalized cross-correlation
-    of the two phase traces. Ties resolve to the smaller |lag| (negative
-    before positive); constant traces correlate as 0.
+    (Pearson coefficient over the overlap) of the two phase traces.
+
+    Lags are tried in order of |lag|, negative before positive, and a lag
+    replaces the best one only when its correlation is higher by more than
+    TIE_TOL, so ties to within TIE_TOL resolve to the smaller |lag|. An
+    overlap in which either trace is constant correlates as 0.
+
+    Both traces are centered once; each overlap's sums come from _cuts and
+    its cross term from one dot product over views, so no overlap is copied.
     """
     t1 = np.asarray(trace1, dtype=float)
     t2 = np.asarray(trace2, dtype=float)
@@ -79,16 +113,29 @@ def estimate_delay(
     n = t1.size
     if n <= 2 * max_lag:
         raise ValueError(f"traces of length {n} too short for max_lag={max_lag}")
-    best_lag = 0
-    best_corr = -np.inf
+    if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
+        raise ValueError("traces must be finite")
+    c1 = t1 - t1.mean()
+    c2 = t2 - t2.mean()
+    head1, tail1 = _cuts(t1, c1, max_lag)
+    head2, tail2 = _cuts(t2, c2, max_lag)
+    best_lag, best_corr = 0, -math.inf
     for lag in sorted(range(-max_lag, max_lag + 1), key=lambda s: (abs(s), s)):
+        # lag >= 0 overlaps trace1[lag:] with trace2[:n-lag], lag < 0
+        # overlaps trace1[:n+lag] with trace2[-lag:]
+        j = abs(lag)
         if lag >= 0:
-            r = _pearson(t1[lag:], t2[: n - lag])
+            x, y, cross = head1, tail2, float(np.dot(c1[j:], c2[: n - j]))
         else:
-            r = _pearson(t1[: n + lag], t2[-lag:])
-        if r > best_corr:
-            best_corr = r
-            best_lag = lag
+            x, y, cross = tail1, head2, float(np.dot(c1[: n - j], c2[j:]))
+        m = n - j
+        var_x = x.squares[j] - x.sums[j] ** 2 / m
+        var_y = y.squares[j] - y.sums[j] ** 2 / m
+        r = 0.0
+        if x.varies[j] and y.varies[j] and var_x > 0 and var_y > 0:
+            r = (cross - x.sums[j] * y.sums[j] / m) / math.sqrt(var_x * var_y)
+        if r > best_corr + TIE_TOL:
+            best_lag, best_corr = lag, r
     return AlignmentResult(best_lag, best_corr, best_corr >= CONFIDENCE_THRESHOLD)
 
 

@@ -104,6 +104,40 @@ def apply_compensation(rx: np.ndarray, estimates: np.ndarray) -> np.ndarray:
     return rx * np.exp(-1j * est)
 
 
+def compensate_traces(
+    rx1: np.ndarray,
+    rx2: np.ndarray,
+    trace1: np.ndarray,
+    trace2: np.ndarray,
+    remove_mean: bool,
+    cfg: EstimatorConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Jointly compensate two streams observed at the same symbol index, given
+    the phase traces extracted from them (see compensate_pair).
+
+    remove_mean selects the cascaded pipeline's block-mean removal; the
+    combined pipeline ignores it. The traces are not modified.
+    """
+    rx1 = np.asarray(rx1)
+    rx2 = np.asarray(rx2)
+    t1 = np.asarray(trace1, dtype=float)
+    t2 = np.asarray(trace2, dtype=float)
+    if not rx1.shape == rx2.shape == t1.shape == t2.shape:
+        raise ValueError(
+            f"stream and trace lengths differ: {rx1.size}, {rx2.size}, {t1.size}, {t2.size}")
+    if cfg.pipeline == "cascaded" and remove_mean:
+        m1 = t1.mean()
+        m2 = t2.mean()
+        t1 = wrap_quarter(t1 - m1)
+        t2 = wrap_quarter(t2 - m2)
+        rx1 = rx1 * np.exp(-1j * m1)
+        rx2 = rx2 * np.exp(-1j * m2)
+    est = estimate_common_phase(t1, t2, cfg)
+    # the common rotation is the same for both channels: compute it once
+    rotation = np.exp(-1j * est.value)
+    return rx1 * rotation, rx2 * rotation
+
+
 def compensate_pair(
     rx1: np.ndarray,
     rx2: np.ndarray,
@@ -124,14 +158,5 @@ def compensate_pair(
     rx2 = np.asarray(rx2)
     if rx1.shape != rx2.shape:
         raise ValueError(f"stream lengths differ: {rx1.size} vs {rx2.size}")
-    t1 = extract_phase(rx1, vv)
-    t2 = extract_phase(rx2, vv)
-    if cfg.pipeline == "cascaded" and vv.remove_mean:
-        m1 = t1.mean()
-        m2 = t2.mean()
-        t1 = wrap_quarter(t1 - m1)
-        t2 = wrap_quarter(t2 - m2)
-        rx1 = rx1 * np.exp(-1j * m1)
-        rx2 = rx2 * np.exp(-1j * m2)
-    est = estimate_common_phase(t1, t2, cfg)
-    return apply_compensation(rx1, est.value), apply_compensation(rx2, est.value)
+    return compensate_traces(
+        rx1, rx2, extract_phase(rx1, vv), extract_phase(rx2, vv), vv.remove_mean, cfg)

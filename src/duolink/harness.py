@@ -31,11 +31,12 @@ import numpy as np
 
 from .alignment import AlignmentResult, align, estimate_delay
 from .channel import STREAM_BITS1, STREAM_BITS2, ChannelParams, apply_channel, stream_rng
-from .compensation import EstimatorConfig, apply_compensation, compensate_pair
+from .compensation import EstimatorConfig, apply_compensation, compensate_traces
 from .cpe import VVConfig, extract_phase
-from .qpsk import count_errors, demap_symbols, map_symbols, quadrant_indices
+from .qpsk import SYMBOLS, count_quadrant_errors, gray_indices, quadrant_indices
 
 WILSON_Z95 = 1.959963984540054
+PER_SYMBOL = VVConfig(window=1, remove_mean=False)
 
 
 class ConfigError(ValueError):
@@ -169,62 +170,75 @@ class BERReport:
 def run_trial(cfg: TrialConfig) -> BERReport:
     """Run one paired baseline/compensated trial.
 
-    Pipeline: random payloads -> QPSK mapping -> shared-phase channel ->
-    delay recovery from per-symbol phase traces -> channel-2 alignment ->
-    baseline (per-channel VV rotation) and compensated (joint) detection ->
-    demap, count, classify. Deterministic for a given config.
+    Pipeline: random payloads -> Gray quadrant indices -> QPSK symbols ->
+    shared-phase channel -> delay recovery from per-symbol phase traces ->
+    channel-2 alignment -> baseline (per-channel VV rotation) and compensated
+    (joint) detection -> count and classify. Each phase trace is extracted
+    once and each stream (received, compensated, baseline) is decided once;
+    bit errors are counted from the decided quadrants. Deterministic for a
+    given config.
     """
     n = cfg.n_symbols
     ch = cfg.channel
-    bits1 = stream_rng(ch.seed, STREAM_BITS1).integers(0, 2, size=2 * n)
-    bits2 = stream_rng(ch.seed, STREAM_BITS2).integers(0, 2, size=2 * n)
-    tx1 = map_symbols(bits1)
-    tx2 = map_symbols(bits2)
-    rx1, rx2 = apply_channel(tx1, tx2, ch)
+    bits = stream_rng(ch.seed, STREAM_BITS1).integers(0, 2, size=2 * n)
+    k_tx1 = gray_indices(bits)
+    bits = stream_rng(ch.seed, STREAM_BITS2).integers(0, 2, size=2 * n)
+    k_tx2 = gray_indices(bits)
+    del bits
+    rx1, rx2 = apply_channel(SYMBOLS[k_tx1], SYMBOLS[k_tx2], ch)
 
-    per_symbol = VVConfig(window=1, remove_mean=False)
-    if cfg.max_lag > 0 and n > 2 * cfg.max_lag:
-        delay = estimate_delay(
-            extract_phase(rx1, per_symbol),
-            extract_phase(rx2, per_symbol),
-            cfg.max_lag,
-        )
+    # Delay recovery runs on per-symbol (window=1) traces. Extraction is
+    # elementwise at window=1, so for a window=1 receiver the aligned
+    # stream's trace is the per-symbol trace aligned the same way, and the
+    # same two traces also serve compensation and the baseline.
+    search = cfg.max_lag > 0 and n > 2 * cfg.max_lag
+    per_symbol = cfg.vv.window == 1
+    if search or per_symbol:
+        trace1 = extract_phase(rx1, PER_SYMBOL)
+        trace2 = extract_phase(rx2, PER_SYMBOL)
+    if search:
+        delay = estimate_delay(trace1, trace2, cfg.max_lag)
     else:
         delay = AlignmentResult(lag=0, peak_correlation=0.0, confident=False)
     # only buffer on a confident estimate; an unconfident peak is noise
     applied_lag = delay.lag if delay.confident else 0
-    aligned = align(rx2, applied_lag)
-    rx2 = aligned.samples
-    valid = aligned.valid
-    n_valid = int(np.count_nonzero(valid))
-    bit_valid = np.repeat(valid, 2)
+    rx2 = align(rx2, applied_lag).samples
+    if per_symbol:
+        trace2 = align(trace2, applied_lag).samples
+    else:
+        trace1 = trace2 = None  # free the per-symbol traces first
+        trace1 = extract_phase(rx1, cfg.vv)
+        trace2 = extract_phase(rx2, cfg.vv)
+    # align invalidates the |lag| wrapped-in symbols at one end of the stream
+    valid = slice(max(applied_lag, 0), n + min(applied_lag, 0))
+    n_valid = valid.stop - valid.start
     bits_per_channel = 2 * n_valid
+    k_tx1, k_tx2 = k_tx1[valid], k_tx2[valid]
+    k_rx1 = quadrant_indices(rx1[valid])
+    k_rx2 = quadrant_indices(rx2[valid])
 
-    comp1, comp2 = compensate_pair(rx1, rx2, cfg.vv, cfg.estimator)
-    ec1, _ = count_errors(bits1[bit_valid], demap_symbols(comp1)[bit_valid])
-    ec2, _ = count_errors(bits2[bit_valid], demap_symbols(comp2)[bit_valid])
+    comp1, comp2 = compensate_traces(
+        rx1, rx2, trace1, trace2, cfg.vv.remove_mean, cfg.estimator)
+    k_comp1 = quadrant_indices(comp1[valid])
+    k_comp2 = quadrant_indices(comp2[valid])
+    del comp1, comp2
+    ec1 = count_quadrant_errors(k_tx1, k_comp1)
+    ec2 = count_quadrant_errors(k_tx2, k_comp2)
     ber_comp = (ec1 + ec2) / (2 * bits_per_channel)
     ci_comp = wilson_interval(ec1 + ec2, 2 * bits_per_channel)
 
     if cfg.compare_baseline:
-        base1 = apply_compensation(rx1, extract_phase(rx1, cfg.vv))
-        base2 = apply_compensation(rx2, extract_phase(rx2, cfg.vv))
-        eb1, _ = count_errors(bits1[bit_valid], demap_symbols(base1)[bit_valid])
-        eb2, _ = count_errors(bits2[bit_valid], demap_symbols(base2)[bit_valid])
+        eb1 = count_quadrant_errors(
+            k_tx1, quadrant_indices(apply_compensation(rx1, trace1)[valid]))
+        eb2 = count_quadrant_errors(
+            k_tx2, quadrant_indices(apply_compensation(rx2, trace2)[valid]))
         ber_base = (eb1 + eb2) / (2 * bits_per_channel)
         ci_base = wilson_interval(eb1 + eb2, 2 * bits_per_channel)
         errors_base = (eb1, eb2)
     else:
         ber_base, ci_base, errors_base = None, None, None
 
-    codes = classify_cases(
-        quadrant_indices(tx1)[valid],
-        quadrant_indices(tx2)[valid],
-        quadrant_indices(rx1)[valid],
-        quadrant_indices(rx2)[valid],
-        quadrant_indices(comp1)[valid],
-        quadrant_indices(comp2)[valid],
-    )
+    codes = classify_cases(k_tx1, k_tx2, k_rx1, k_rx2, k_comp1, k_comp2)
     hist = np.bincount(codes, minlength=4)
     assert int(hist.sum()) == n_valid
 

@@ -15,6 +15,10 @@ import numpy as np
 # Quadrant centers, index = Gray symbol index k.
 SYMBOLS = np.exp(1j * (np.pi / 4 + np.arange(4) * np.pi / 2))
 
+# Number of bits in which the Gray labels of quadrants k_tx (row) and k_rx
+# (column) differ: one between adjacent quadrants, two between opposite ones.
+GRAY_DISTANCE = np.array([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
+
 
 @dataclass
 class DemapDiagnostics:
@@ -23,41 +27,41 @@ class DemapDiagnostics:
     zero_samples: int = 0
 
 
-def map_symbols(bits: np.ndarray) -> np.ndarray:
-    """Map a {0,1} bit stream (even length) to unit-energy QPSK symbols.
+def gray_indices(bits: np.ndarray) -> np.ndarray:
+    """Gray symbol index of each bit pair of a {0,1} bit stream (even length).
 
-    Bit pairs are consumed in order (b0, b1) per symbol; the Gray index is
-    k = 2*b0 + (b0 xor b1).
+    Bit pairs are consumed in order (b0, b1) per symbol; the index is
+    k = 2*b0 + (b0 xor b1), returned as uint8.
     """
     bits = np.asarray(bits)
     if bits.ndim != 1 or bits.size % 2 != 0:
         raise ValueError(f"bit stream length must be even, got {bits.size}")
-    if bits.size and not np.isin(bits, (0, 1)).all():
+    if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("bit stream may only contain 0 and 1")
-    b0 = bits[0::2].astype(np.int64)
-    b1 = bits[1::2].astype(np.int64)
-    k = 2 * b0 + (b0 ^ b1)
-    return SYMBOLS[k]
+    b0 = bits[0::2].astype(np.uint8)
+    b1 = bits[1::2].astype(np.uint8)
+    return 2 * b0 + (b0 ^ b1)
+
+
+def map_symbols(bits: np.ndarray) -> np.ndarray:
+    """Map a {0,1} bit stream (even length) to unit-energy QPSK symbols
+    (see gray_indices for the bit-pair convention)."""
+    return SYMBOLS[gray_indices(bits)]
 
 
 def quadrant_indices(samples: np.ndarray) -> np.ndarray:
-    """Quadrant index (Gray symbol index k) of each complex sample.
+    """Quadrant index (Gray symbol index k) of each complex sample, as uint8.
 
     Ties on the axes go to the adjacent quadrant with the smaller k; the
-    origin maps to k=0.
+    origin maps to k=0 (signed zeros count as zero). A NaN component fails
+    every comparison, so an all-NaN sample also maps to k=0.
     """
     z = np.asarray(samples)
     re, im = z.real, z.imag
-    return np.where(
-        im > 0,
-        np.where(re >= 0, 0, 1),
-        np.where(
-            im < 0,
-            np.where(re <= 0, 2, 3),
-            # im == 0: real axis or origin
-            np.where(re > 0, 0, np.where(re < 0, 1, 0)),
-        ),
-    ).astype(np.int64)
+    lower = im < 0
+    # im >= 0: k = 1 left of the imaginary axis, else 0;
+    # im < 0: k = 3 right of the imaginary axis, else 2
+    return np.uint8(2) * lower + np.where(lower, re > 0, re < 0)
 
 
 def bits_from_quadrants(k: np.ndarray) -> np.ndarray:
@@ -91,3 +95,22 @@ def count_errors(tx: np.ndarray, rx: np.ndarray) -> tuple[int, float]:
         return 0, 0.0
     errors = int(np.count_nonzero(tx != rx))
     return errors, errors / tx.size
+
+
+def count_quadrant_errors(k_tx: np.ndarray, k_rx: np.ndarray) -> int:
+    """Bit errors between transmitted and decided quadrant indices.
+
+    Equal to count_errors on the Gray bits of both index streams, counted
+    from the histogram of (k_tx, k_rx) pairs weighted by GRAY_DISTANCE.
+    """
+    k_tx = np.asarray(k_tx)
+    k_rx = np.asarray(k_rx)
+    if k_tx.shape != k_rx.shape:
+        raise ValueError(f"symbol stream lengths differ: {k_tx.size} vs {k_rx.size}")
+    if k_tx.size == 0:
+        return 0
+    for k in (k_tx, k_rx):
+        if k.min() < 0 or k.max() > 3:
+            raise ValueError("quadrant indices must lie in 0..3")
+    pairs = np.bincount(4 * k_tx.astype(np.intp) + k_rx, minlength=16)
+    return int(pairs @ GRAY_DISTANCE.ravel())

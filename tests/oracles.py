@@ -6,6 +6,8 @@ internals so that an implementation bug cannot hide in its own oracle.
 
 import math
 
+import numpy as np
+
 from duolink import Case
 
 # Hand-written truth table for the four compensation-outcome cases, keyed by
@@ -49,3 +51,47 @@ def wilson_reference(errors: int, trials: int) -> tuple[float, float]:
     center = (p + z * z / (2 * trials)) / denom
     half = z / denom * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
     return center - half, center + half
+
+
+def quadrant_reference(samples):
+    """Quadrant index by nested sign tests: ties on the axes go to the
+    adjacent quadrant with the smaller index, the origin to 0."""
+    z = np.asarray(samples)
+    re, im = z.real, z.imag
+    return np.where(
+        im > 0,
+        np.where(re >= 0, 0, 1),
+        np.where(
+            im < 0,
+            np.where(re <= 0, 2, 3),
+            np.where(re > 0, 0, np.where(re < 0, 1, 0)),
+        ),
+    )
+
+
+def pearson_reference(x, y) -> float:
+    """Pearson coefficient of two equal-length samples, 0 if either is constant."""
+    if x.max() == x.min() or y.max() == y.min():
+        return 0.0
+    dx = x - x.mean()
+    dy = y - y.mean()
+    denom = math.sqrt(float(np.dot(dx, dx)) * float(np.dot(dy, dy)))
+    if denom == 0:
+        return 0.0
+    return float(np.dot(dx, dy)) / denom
+
+
+def delay_reference(t1, t2, max_lag: int, tie_tol: float = 0.0) -> tuple[int, float]:
+    """(lag, peak correlation) by copying out every overlap and correlating it
+    directly; lags in order of |lag|, negative first, and a later lag wins
+    only by more than tie_tol."""
+    n = t1.size
+    best_lag, best = 0, -math.inf
+    for lag in sorted(range(-max_lag, max_lag + 1), key=lambda s: (abs(s), s)):
+        if lag >= 0:
+            r = pearson_reference(t1[lag:].copy(), t2[: n - lag].copy())
+        else:
+            r = pearson_reference(t1[: n + lag].copy(), t2[-lag:].copy())
+        if r > best + tie_tol:
+            best_lag, best = lag, r
+    return best_lag, best

@@ -4,12 +4,51 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duolink import KappaSearchResult, adapt_kappa, align, estimate_delay
+from duolink.alignment import CONFIDENCE_THRESHOLD, TIE_TOL, _cuts
+from oracles import delay_reference
 
 
 def noise_trace(n, seed):
     return np.random.default_rng(seed).normal(0, 0.3, n)
+
+
+@st.composite
+def trace_pairs(draw):
+    """(trace1, trace2, max_lag): noise, partly constant, constant, constant
+    but for a few samples at the ends (so that some overlaps are constant) or
+    exactly periodic traces, on levels and scales of extracted phase traces."""
+    kind = draw(st.sampled_from(
+        ["noise", "partly_constant", "constant", "varies_at_ends", "periodic"]))
+    n = draw(st.integers(3, 300))
+    max_lag = draw(st.integers(0, min(20, (n - 1) // 2)))
+    shift = draw(st.integers(-max_lag, max_lag))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    level = st.integers(-7, 7).map(lambda k: k / 10)
+    if kind == "periodic":
+        pattern = [draw(level) for _ in range(draw(st.integers(1, 8)))]
+        t1 = np.resize(pattern, n)
+        t2 = np.roll(t1, -shift)
+    elif kind == "constant":
+        t1 = np.full(n, draw(level))
+        t2 = np.full(n, draw(level)) if draw(st.booleans()) else rng.normal(0, 0.3, n)
+    elif kind == "varies_at_ends":
+        t1, t2 = np.full(n, draw(level)), np.full(n, draw(level))
+        for t in (t1, t2):
+            head, tail = draw(st.integers(0, max_lag + 1)), draw(st.integers(0, max_lag + 1))
+            t[:head] = rng.normal(0, 0.3, head)
+            t[n - tail:] = rng.normal(0, 0.3, tail)
+    else:
+        t1 = rng.normal(0, draw(st.floats(0.01, 1.0)), n)
+        t2 = np.roll(t1, -shift) + rng.normal(0, draw(st.floats(0.0, 1.0)), n)
+        if kind == "partly_constant":
+            for t in (t1, t2):
+                a = draw(st.integers(0, n))
+                t[a:draw(st.integers(a, n))] = draw(level)
+    return t1, t2, max_lag
 
 
 class TestEstimateDelay:
@@ -47,6 +86,73 @@ class TestEstimateDelay:
         assert result.lag == 0
         assert result.peak_correlation == 0.0
         assert not result.confident
+
+    @pytest.mark.parametrize("pattern", [[0.3], [0.1, -0.2], [0.1, -0.2, 0.4],
+                                         [0.5, 0.1, -0.3, 0.1, -0.7]])
+    def test_periodic_ties_resolve_to_smallest_lag(self, pattern):
+        """Exactly periodic traces correlate equally at every lag congruent to
+        the shift modulo the period; the tie goes to the smallest |lag|,
+        negative first."""
+        t = np.resize(pattern, 1000)
+        result = estimate_delay(t, np.roll(t, -1), max_lag=12)
+        tied = [lag for lag in range(-12, 13) if (lag - 1) % len(pattern) == 0]
+        assert result.lag == min(tied, key=lambda s: (abs(s), s))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("lead", [-3, 3])
+    def test_overlap_constant_once_the_changes_are_cut(self, seed, lead):
+        """Traces that change only within three samples at opposite ends are
+        constant on the overlaps that cut those samples off, which must
+        correlate as exactly 0 whatever rounding leaves in their sums. The
+        other overlaps hold two positive bumps at disjoint positions and
+        correlate negatively, so lag `lead` wins with 0."""
+        rng = np.random.default_rng(seed)
+        t1, t2 = np.full(500, 0.3), np.full(500, -0.1)
+        t1[-3:] += np.abs(rng.normal(0, 0.3, 3))
+        t2[:3] += np.abs(rng.normal(0, 0.3, 3))
+        if lead > 0:
+            t1, t2 = t1[::-1].copy(), t2[::-1].copy()
+        result = estimate_delay(t1, t2, 6)
+        assert (result.lag, result.peak_correlation) == (lead, 0.0)
+        assert delay_reference(t1, t2, 6, tie_tol=TIE_TOL) == (lead, 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(trace_pairs())
+    def test_cut_sums_and_constancy(self, case):
+        """The per-cut sums match direct sums over the kept samples, and a cut
+        counts as varying exactly when the kept samples are not all equal."""
+        t, _, k = case
+        c = t - t.mean()
+        head, tail = _cuts(t, c, k)
+        n = t.size
+        for j in range(k + 1):
+            for cuts, kept in ((head, slice(j, n)), (tail, slice(0, n - j))):
+                assert cuts.varies[j] == (np.ptp(t[kept]) > 0)
+                assert cuts.sums[j] == pytest.approx(c[kept].sum(), abs=1e-12)
+                assert cuts.squares[j] == pytest.approx(np.dot(c[kept], c[kept]), abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(trace_pairs())
+    def test_matches_direct_pearson_reference(self, case):
+        t1, t2, max_lag = case
+        lag, peak = delay_reference(t1, t2, max_lag, tie_tol=TIE_TOL)
+        result = estimate_delay(t1, t2, max_lag)
+        assert result.lag == lag
+        assert result.confident == (peak >= CONFIDENCE_THRESHOLD)
+        assert abs(result.peak_correlation - peak) <= 1e-12
+
+    def test_plain_python_result(self):
+        t = noise_trace(256, 6)
+        result = estimate_delay(t, np.roll(t, -2), max_lag=4)
+        assert type(result.lag) is int
+        assert type(result.peak_correlation) is float
+        assert type(result.confident) is bool
+
+    def test_non_finite_rejected(self):
+        t = noise_trace(64, 7)
+        t[10] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            estimate_delay(t, noise_trace(64, 8), max_lag=4)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="short"):

@@ -164,6 +164,25 @@ class TestRunTrial:
         assert report.ci_uncompensated is None
         assert report.ber_compensated >= 0.0
 
+    @pytest.mark.parametrize("baseline", [True, False])
+    def test_report_dict_holds_plain_values(self, baseline):
+        """Every report value is a plain int/float/bool/None or a tuple of
+        them (config leaves may also be str), so reports survive json.dumps."""
+        def plain(value, extra=()):
+            if type(value) is tuple:
+                return all(plain(v) for v in value)
+            return type(value) in (int, float, bool, type(None), *extra)
+
+        cfg = replace(small_config(delay_offset=3), compare_baseline=baseline)
+        d = run_trial(cfg).to_dict()
+        config = d.pop("config")
+        for key, value in d.items():
+            assert plain(value), key
+        for section in config.values():
+            for key, value in (section.items() if type(section) is dict else [("", section)]):
+                assert plain(value, (str,)), key
+        json.dumps(run_trial(cfg).to_dict())
+
     def test_intervals_bracket_ber(self):
         report = run_trial(small_config())
         lo, hi = report.ci_compensated

@@ -9,10 +9,13 @@ from duolink import (
     DemapDiagnostics,
     SYMBOLS,
     count_errors,
+    count_quadrant_errors,
     demap_symbols,
+    gray_indices,
     map_symbols,
     quadrant_indices,
 )
+from oracles import quadrant_reference
 
 ISQ2 = 1 / np.sqrt(2)
 
@@ -91,6 +94,19 @@ class TestDemapSymbols:
         for z, k in ties.items():
             assert quadrant_indices([z])[0] == k
 
+    def test_matches_nested_sign_reference(self):
+        """Random samples plus every combination of 0, -0.0, +-1, +-tiny and
+        +-inf components: both axes, the origin and signed zeros."""
+        rng = np.random.default_rng(0)
+        edges = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, np.inf, -np.inf]
+        z = np.concatenate([
+            rng.standard_normal(10**5) + 1j * rng.standard_normal(10**5),
+            np.array([complex(re, im) for re in edges for im in edges]),
+        ])
+        k = quadrant_indices(z)
+        assert k.dtype == np.uint8
+        np.testing.assert_array_equal(k, quadrant_reference(z))
+
     def test_zero_sample_flagged(self):
         diag = DemapDiagnostics()
         bits = demap_symbols([0j, 0.5 + 0.5j], diagnostics=diag)
@@ -119,3 +135,30 @@ class TestCountErrors:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differ"):
             count_errors([0, 1], [0, 1, 0])
+
+
+class TestCountQuadrantErrors:
+    def test_every_quadrant_pair(self):
+        """Each (k_tx, k_rx) pair costs the Gray distance of the two labels."""
+        k = np.arange(4)
+        k_tx, k_rx = np.repeat(k, 4), np.tile(k, 4)
+        for a, b in zip(k_tx, k_rx):
+            want = count_errors(demap_symbols(SYMBOLS[[a]]), demap_symbols(SYMBOLS[[b]]))[0]
+            assert count_quadrant_errors([a], [b]) == want
+        assert count_quadrant_errors(k_tx, k_rx) == 16
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 500))
+    def test_matches_bit_level_count(self, seed, n):
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, size=2 * n)
+        z = map_symbols(bits) * np.exp(1j * rng.normal(0, 0.8, n))
+        errors = count_quadrant_errors(gray_indices(bits), quadrant_indices(z))
+        assert errors == count_errors(bits, demap_symbols(z))[0]
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="differ"):
+            count_quadrant_errors([0, 1], [0, 1, 2])
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="quadrant"):
+            count_quadrant_errors([0, 4], [0, 1])
