@@ -76,6 +76,10 @@ class ChannelParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("sigma_common", "sigma_additive", "alpha_dB", "dbeta",
+                     "cpe_cutoff", "symbol_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.sigma_common < 0:
             raise ValueError("sigma_common must be >= 0")
         if self.sigma_additive < 0:
@@ -88,8 +92,11 @@ class ChannelParams:
             raise ValueError("cpe_cutoff must be > 0 for the shaped model")
         if self.symbol_rate <= 0:
             raise ValueError("symbol_rate must be > 0")
-        if not isinstance(self.delay_offset, (int, np.integer)):
+        if (isinstance(self.delay_offset, bool)
+                or not isinstance(self.delay_offset, (int, np.integer))):
             raise ValueError("delay_offset must be an integer symbol count")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError("seed must be an integer")
         if not 0 <= int(self.seed) < MAX_SEED:
             raise ValueError("seed must fit in 64 bits")
 

@@ -27,7 +27,8 @@ class VVConfig:
     remove_mean: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.window, (int, np.integer)) or self.window < 1:
+        if (isinstance(self.window, bool) or not isinstance(self.window, (int, np.integer))
+                or self.window < 1):
             raise ValueError("window must be a positive integer")
         if self.window % 2 == 0:
             raise ValueError("window must be odd")

@@ -123,9 +123,11 @@ class TrialConfig:
     max_lag: int = 16
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_symbols, (int, np.integer)) or self.n_symbols < 1:
+        if (isinstance(self.n_symbols, bool) or not isinstance(self.n_symbols, (int, np.integer))
+                or self.n_symbols < 1):
             raise ValueError("n_symbols must be a positive integer")
-        if not isinstance(self.max_lag, (int, np.integer)) or self.max_lag < 0:
+        if (isinstance(self.max_lag, bool) or not isinstance(self.max_lag, (int, np.integer))
+                or self.max_lag < 0):
             raise ValueError("max_lag must be a nonnegative integer")
 
 

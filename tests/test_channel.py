@@ -180,6 +180,19 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             ChannelParams(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "sigma_common", "sigma_additive", "alpha_dB", "dbeta", "cpe_cutoff", "symbol_rate"])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ChannelParams(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("delay_offset", True), ("seed", 1.5), ("seed", True), ("seed", "7")])
+    def test_non_integer_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ChannelParams(**{field: value})
+
 
 class TestEfficiencyExport:
     def test_csv_round_trip(self, tmp_path):

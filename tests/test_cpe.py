@@ -98,6 +98,10 @@ class TestVVConfig:
         with pytest.raises(ValueError):
             VVConfig(window=window)
 
+    def test_bool_window_rejected(self):
+        with pytest.raises(ValueError, match="window"):
+            VVConfig(window=True)
+
 
 class TestWrapQuarter:
     def test_anchor_points(self):

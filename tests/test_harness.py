@@ -346,3 +346,19 @@ class TestTrialConfigValidation:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrialConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["n_symbols", "max_lag"])
+    def test_bool_count_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            TrialConfig(**{"n_symbols": 1000, field: True})
+
+    @pytest.mark.parametrize("data,field", [
+        ({"n_symbols": True}, "n_symbols"),
+        ({"n_symbols": 1000, "channel": {"seed": 1.5}}, "seed"),
+        ({"n_symbols": 1000, "channel": {"sigma_common": float("nan")}}, "sigma_common"),
+        ({"n_symbols": 1000, "channel": {"delay_offset": True}}, "delay_offset"),
+        ({"n_symbols": 1000, "vv": {"window": True}}, "window"),
+    ])
+    def test_config_file_values_rejected_at_load(self, data, field):
+        with pytest.raises(ConfigError, match=field):
+            trial_config_from_dict(data)
