@@ -57,7 +57,6 @@ from .harness import (
 )
 from .qpsk import (
     DemapDiagnostics,
-    GRAY_DISTANCE,
     SYMBOLS,
     bits_from_quadrants,
     count_errors,

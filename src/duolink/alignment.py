@@ -80,13 +80,13 @@ def _cuts(t: np.ndarray, c: np.ndarray, k: int) -> tuple[_Cuts, _Cuts]:
         first, last = n, -1
     total, total_sq = c.sum(), np.dot(c, c)
 
-    def cut(end: np.ndarray, varies) -> _Cuts:
+    def cut(end: np.ndarray, varies: list[bool]) -> _Cuts:
         sums = total - np.concatenate(([0.0], np.cumsum(end)))
         squares = total_sq - np.concatenate(([0.0], np.cumsum(end * end)))
-        return _Cuts(sums.tolist(), squares.tolist(), [varies(j) for j in range(k + 1)])
+        return _Cuts(sums.tolist(), squares.tolist(), varies)
 
-    head = cut(c[:k], lambda j: last >= j)
-    tail = cut(c[n - k:][::-1], lambda j: first <= n - 2 - j)
+    head = cut(c[:k], [last >= j for j in range(k + 1)])
+    tail = cut(c[n - k:][::-1], [first <= n - 2 - j for j in range(k + 1)])
     return head, tail
 
 

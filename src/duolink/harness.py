@@ -36,7 +36,6 @@ from .cpe import VVConfig, extract_phase
 from .qpsk import SYMBOLS, count_quadrant_errors, gray_indices, quadrant_indices
 
 WILSON_Z95 = 1.959963984540054
-PER_SYMBOL = VVConfig(window=1, remove_mean=False)
 
 
 class ConfigError(ValueError):
@@ -193,11 +192,12 @@ def run_trial(cfg: TrialConfig) -> BERReport:
     # elementwise at window=1, so for a window=1 receiver the aligned
     # stream's trace is the per-symbol trace aligned the same way, and the
     # same two traces also serve compensation and the baseline.
+    per_symbol = VVConfig(window=1, remove_mean=False)
     search = cfg.max_lag > 0 and n > 2 * cfg.max_lag
-    per_symbol = cfg.vv.window == 1
-    if search or per_symbol:
-        trace1 = extract_phase(rx1, PER_SYMBOL)
-        trace2 = extract_phase(rx2, PER_SYMBOL)
+    share = cfg.vv.window == 1
+    if search or share:
+        trace1 = extract_phase(rx1, per_symbol)
+        trace2 = extract_phase(rx2, per_symbol)
     if search:
         delay = estimate_delay(trace1, trace2, cfg.max_lag)
     else:
@@ -205,7 +205,7 @@ def run_trial(cfg: TrialConfig) -> BERReport:
     # only buffer on a confident estimate; an unconfident peak is noise
     applied_lag = delay.lag if delay.confident else 0
     rx2 = align(rx2, applied_lag).samples
-    if per_symbol:
+    if share:
         trace2 = align(trace2, applied_lag).samples
     else:
         trace1 = trace2 = None  # free the per-symbol traces first

@@ -82,16 +82,16 @@ def pearson_reference(x, y) -> float:
 
 
 def delay_reference(t1, t2, max_lag: int, tie_tol: float = 0.0) -> tuple[int, float]:
-    """(lag, peak correlation) by copying out every overlap and correlating it
-    directly; lags in order of |lag|, negative first, and a later lag wins
-    only by more than tie_tol."""
+    """(lag, peak correlation) by correlating every overlap directly; lags in
+    order of |lag|, negative first, and a later lag wins only by more than
+    tie_tol."""
     n = t1.size
     best_lag, best = 0, -math.inf
     for lag in sorted(range(-max_lag, max_lag + 1), key=lambda s: (abs(s), s)):
         if lag >= 0:
-            r = pearson_reference(t1[lag:].copy(), t2[: n - lag].copy())
+            r = pearson_reference(t1[lag:], t2[: n - lag])
         else:
-            r = pearson_reference(t1[: n + lag].copy(), t2[-lag:].copy())
+            r = pearson_reference(t1[: n + lag], t2[-lag:])
         if r > best + tie_tol:
             best_lag, best = lag, r
     return best_lag, best
