@@ -32,7 +32,6 @@ from .compensation import (
     estimate_common_phase,
 )
 from .cpe import (
-    CpeDiagnostics,
     VVConfig,
     extract_phase,
     remove_mean_phase,
@@ -56,7 +55,6 @@ from .harness import (
     wilson_interval,
 )
 from .qpsk import (
-    DemapDiagnostics,
     SYMBOLS,
     bits_from_quadrants,
     count_errors,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -78,8 +79,10 @@ class ChannelParams:
     def __post_init__(self) -> None:
         for name in ("sigma_common", "sigma_additive", "alpha_dB", "dbeta",
                      "cpe_cutoff", "symbol_rate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number")
         if self.sigma_common < 0:
             raise ValueError("sigma_common must be >= 0")
         if self.sigma_additive < 0:

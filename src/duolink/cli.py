@@ -17,6 +17,7 @@ from .harness import (
     ConfigError,
     emit,
     load_trial_config,
+    read_config_file,
     run_sweep,
     run_trial,
     trial_config_from_dict,
@@ -75,14 +76,8 @@ def _cmd_trial(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config: expected an object")
-    axes = data.pop("sweep", {})
+    data = read_config_file(args.config)
+    axes = data.pop("sweep", {}) if isinstance(data, dict) else {}
     base = trial_config_from_dict(data)
     os.makedirs(args.out, exist_ok=True)
     points = run_sweep(base, axes, out_dir=args.out, workers=args.workers)

@@ -18,37 +18,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .cpe import HALF_PI, VVConfig, extract_phase, wrap_quarter
-
-PIPELINES = ("cascaded", "combined")
+from .cpe import VVConfig, extract_phase, wrap_quarter
 
 
 @dataclass
 class EstimatorConfig:
-    """Weighting factor and pipeline selection for the joint compensator.
+    """Weighting factor of the joint compensator.
 
     kappa             weighting factor >= 0 (0 = arithmetic mean)
     kappa_infinite    use the minimum-magnitude border case, ignoring kappa
-    subtract_half_pi  subtract pi/2 from every estimate (for axis-aligned
-                      symbol conventions; unused with quadrant-center symbols)
-    pipeline          "cascaded": per-channel mean-phase removal first, then
-                      joint estimation on the residual traces;
-                      "combined": one joint stage on the raw traces
     """
 
     kappa: float = 0.0
     kappa_infinite: bool = False
-    subtract_half_pi: bool = False
-    pipeline: str = "cascaded"
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.kappa) or self.kappa < 0:
-            raise ValueError("kappa must be finite and >= 0")
-        if self.pipeline not in PIPELINES:
-            raise ValueError(f"pipeline must be one of {PIPELINES}")
+        if (isinstance(self.kappa, bool) or not isinstance(self.kappa, Real)
+                or not math.isfinite(self.kappa) or self.kappa < 0):
+            raise ValueError("kappa must be a finite number >= 0")
+        if not isinstance(self.kappa_infinite, (bool, np.bool_)):
+            raise ValueError("kappa_infinite must be true or false")
 
 
 @dataclass
@@ -88,8 +81,6 @@ def estimate_common_phase(phi1, phi2, cfg: EstimatorConfig) -> CommonPhaseEstima
         w1 = np.exp(-cfg.kappa * (a1 - floor))
         w2 = np.exp(-cfg.kappa * (a2 - floor))
         value = (w1 * p1 + w2 * p2) / (w1 + w2)
-    if cfg.subtract_half_pi:
-        value = value - HALF_PI
     if scalar:
         return CommonPhaseEstimate(float(value), (float(w1), float(w2)))
     return CommonPhaseEstimate(value, (w1, w2))
@@ -115,8 +106,8 @@ def compensate_traces(
     """Jointly compensate two streams observed at the same symbol index, given
     the phase traces extracted from them (see compensate_pair).
 
-    remove_mean selects the cascaded pipeline's block-mean removal; the
-    combined pipeline ignores it. The traces are not modified.
+    remove_mean selects the per-channel block-mean removal that precedes the
+    joint estimate. The traces are not modified.
     """
     rx1 = np.asarray(rx1)
     rx2 = np.asarray(rx2)
@@ -125,7 +116,7 @@ def compensate_traces(
     if not rx1.shape == rx2.shape == t1.shape == t2.shape:
         raise ValueError(
             f"stream and trace lengths differ: {rx1.size}, {rx2.size}, {t1.size}, {t2.size}")
-    if cfg.pipeline == "cascaded" and remove_mean:
+    if remove_mean:
         m1 = t1.mean()
         m2 = t2.mean()
         t1 = wrap_quarter(t1 - m1)
@@ -146,13 +137,9 @@ def compensate_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jointly compensate two received streams observed at the same symbol index.
 
-    cascaded pipeline with vv.remove_mean: each channel's block-mean phase is
-    removed first (samples rotated, traces re-centered), then the per-symbol
-    joint estimate of the residual is removed from both channels.
-
-    combined pipeline: one stage, joint per-symbol estimate straight from the
-    raw extracted traces (vv.remove_mean has no separable meaning here and is
-    ignored). Both pipelines are identical for window=1, remove_mean=False.
+    With vv.remove_mean, each channel's block-mean phase is removed first
+    (samples rotated, traces re-centered); then the per-symbol joint estimate
+    of the (residual) traces is removed from both channels.
     """
     rx1 = np.asarray(rx1)
     rx2 = np.asarray(rx2)

@@ -20,8 +20,8 @@ HALF_PI = np.pi / 2
 
 @dataclass
 class VVConfig:
-    """Window length (odd) of the complex moving average, and whether the
-    pair-compensation pipeline removes the block-mean phase per channel."""
+    """Window length (odd) of the complex moving average, and whether pair
+    compensation removes each channel's block-mean phase first."""
 
     window: int = 33
     remove_mean: bool = True
@@ -32,14 +32,8 @@ class VVConfig:
             raise ValueError("window must be a positive integer")
         if self.window % 2 == 0:
             raise ValueError("window must be odd")
-
-
-@dataclass
-class CpeDiagnostics:
-    """Counts symbol positions whose averaged 4th-power value was exactly zero
-    (phase undefined there, reported as 0)."""
-
-    zero_windows: int = 0
+        if not isinstance(self.remove_mean, (bool, np.bool_)):
+            raise ValueError("remove_mean must be true or false")
 
 
 def wrap_quarter(values: np.ndarray) -> np.ndarray:
@@ -51,11 +45,7 @@ def wrap_quarter(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def extract_phase(
-    samples: np.ndarray,
-    cfg: VVConfig | None = None,
-    diagnostics: CpeDiagnostics | None = None,
-) -> np.ndarray:
+def extract_phase(samples: np.ndarray, cfg: VVConfig | None = None) -> np.ndarray:
     """Per-symbol phase offset from the quadrant centers, in (-pi/4, pi/4].
 
     The 4th-power values are averaged as complex numbers over a centered
@@ -77,8 +67,6 @@ def extract_phase(
         avg = full[half : half + s.size]
     else:
         avg = quartic
-    if diagnostics is not None:
-        diagnostics.zero_windows += int(np.count_nonzero(avg == 0))
     # -avg == avg * e^{-i pi}: removes the constellation's pi offset
     phase = np.angle(-avg) / 4
     # angle(-(0+0j)) is -pi from the signed zeros; the phase there is

@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass, field, replace
 from enum import IntEnum
 from itertools import product
 from math import sqrt
+from numbers import Real
 
 import numpy as np
 
@@ -59,15 +60,8 @@ def classify_case(
     ):
         if q not in (0, 1, 2, 3):
             raise ValueError(f"{name}={q} is not a quadrant index in 0..3")
-    rx_ok1, rx_ok2 = rx_q1 == tx_q1, rx_q2 == tx_q2
-    post_ok1, post_ok2 = post_q1 == tx_q1, post_q2 == tx_q2
-    if rx_ok1 and rx_ok2:
-        return Case.NO_CORRECTION_REQUIRED
-    if post_ok1 and post_ok2:
-        return Case.CORRECTION_SUCCESSFUL
-    if (rx_ok1 and not post_ok1) or (rx_ok2 and not post_ok2):
-        return Case.ADDITIONAL_ERRORS
-    return Case.NO_CORRECTION_POSSIBLE
+    qs = (tx_q1, tx_q2, rx_q1, rx_q2, post_q1, post_q2)
+    return Case(classify_cases(*([q] for q in qs))[0])
 
 
 def classify_cases(
@@ -78,7 +72,8 @@ def classify_cases(
     post_q1: np.ndarray,
     post_q2: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized classify_case; returns an int array of Case values."""
+    """Classify each symbol slot from six equal-shape arrays of quadrant
+    indices (0..3 each); returns an int array of Case values."""
     arrays = [np.asarray(a) for a in (tx_q1, tx_q2, rx_q1, rx_q2, post_q1, post_q2)]
     for a in arrays:
         if a.size and (a.min() < 0 or a.max() > 3):
@@ -128,6 +123,8 @@ class TrialConfig:
         if (isinstance(self.max_lag, bool) or not isinstance(self.max_lag, (int, np.integer))
                 or self.max_lag < 0):
             raise ValueError("max_lag must be a nonnegative integer")
+        if not isinstance(self.compare_baseline, (bool, np.bool_)):
+            raise ValueError("compare_baseline must be true or false")
 
 
 @dataclass
@@ -171,7 +168,7 @@ class BERReport:
 def run_trial(cfg: TrialConfig) -> BERReport:
     """Run one paired baseline/compensated trial.
 
-    Pipeline: random payloads -> Gray quadrant indices -> QPSK symbols ->
+    Steps: random payloads -> Gray quadrant indices -> QPSK symbols ->
     shared-phase channel -> delay recovery from per-symbol phase traces ->
     channel-2 alignment -> baseline (per-channel VV rotation) and compensated
     (joint) detection -> count and classify. Each phase trace is extracted
@@ -264,15 +261,23 @@ def run_trial(cfg: TrialConfig) -> BERReport:
 # ---------------------------------------------------------------------------
 # configuration (de)serialization
 
+_SECTIONS = {"channel": ChannelParams, "vv": VVConfig, "estimator": EstimatorConfig}
+
+
 def _dataclass_from_dict(cls, data: dict, section: str):
+    """Build cls from data, rejecting unknown keys; fields named in
+    _SECTIONS are built from their own sub-objects first."""
     if not isinstance(data, dict):
         raise ConfigError(f"{section}: expected an object, got {type(data).__name__}")
-    known = set(cls.__dataclass_fields__)
-    unknown = set(data) - known
+    unknown = set(data) - set(cls.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"{section}: unknown field(s) {sorted(unknown)}")
+    kwargs = dict(data)
+    for key, sub_cls in _SECTIONS.items():
+        if key in kwargs:
+            kwargs[key] = _dataclass_from_dict(sub_cls, kwargs[key], key)
     try:
-        return cls(**data)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
@@ -283,40 +288,27 @@ def trial_config_from_dict(data: dict) -> TrialConfig:
     Field names mirror the dataclasses exactly; unknown keys are rejected
     with the offending names.
     """
-    if not isinstance(data, dict):
-        raise ConfigError(f"config: expected an object, got {type(data).__name__}")
-    known = set(TrialConfig.__dataclass_fields__)
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"config: unknown field(s) {sorted(unknown)}")
-    if "n_symbols" not in data:
-        raise ConfigError("config: missing required field 'n_symbols'")
-    kwargs = dict(data)
-    kwargs["channel"] = _dataclass_from_dict(
-        ChannelParams, kwargs.get("channel", {}), "channel")
-    kwargs["vv"] = _dataclass_from_dict(VVConfig, kwargs.get("vv", {}), "vv")
-    kwargs["estimator"] = _dataclass_from_dict(
-        EstimatorConfig, kwargs.get("estimator", {}), "estimator")
-    try:
-        return TrialConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config: {exc}") from exc
+    return _dataclass_from_dict(TrialConfig, data, "config")
 
 
 def trial_config_to_dict(cfg: TrialConfig) -> dict:
     return asdict(cfg)
 
 
-def load_trial_config(path) -> TrialConfig:
-    """Read and validate a JSON trial configuration file."""
+def read_config_file(path):
+    """Parse a JSON config file; unreadable files and invalid JSON raise ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return trial_config_from_dict(data)
+
+
+def load_trial_config(path) -> TrialConfig:
+    """Read and validate a JSON trial configuration file."""
+    return trial_config_from_dict(read_config_file(path))
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +334,8 @@ def sweep_configs(base: TrialConfig, axes: dict) -> list[TrialConfig]:
     keep the base value. A kappa of Infinity selects the minimum-magnitude
     border mode. Each point's channel seed is base_seed XOR point_index.
     """
+    if not isinstance(axes, dict):
+        raise ConfigError(f"sweep: expected an object, got {type(axes).__name__}")
     unknown = set(axes) - set(SWEEP_AXES)
     if unknown:
         raise ConfigError(f"sweep: unknown axis/axes {sorted(unknown)}")
@@ -357,10 +351,13 @@ def sweep_configs(base: TrialConfig, axes: dict) -> list[TrialConfig]:
         values = axes.get(name, defaults[name])
         if not isinstance(values, (list, tuple)) or len(values) == 0:
             raise ConfigError(f"sweep: axis '{name}' must be a non-empty list")
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ConfigError(f"sweep: axis '{name}' value {value!r} is not a number")
         grids.append(list(values))
     configs = []
     for index, (sc, sa, kp, dl) in enumerate(product(*grids)):
-        if dl != int(dl):
+        if not float(dl).is_integer():
             raise ConfigError(f"sweep: delay_offset value {dl} is not an integer")
         try:
             channel = replace(
@@ -394,9 +391,11 @@ def run_sweep(
     """Run every grid point; per-point failures are recorded, not raised.
 
     With out_dir set, each completed point is written to point_NNNN.json and
-    points whose file already exists are loaded instead of recomputed, so an
-    interrupted sweep resumes where it stopped. Points are independent and
-    run in `workers` processes when workers > 1; results merge by index.
+    points whose file already exists and holds the same config are loaded
+    instead of recomputed, so an interrupted sweep resumes where it stopped;
+    any other point file is recomputed and overwritten. Points are
+    independent and run in `workers` processes when workers > 1; results
+    merge by index.
     """
     configs = sweep_configs(base, axes)
     points: list[SweepPoint | None] = [None] * len(configs)
@@ -407,8 +406,9 @@ def run_sweep(
             try:
                 with open(_point_path(out_dir, index), "r", encoding="utf-8") as fh:
                     report = BERReport.from_dict(json.load(fh))
-                points[index] = SweepPoint(index, report=report)
-                continue
+                if report.config == configs[index]:
+                    points[index] = SweepPoint(index, report=report)
+                    continue
             except (OSError, ValueError, KeyError, json.JSONDecodeError):
                 pass  # unreadable cache entry: recompute
         pending.append(index)

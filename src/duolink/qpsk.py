@@ -8,8 +8,6 @@ decision region.  Gray convention: k=0 -> 00, k=1 -> 01, k=2 -> 11, k=3 -> 10
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Quadrant centers, index = Gray symbol index k.
@@ -18,13 +16,6 @@ SYMBOLS = np.exp(1j * (np.pi / 4 + np.arange(4) * np.pi / 2))
 # Number of bits in which the Gray labels of quadrants k_tx (row) and k_rx
 # (column) differ: one between adjacent quadrants, two between opposite ones.
 GRAY_DISTANCE = np.array([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
-
-
-@dataclass
-class DemapDiagnostics:
-    """Counters updated by demap_symbols when fed degenerate samples."""
-
-    zero_samples: int = 0
 
 
 def gray_indices(bits: np.ndarray) -> np.ndarray:
@@ -75,14 +66,9 @@ def bits_from_quadrants(k: np.ndarray) -> np.ndarray:
     return bits
 
 
-def demap_symbols(
-    samples: np.ndarray, diagnostics: DemapDiagnostics | None = None
-) -> np.ndarray:
+def demap_symbols(samples: np.ndarray) -> np.ndarray:
     """Hard-decide each sample to the bits of the quadrant containing it."""
-    z = np.asarray(samples)
-    if diagnostics is not None:
-        diagnostics.zero_samples += int(np.count_nonzero(z == 0))
-    return bits_from_quadrants(quadrant_indices(z))
+    return bits_from_quadrants(quadrant_indices(samples))
 
 
 def count_errors(tx: np.ndarray, rx: np.ndarray) -> tuple[int, float]:

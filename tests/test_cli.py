@@ -97,6 +97,18 @@ class TestSweepCommand:
         assert float(lines[1].split(",")[0]) == 0.2
         assert float(lines[2].split(",")[0]) == 0.3
 
+    @pytest.mark.parametrize("sweep", [
+        [],
+        3,
+        {"delay_offset": [True]},
+    ])
+    def test_malformed_sweep_is_config_error(self, tmp_path, capsys, sweep):
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(dict(BASE_CONFIG, sweep=sweep)))
+        out_dir = tmp_path / "results"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        assert "sweep" in capsys.readouterr().err
+
 
 class TestEfficiencyCommand:
     def test_writes_curve(self, tmp_path):

@@ -57,11 +57,6 @@ class TestEstimateCommonPhase:
         with pytest.raises(ValueError, match="finite"):
             estimate_common_phase(0.1, bad, EstimatorConfig())
 
-    def test_subtract_half_pi_flag(self):
-        cfg = EstimatorConfig(kappa=0.0, subtract_half_pi=True)
-        est = estimate_common_phase(0.2, 0.4, cfg)
-        assert est.value == pytest.approx(0.3 - np.pi / 2, abs=1e-12)
-
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(2)
         p1 = rng.uniform(-0.7, 0.7, 64)
@@ -121,7 +116,6 @@ class TestEstimatorConfig:
         {"kappa": -1.0},
         {"kappa": float("nan")},
         {"kappa": float("inf")},
-        {"pipeline": "parallel"},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -179,24 +173,13 @@ class TestCompensatePair:
         assert count_errors(bits1, demap_symbols(out1))[0] == 0
         assert count_errors(bits2, demap_symbols(out2))[0] == 0
 
-    def test_cascaded_equals_combined_at_window_one(self):
-        rng = np.random.default_rng(7)
-        n = 512
-        rx1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        rx2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        vv = VVConfig(window=1, remove_mean=False)
-        a1, a2 = compensate_pair(rx1, rx2, vv, EstimatorConfig(kappa=2.0, pipeline="cascaded"))
-        b1, b2 = compensate_pair(rx1, rx2, vv, EstimatorConfig(kappa=2.0, pipeline="combined"))
-        np.testing.assert_array_equal(a1, b1)
-        np.testing.assert_array_equal(a2, b2)
-
     def test_cascaded_removes_block_mean(self):
-        """A constant carrier offset disappears in cascaded mode."""
+        """A constant carrier offset disappears with remove_mean."""
         tx = map_symbols(np.tile([0, 1, 1, 0], 64))
         rx = tx * np.exp(0.2j)
         out1, out2 = compensate_pair(
             rx, rx, VVConfig(window=1, remove_mean=True),
-            EstimatorConfig(kappa=0.0, pipeline="cascaded"))
+            EstimatorConfig(kappa=0.0))
         np.testing.assert_allclose(out1, tx, atol=1e-9)
         np.testing.assert_allclose(out2, tx, atol=1e-9)
 

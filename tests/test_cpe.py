@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from duolink import (
-    CpeDiagnostics,
     VVConfig,
     extract_phase,
     map_symbols,
@@ -72,11 +71,8 @@ class TestExtractPhase:
             extract_phase(np.array([], dtype=complex), VVConfig(window=1))
 
     def test_zero_window_flagged(self):
-        diag = CpeDiagnostics()
-        trace = extract_phase(np.zeros(8, complex),
-                              VVConfig(window=1, remove_mean=False), diagnostics=diag)
+        trace = extract_phase(np.zeros(8, complex), VVConfig(window=1, remove_mean=False))
         np.testing.assert_array_equal(trace, np.zeros(8))
-        assert diag.zero_windows == 8
 
     def test_range_invariant(self):
         rng = np.random.default_rng(8)

@@ -1,8 +1,10 @@
 """Tests for the trials, classifier, intervals, sweeps and emission."""
 
 import json
+import re
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,6 +224,15 @@ class TestConfigRoundTrip:
         assert cfg.vv == VVConfig()
         assert cfg.compare_baseline
 
+    def test_readme_config_examples_load(self):
+        """The README's trial config loads as written and its sweep section
+        expands, so a removed field cannot linger in the docs."""
+        readme = Path(__file__).parents[1].joinpath("README.md").read_text(encoding="utf-8")
+        trial, sweep = [json.loads(block) for block in
+                        re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)]
+        base = trial_config_from_dict(trial)
+        assert len(sweep_configs(base, sweep["sweep"])) == 6
+
 
 class TestEmit:
     def test_empty_reports_header_only_csv(self, tmp_path):
@@ -315,6 +326,25 @@ class TestSweep:
         assert second[0].report.ber_compensated == 0.123456
         assert second[1].report == first[1].report
 
+    def test_resume_recomputes_points_of_another_config(self, tmp_path):
+        base = replace(small_config(), n_symbols=2000)
+        run_sweep(base, {"sigma_common": [0.2, 0.3]}, out_dir=tmp_path)
+        axes = {"sigma_common": [0.5, 0.6]}
+        rerun = run_sweep(base, axes, out_dir=tmp_path)
+        fresh = run_sweep(base, axes)
+        assert [p.report for p in rerun] == [p.report for p in fresh]
+        stored = json.loads((tmp_path / "point_0001.json").read_text())
+        assert stored["config"]["channel"]["sigma_common"] == 0.6
+
+    @pytest.mark.parametrize("axes,message", [
+        ({"kappa": [False]}, "kappa"),
+        ({"sigma_common": ["0.2"]}, "sigma_common"),
+        ({"delay_offset": [float("inf")]}, "delay_offset"),
+    ])
+    def test_malformed_axes_rejected(self, axes, message):
+        with pytest.raises(ConfigError, match=message):
+            sweep_configs(small_config(), axes)
+
     def test_point_failure_recorded_sweep_continues(self, monkeypatch):
         base = replace(small_config(), n_symbols=2000)
         real = duolink.harness.run_trial
@@ -358,6 +388,16 @@ class TestTrialConfigValidation:
         ({"n_symbols": 1000, "channel": {"sigma_common": float("nan")}}, "sigma_common"),
         ({"n_symbols": 1000, "channel": {"delay_offset": True}}, "delay_offset"),
         ({"n_symbols": 1000, "vv": {"window": True}}, "window"),
+        ({"n_symbols": 1000, "vv": {"remove_mean": "false"}}, "remove_mean"),
+        ({"n_symbols": 1000, "estimator": {"kappa_infinite": "no"}}, "kappa_infinite"),
+        ({"n_symbols": 1000, "compare_baseline": "yes"}, "compare_baseline"),
+        ({"n_symbols": 1000, "compare_baseline": 1}, "compare_baseline"),
+        ({"n_symbols": 1000, "channel": {"sigma_common": True}}, "sigma_common"),
+        ({"n_symbols": 1000, "estimator": {"kappa": True}}, "kappa"),
+        ({"n_symbols": 1000, "estimator": {"kappa": "1.0"}}, "kappa"),
+        ({"n_symbols": 1000, "channel": {"sigma_additive": "0.1"}}, "sigma_additive"),
+        ({"n_symbols": 1000, "estimator": {"pipeline": "cascaded"}}, "pipeline"),
+        ({"n_symbols": 1000, "estimator": {"subtract_half_pi": False}}, "subtract_half_pi"),
     ])
     def test_config_file_values_rejected_at_load(self, data, field):
         with pytest.raises(ConfigError, match=field):
