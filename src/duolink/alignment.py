@@ -16,6 +16,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _checks
+
 # Peak correlation at or above this is considered a reliable delay estimate.
 CONFIDENCE_THRESHOLD = 0.5
 
@@ -108,7 +110,8 @@ def estimate_delay(
     t2 = np.asarray(trace2, dtype=float)
     if t1.size != t2.size:
         raise ValueError(f"trace lengths differ: {t1.size} vs {t2.size}")
-    if not isinstance(max_lag, (int, np.integer)) or max_lag < 0:
+    _checks.integer("max_lag", max_lag)
+    if max_lag < 0:
         raise ValueError("max_lag must be a nonnegative integer")
     n = t1.size
     if n <= 2 * max_lag:
@@ -143,8 +146,7 @@ def align(samples: np.ndarray, lag: int) -> AlignedStream:
     """Shift a stream by `lag` symbols (circularly), marking the |lag|
     wrapped-in overhang symbols invalid."""
     s = np.asarray(samples)
-    if not isinstance(lag, (int, np.integer)):
-        raise ValueError("lag must be an integer")
+    _checks.integer("lag", lag)
     if abs(lag) >= s.size:
         raise ValueError(f"|lag|={abs(lag)} must be smaller than length {s.size}")
     out = np.roll(s, lag)

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
+
+from . import _checks
 
 # Substream identifiers for the per-seed random streams. Payload streams are
 # consumed by the Monte Carlo harness; keeping them here ensures every
@@ -77,12 +78,7 @@ class ChannelParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("sigma_common", "sigma_additive", "alpha_dB", "dbeta",
-                     "cpe_cutoff", "symbol_rate"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, Real)
-                    or not math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number")
+        _checks.check_fields(self)
         if self.sigma_common < 0:
             raise ValueError("sigma_common must be >= 0")
         if self.sigma_additive < 0:
@@ -95,11 +91,6 @@ class ChannelParams:
             raise ValueError("cpe_cutoff must be > 0 for the shaped model")
         if self.symbol_rate <= 0:
             raise ValueError("symbol_rate must be > 0")
-        if (isinstance(self.delay_offset, bool)
-                or not isinstance(self.delay_offset, (int, np.integer))):
-            raise ValueError("delay_offset must be an integer symbol count")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValueError("seed must be an integer")
         if not 0 <= int(self.seed) < MAX_SEED:
             raise ValueError("seed must fit in 64 bits")
 
@@ -200,6 +191,10 @@ def export_efficiency_csv(
     path, alpha_dB: float, dbeta: float, fmax: float, points: int = 1000
 ) -> None:
     """Write the efficiency curve sampled on [0, fmax] Hz as freq_hz,efficiency CSV."""
+    for name, value in (("alpha_dB", alpha_dB), ("dbeta", dbeta), ("fmax", fmax)):
+        _checks.number(name, value)
+    if alpha_dB < 0:
+        raise ValueError("alpha_dB must be >= 0")
     if points < 2:
         raise ValueError("need at least 2 sample points")
     if fmax <= 0:

@@ -11,6 +11,7 @@ import os
 import sys
 from dataclasses import asdict, replace
 
+from . import _checks
 from .alignment import adapt_kappa
 from .channel import export_efficiency_csv
 from .harness import (
@@ -76,10 +77,11 @@ def _cmd_trial(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ConfigError("--workers must be >= 1")
     data = read_config_file(args.config)
     axes = data.pop("sweep", {}) if isinstance(data, dict) else {}
     base = trial_config_from_dict(data)
-    os.makedirs(args.out, exist_ok=True)
     points = run_sweep(base, axes, out_dir=args.out, workers=args.workers)
     reports = [p.report for p in points if p.report is not None]
     emit(reports, "csv", os.path.join(args.out, "sweep.csv"))
@@ -91,8 +93,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_efficiency(args) -> int:
-    if args.alpha_db < 0:
-        raise ConfigError("--alpha-db must be >= 0")
     try:
         export_efficiency_csv(args.out, args.alpha_db, args.dbeta, args.fmax, args.points)
     except ValueError as exc:
@@ -101,6 +101,17 @@ def _cmd_efficiency(args) -> int:
 
 
 def _cmd_adapt_kappa(args) -> int:
+    try:
+        for flag, value in (("--lo", args.lo), ("--hi", args.hi), ("--tol", args.tol)):
+            _checks.number(flag, value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if args.lo < 0:
+        raise ConfigError("--lo must be >= 0")
+    if not args.hi > args.lo:
+        raise ConfigError("--hi must be greater than --lo")
+    if not args.tol > 0:
+        raise ConfigError("--tol must be > 0")
     cfg = load_trial_config(args.config)
 
     def objective(kappa: float) -> float:
@@ -111,10 +122,6 @@ def _cmd_adapt_kappa(args) -> int:
         )
         return run_trial(trial_cfg).ber_compensated
 
-    if not args.hi > args.lo:
-        raise ConfigError("--hi must be greater than --lo")
-    if not args.tol > 0:
-        raise ConfigError("--tol must be > 0")
     result = adapt_kappa(objective, args.lo, args.hi, args.tol)
     json.dump(asdict(result), sys.stdout, indent=2)
     sys.stdout.write("\n")

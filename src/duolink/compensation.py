@@ -16,12 +16,11 @@ complex rotation, which preserves sample magnitudes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
+from . import _checks
 from .cpe import VVConfig, extract_phase, wrap_quarter
 
 
@@ -37,24 +36,16 @@ class EstimatorConfig:
     kappa_infinite: bool = False
 
     def __post_init__(self) -> None:
-        if (isinstance(self.kappa, bool) or not isinstance(self.kappa, Real)
-                or not math.isfinite(self.kappa) or self.kappa < 0):
-            raise ValueError("kappa must be a finite number >= 0")
-        if not isinstance(self.kappa_infinite, (bool, np.bool_)):
-            raise ValueError("kappa_infinite must be true or false")
+        _checks.check_fields(self)
+        if self.kappa < 0:
+            raise ValueError("kappa must be >= 0")
 
 
 @dataclass
 class CommonPhaseEstimate:
-    """Joint estimate plus the weights that produced it.
-
-    For finite kappa the weights are normalized so the larger one is exactly 1
-    (same estimate as the raw exp(-kappa*|phi|) weights, but immune to
-    underflow); in kappa_infinite mode they are the 0/1 selection indicators.
-    """
+    """Joint estimate: a float for scalar observations, else an array."""
 
     value: float | np.ndarray
-    weights: tuple[float, float] | tuple[np.ndarray, np.ndarray]
 
 
 def estimate_common_phase(phi1, phi2, cfg: EstimatorConfig) -> CommonPhaseEstimate:
@@ -72,18 +63,15 @@ def estimate_common_phase(phi1, phi2, cfg: EstimatorConfig) -> CommonPhaseEstima
     a1 = np.abs(p1)
     a2 = np.abs(p2)
     if cfg.kappa_infinite:
-        pick2 = a2 < a1  # tie -> channel 1
-        value = np.where(pick2, p2, p1)
-        w2 = pick2.astype(float)
-        w1 = 1.0 - w2
+        value = np.where(a2 < a1, p2, p1)  # tie -> channel 1
     else:
+        # weights normalized so the larger one is exactly 1: the same
+        # estimate as exp(-kappa*|phi|), but immune to underflow
         floor = np.minimum(a1, a2)
         w1 = np.exp(-cfg.kappa * (a1 - floor))
         w2 = np.exp(-cfg.kappa * (a2 - floor))
         value = (w1 * p1 + w2 * p2) / (w1 + w2)
-    if scalar:
-        return CommonPhaseEstimate(float(value), (float(w1), float(w2)))
-    return CommonPhaseEstimate(value, (w1, w2))
+    return CommonPhaseEstimate(float(value) if scalar else value)
 
 
 def apply_compensation(rx: np.ndarray, estimates: np.ndarray) -> np.ndarray:

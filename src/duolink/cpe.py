@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
+
 QUARTER_PI = np.pi / 4
 HALF_PI = np.pi / 2
 
@@ -27,13 +29,11 @@ class VVConfig:
     remove_mean: bool = True
 
     def __post_init__(self) -> None:
-        if (isinstance(self.window, bool) or not isinstance(self.window, (int, np.integer))
-                or self.window < 1):
+        _checks.check_fields(self)
+        if self.window < 1:
             raise ValueError("window must be a positive integer")
         if self.window % 2 == 0:
             raise ValueError("window must be odd")
-        if not isinstance(self.remove_mean, (bool, np.bool_)):
-            raise ValueError("remove_mean must be true or false")
 
 
 def wrap_quarter(values: np.ndarray) -> np.ndarray:
@@ -45,15 +45,13 @@ def wrap_quarter(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def extract_phase(samples: np.ndarray, cfg: VVConfig | None = None) -> np.ndarray:
+def extract_phase(samples: np.ndarray, cfg: VVConfig) -> np.ndarray:
     """Per-symbol phase offset from the quadrant centers, in (-pi/4, pi/4].
 
     The 4th-power values are averaged as complex numbers over a centered
     window (shrunken at the edges) before the angle is taken, which avoids
     wrap artifacts that averaging angles directly would produce.
     """
-    if cfg is None:
-        cfg = VVConfig()
     s = np.asarray(samples, dtype=complex)
     if s.size == 0:
         raise ValueError("sample stream is empty")

@@ -24,12 +24,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from enum import IntEnum
+from functools import partial
 from itertools import product
 from math import sqrt
-from numbers import Real
 
 import numpy as np
 
+from . import _checks
 from .alignment import AlignmentResult, align, estimate_delay
 from .channel import STREAM_BITS1, STREAM_BITS2, ChannelParams, apply_channel, stream_rng
 from .compensation import EstimatorConfig, apply_compensation, compensate_traces
@@ -88,13 +89,14 @@ def classify_cases(
     return out
 
 
-def wilson_interval(errors: int, trials: int, z: float = WILSON_Z95) -> tuple[float, float]:
-    """Wilson score confidence interval for a binomial proportion."""
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score confidence interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= errors <= trials:
         raise ValueError("errors must lie in [0, trials]")
     p = errors / trials
+    z = WILSON_Z95
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z / denom * sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
@@ -117,14 +119,11 @@ class TrialConfig:
     max_lag: int = 16
 
     def __post_init__(self) -> None:
-        if (isinstance(self.n_symbols, bool) or not isinstance(self.n_symbols, (int, np.integer))
-                or self.n_symbols < 1):
+        _checks.check_fields(self)
+        if self.n_symbols < 1:
             raise ValueError("n_symbols must be a positive integer")
-        if (isinstance(self.max_lag, bool) or not isinstance(self.max_lag, (int, np.integer))
-                or self.max_lag < 0):
+        if self.max_lag < 0:
             raise ValueError("max_lag must be a nonnegative integer")
-        if not isinstance(self.compare_baseline, (bool, np.bool_)):
-            raise ValueError("compare_baseline must be true or false")
 
 
 @dataclass
@@ -150,9 +149,7 @@ class BERReport:
     config: TrialConfig
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["config"] = trial_config_to_dict(self.config)
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "BERReport":
@@ -351,9 +348,12 @@ def sweep_configs(base: TrialConfig, axes: dict) -> list[TrialConfig]:
         values = axes.get(name, defaults[name])
         if not isinstance(values, (list, tuple)) or len(values) == 0:
             raise ConfigError(f"sweep: axis '{name}' must be a non-empty list")
-        for value in values:
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ConfigError(f"sweep: axis '{name}' value {value!r} is not a number")
+        try:
+            for value in values:
+                if not (name == "kappa" and value == float("inf")):  # border mode
+                    _checks.number(f"sweep: axis '{name}' value {value!r}", value)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         grids.append(list(values))
     configs = []
     for index, (sc, sa, kp, dl) in enumerate(product(*grids)):
@@ -388,16 +388,18 @@ def run_sweep(
     out_dir=None,
     workers: int = 1,
 ) -> list[SweepPoint]:
-    """Run every grid point; per-point failures are recorded, not raised.
+    """Run every grid point; a point failing to compute or write is recorded, not raised.
 
     With out_dir set, each completed point is written to point_NNNN.json and
     points whose file already exists and holds the same config are loaded
     instead of recomputed, so an interrupted sweep resumes where it stopped;
     any other point file is recomputed and overwritten. Points are
     independent and run in `workers` processes when workers > 1; results
-    merge by index.
+    merge by index. out_dir is created once the grid is accepted.
     """
     configs = sweep_configs(base, axes)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     points: list[SweepPoint | None] = [None] * len(configs)
 
     pending: list[int] = []
@@ -413,28 +415,25 @@ def run_sweep(
                 pass  # unreadable cache entry: recompute
         pending.append(index)
 
-    def finish(index: int, report: BERReport) -> None:
-        points[index] = SweepPoint(index, report=report)
-        if out_dir is not None:
-            with open(_point_path(out_dir, index), "w", encoding="utf-8") as fh:
-                json.dump(report.to_dict(), fh, indent=2)
-                fh.write("\n")
+    def record(index: int, get_report) -> None:
+        try:
+            report = get_report()
+            if out_dir is not None:
+                with open(_point_path(out_dir, index), "w", encoding="utf-8") as fh:
+                    json.dump(report.to_dict(), fh, indent=2)
+                    fh.write("\n")
+            points[index] = SweepPoint(index, report=report)
+        except Exception as exc:  # noqa: BLE001 - per-point isolation
+            points[index] = SweepPoint(index, error=str(exc))
 
     if workers > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {i: pool.submit(run_trial, configs[i]) for i in pending}
             for index, fut in futures.items():
-                exc = fut.exception()
-                if exc is not None:
-                    points[index] = SweepPoint(index, error=str(exc))
-                else:
-                    finish(index, fut.result())
+                record(index, fut.result)
     else:
         for index in pending:
-            try:
-                finish(index, run_trial(configs[index]))
-            except Exception as exc:  # noqa: BLE001 - per-point isolation
-                points[index] = SweepPoint(index, error=str(exc))
+            record(index, partial(run_trial, configs[index]))
     return points  # type: ignore[return-value]
 
 

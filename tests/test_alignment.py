@@ -165,6 +165,8 @@ class TestEstimateDelay:
     def test_bad_max_lag_rejected(self):
         with pytest.raises(ValueError, match="max_lag"):
             estimate_delay(np.zeros(64), np.zeros(64), max_lag=-1)
+        with pytest.raises(ValueError, match="max_lag"):
+            estimate_delay(np.zeros(64), np.zeros(64), True)
 
 
 class TestAlign:
@@ -195,6 +197,8 @@ class TestAlign:
     def test_excessive_lag_rejected(self):
         with pytest.raises(ValueError, match="lag"):
             align(np.ones(4, complex), 4)
+        with pytest.raises(ValueError, match="lag"):
+            align(np.ones(4, complex), True)
 
 
 class TestAdaptKappa:

@@ -108,6 +108,15 @@ class TestSweepCommand:
         out_dir = tmp_path / "results"
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
         assert "sweep" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_workers_below_one_rejected(self, config_file, tmp_path, capsys, workers):
+        out_dir = tmp_path / "results"
+        assert main(["sweep", "--config", config_file, "--out", str(out_dir),
+                     "--workers", workers]) == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestEfficiencyCommand:
@@ -125,6 +134,19 @@ class TestEfficiencyCommand:
     def test_negative_alpha_is_config_error(self, tmp_path):
         assert main(["efficiency", "--alpha-db", "-0.2", "--dbeta", "1e-9",
                      "--fmax", "1e9", "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--alpha-db", "nan", "alpha_dB"),
+        ("--dbeta", "nan", "dbeta"),
+        ("--fmax", "inf", "fmax"),
+    ])
+    def test_non_finite_flag_is_config_error(self, tmp_path, capsys, flag, value, name):
+        args = {"--alpha-db": "0.2", "--dbeta": "1e-9", "--fmax": "1e9", flag: value}
+        out = tmp_path / "x.csv"
+        argv = ["efficiency", "--out", str(out)] + [x for kv in args.items() for x in kv]
+        assert main(argv) == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAdaptKappaCommand:
@@ -145,3 +167,16 @@ class TestAdaptKappaCommand:
         assert main(["adapt-kappa", "--config", str(path),
                      "--lo", "5", "--hi", "1", "--tol", "0.5"]) == 1
         assert "hi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--lo", "-1"),
+        ("--lo", "nan"),
+        ("--hi", "inf"),
+        ("--tol", "inf"),
+        ("--tol", "nan"),
+    ])
+    def test_bad_flag_is_config_error(self, config_file, capsys, flag, value):
+        args = {"--lo": "0", "--hi": "8", "--tol": "0.5", flag: value}
+        argv = ["adapt-kappa", "--config", config_file] + [x for kv in args.items() for x in kv]
+        assert main(argv) == 1
+        assert flag in capsys.readouterr().err

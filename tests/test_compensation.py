@@ -30,18 +30,15 @@ class TestEstimateCommonPhase:
     def test_kappa_zero_is_arithmetic_mean(self):
         est = estimate_common_phase(0.2, 0.4, EstimatorConfig(kappa=0.0))
         assert est.value == pytest.approx(0.3, abs=1e-12)
-        assert est.weights == (1.0, 1.0)
 
     def test_border_case_picks_minimum_magnitude(self):
         """kappa -> infinity returns the observation of smaller |phase|."""
         est = estimate_common_phase(0.2, -0.1, EstimatorConfig(kappa_infinite=True))
         assert est.value == -0.1
-        assert est.weights == (0.0, 1.0)
 
     def test_border_case_tie_returns_channel_one(self):
         est = estimate_common_phase(0.3, -0.3, EstimatorConfig(kappa_infinite=True))
         assert est.value == 0.3
-        assert est.weights == (1.0, 0.0)
 
     def test_kappa_one_hand_value(self):
         est = estimate_common_phase(0.2, 0.4, EstimatorConfig(kappa=1.0))
@@ -89,13 +86,6 @@ class TestEstimateCommonPhase:
         cfg = EstimatorConfig(kappa=kappa)
         assert (estimate_common_phase(-p1, -p2, cfg).value
                 == -estimate_common_phase(p1, p2, cfg).value)
-
-    @given(phases, phases)
-    def test_weights_in_unit_interval(self, p1, p2):
-        est = estimate_common_phase(p1, p2, EstimatorConfig(kappa=3.0))
-        w1, w2 = est.weights
-        assert 0 < w1 <= 1 and 0 < w2 <= 1
-        assert max(w1, w2) == 1.0
 
     def test_small_kappa_approaches_mean(self):
         est = estimate_common_phase(0.2, 0.4, EstimatorConfig(kappa=1e-12))

@@ -359,6 +359,17 @@ class TestSweep:
         assert points[0].error is not None and "injected" in points[0].error
         assert points[1].report is not None
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_point_write_failure_recorded_sweep_continues(self, tmp_path, workers):
+        base = replace(small_config(), n_symbols=2000)
+        (tmp_path / "point_0001.json").mkdir()
+        points = run_sweep(base, {"sigma_common": [0.2, 0.3, 0.4]},
+                           out_dir=tmp_path, workers=workers)
+        assert points[1].report is None and "point_0001.json" in points[1].error
+        assert points[0].report is not None and points[2].report is not None
+        assert (tmp_path / "point_0000.json").exists()
+        assert (tmp_path / "point_0002.json").exists()
+
     def test_parallel_matches_serial(self):
         base = replace(small_config(), n_symbols=2000)
         axes = {"sigma_common": [0.2, 0.3], "sigma_additive": [0.1, 0.15]}
