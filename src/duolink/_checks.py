@@ -14,9 +14,16 @@ def integer(name: str, value) -> None:
 
 
 def number(name: str, value) -> None:
-    """A finite real number; bools are rejected."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+    """A finite real number; bools and ints too large for a float are rejected."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not _finite(value):
         raise ValueError(f"{name} must be a finite number")
+
+
+def _finite(value: Real) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def flag(name: str, value) -> None:

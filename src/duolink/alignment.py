@@ -41,11 +41,11 @@ class AlignmentResult:
 
 @dataclass
 class AlignedStream:
-    """Shifted stream plus validity mask; overhang symbols are invalid and
-    must be excluded from error counting."""
+    """Shifted stream plus the slice of its valid symbols; the overhang
+    symbols outside it must be excluded from error counting."""
 
     samples: np.ndarray
-    valid: np.ndarray
+    valid: slice
 
 
 @dataclass
@@ -149,13 +149,7 @@ def align(samples: np.ndarray, lag: int) -> AlignedStream:
     _checks.integer("lag", lag)
     if abs(lag) >= s.size:
         raise ValueError(f"|lag|={abs(lag)} must be smaller than length {s.size}")
-    out = np.roll(s, lag)
-    valid = np.ones(s.size, dtype=bool)
-    if lag > 0:
-        valid[:lag] = False
-    elif lag < 0:
-        valid[lag:] = False
-    return AlignedStream(out, valid)
+    return AlignedStream(np.roll(s, lag), slice(max(lag, 0), s.size + min(lag, 0)))
 
 
 def adapt_kappa(

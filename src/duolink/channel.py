@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _checks
+from . import _checks, _files
 
 # Substream identifiers for the per-seed random streams. Payload streams are
 # consumed by the Monte Carlo harness; keeping them here ensures every
@@ -201,7 +201,7 @@ def export_efficiency_csv(
         raise ValueError("fmax must be > 0")
     freq = np.linspace(0.0, fmax, points)
     eta = conversion_efficiency(2 * np.pi * freq, alpha_dB, dbeta)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _files.atomic_write(path) as fh:
         fh.write("freq_hz,efficiency\n")
         for f, e in zip(freq, eta):
             fh.write(f"{float(f)!r},{float(e)!r}\n")

@@ -36,7 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
     trial.add_argument("--config", required=True, help="JSON trial config file")
     trial.add_argument("--seed", type=int, default=None, help="override channel seed")
     trial.add_argument("--out", default=None, help="output file (default: stdout JSON)")
-    trial.add_argument("--format", choices=("csv", "json"), default="json")
+    trial.add_argument("--format", choices=("csv", "json"), default=None,
+                       help="format of the --out file (default: json)")
 
     sweep = sub.add_parser("sweep", help="run a parameter sweep grid")
     sweep.add_argument("--config", required=True,
@@ -61,6 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_trial(args) -> int:
+    if args.format is not None and args.out is None:
+        raise ConfigError("--format needs --out (stdout output is always JSON)")
     cfg = load_trial_config(args.config)
     if args.seed is not None:
         try:
@@ -72,7 +75,7 @@ def _cmd_trial(args) -> int:
         json.dump(report.to_dict(), sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
-        emit([report], args.format, args.out)
+        emit([report], args.format or "json", args.out)
     return 0
 
 

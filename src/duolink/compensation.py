@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from .cpe import VVConfig, extract_phase, wrap_quarter
+from .cpe import VVConfig, extract_phase, remove_mean_phase
 
 
 @dataclass
@@ -105,12 +105,10 @@ def compensate_traces(
         raise ValueError(
             f"stream and trace lengths differ: {rx1.size}, {rx2.size}, {t1.size}, {t2.size}")
     if remove_mean:
-        m1 = t1.mean()
-        m2 = t2.mean()
-        t1 = wrap_quarter(t1 - m1)
-        t2 = wrap_quarter(t2 - m2)
-        rx1 = rx1 * np.exp(-1j * m1)
-        rx2 = rx2 * np.exp(-1j * m2)
+        rx1 = rx1 * np.exp(-1j * t1.mean())
+        rx2 = rx2 * np.exp(-1j * t2.mean())
+        t1 = remove_mean_phase(t1)
+        t2 = remove_mean_phase(t2)
     est = estimate_common_phase(t1, t2, cfg)
     # the common rotation is the same for both channels: compute it once
     rotation = np.exp(-1j * est.value)

@@ -22,15 +22,15 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from enum import IntEnum
 from functools import partial
 from itertools import product
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
-from . import _checks
+from . import _checks, _files
 from .alignment import AlignmentResult, align, estimate_delay
 from .channel import STREAM_BITS1, STREAM_BITS2, ChannelParams, apply_channel, stream_rng
 from .compensation import EstimatorConfig, apply_compensation, compensate_traces
@@ -153,13 +153,13 @@ class BERReport:
 
     @staticmethod
     def from_dict(d: dict) -> "BERReport":
-        d = dict(d)
-        d["config"] = trial_config_from_dict(d["config"])
+        """Inverse of to_dict; a malformed dict raises ConfigError."""
+        report = _dataclass_from_dict(BERReport, d, "report")
         for key in ("errors_uncompensated", "errors_compensated",
                     "ci_uncompensated", "ci_compensated", "case_counts"):
-            if d.get(key) is not None:
-                d[key] = tuple(d[key])
-        return BERReport(**d)
+            if isinstance(getattr(report, key), list):
+                setattr(report, key, tuple(getattr(report, key)))
+        return report
 
 
 def run_trial(cfg: TrialConfig) -> BERReport:
@@ -198,15 +198,14 @@ def run_trial(cfg: TrialConfig) -> BERReport:
         delay = AlignmentResult(lag=0, peak_correlation=0.0, confident=False)
     # only buffer on a confident estimate; an unconfident peak is noise
     applied_lag = delay.lag if delay.confident else 0
-    rx2 = align(rx2, applied_lag).samples
+    aligned = align(rx2, applied_lag)
+    rx2, valid = aligned.samples, aligned.valid
     if share:
         trace2 = align(trace2, applied_lag).samples
     else:
         trace1 = trace2 = None  # free the per-symbol traces first
         trace1 = extract_phase(rx1, cfg.vv)
         trace2 = extract_phase(rx2, cfg.vv)
-    # align invalidates the |lag| wrapped-in symbols at one end of the stream
-    valid = slice(max(applied_lag, 0), n + min(applied_lag, 0))
     n_valid = valid.stop - valid.start
     bits_per_channel = 2 * n_valid
     k_tx1, k_tx2 = k_tx1[valid], k_tx2[valid]
@@ -258,7 +257,10 @@ def run_trial(cfg: TrialConfig) -> BERReport:
 # ---------------------------------------------------------------------------
 # configuration (de)serialization
 
-_SECTIONS = {"channel": ChannelParams, "vv": VVConfig, "estimator": EstimatorConfig}
+_SECTIONS = {
+    "channel": ChannelParams, "vv": VVConfig, "estimator": EstimatorConfig,
+    "config": TrialConfig,
+}
 
 
 def _dataclass_from_dict(cls, data: dict, section: str):
@@ -293,14 +295,14 @@ def trial_config_to_dict(cfg: TrialConfig) -> dict:
 
 
 def read_config_file(path):
-    """Parse a JSON config file; unreadable files and invalid JSON raise ConfigError."""
+    """Parse a JSON file; unreadable files, non-UTF-8 bytes and invalid JSON raise ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # incl. JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
 
 
 def load_trial_config(path) -> TrialConfig:
@@ -328,7 +330,9 @@ def sweep_configs(base: TrialConfig, axes: dict) -> list[TrialConfig]:
 
     Axes (any subset of sigma_common, sigma_additive, kappa, delay_offset)
     are combined as a cartesian product in that nesting order; omitted axes
-    keep the base value. A kappa of Infinity selects the minimum-magnitude
+    keep the base value. Each point is the base config with its axis values
+    put in, loaded by trial_config_from_dict, so the config-file field rules
+    decide every value. A kappa of Infinity selects the minimum-magnitude
     border mode. Each point's channel seed is base_seed XOR point_index.
     """
     if not isinstance(axes, dict):
@@ -336,44 +340,24 @@ def sweep_configs(base: TrialConfig, axes: dict) -> list[TrialConfig]:
     unknown = set(axes) - set(SWEEP_AXES)
     if unknown:
         raise ConfigError(f"sweep: unknown axis/axes {sorted(unknown)}")
-    base_kappa = float("inf") if base.estimator.kappa_infinite else base.estimator.kappa
-    defaults = {
-        "sigma_common": [base.channel.sigma_common],
-        "sigma_additive": [base.channel.sigma_additive],
-        "kappa": [base_kappa],
-        "delay_offset": [base.channel.delay_offset],
-    }
-    grids = []
-    for name in SWEEP_AXES:
-        values = axes.get(name, defaults[name])
-        if not isinstance(values, (list, tuple)) or len(values) == 0:
+    names = [name for name in SWEEP_AXES if name in axes]
+    for name in names:
+        if not isinstance(axes[name], (list, tuple)) or len(axes[name]) == 0:
             raise ConfigError(f"sweep: axis '{name}' must be a non-empty list")
-        try:
-            for value in values:
-                if not (name == "kappa" and value == float("inf")):  # border mode
-                    _checks.number(f"sweep: axis '{name}' value {value!r}", value)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        grids.append(list(values))
     configs = []
-    for index, (sc, sa, kp, dl) in enumerate(product(*grids)):
-        if not float(dl).is_integer():
-            raise ConfigError(f"sweep: delay_offset value {dl} is not an integer")
-        try:
-            channel = replace(
-                base.channel,
-                sigma_common=sc,
-                sigma_additive=sa,
-                delay_offset=int(dl),
-                seed=base.channel.seed ^ index,
-            )
-            if kp == float("inf"):
-                estimator = replace(base.estimator, kappa_infinite=True)
+    for index, values in enumerate(product(*(axes[name] for name in names))):
+        data = trial_config_to_dict(base)
+        data["channel"]["seed"] ^= index
+        for name, value in zip(names, values):
+            if name != "kappa":
+                data["channel"][name] = value
+            elif value == inf:
+                data["estimator"]["kappa_infinite"] = True
             else:
-                estimator = replace(
-                    base.estimator, kappa=float(kp), kappa_infinite=False)
-            configs.append(replace(base, channel=channel, estimator=estimator))
-        except (TypeError, ValueError) as exc:
+                data["estimator"].update(kappa=value, kappa_infinite=False)
+        try:
+            configs.append(trial_config_from_dict(data))
+        except ConfigError as exc:
             raise ConfigError(f"sweep point {index}: {exc}") from exc
     return configs
 
@@ -403,23 +387,22 @@ def run_sweep(
     points: list[SweepPoint | None] = [None] * len(configs)
 
     pending: list[int] = []
-    for index in range(len(configs)):
-        if out_dir is not None and os.path.exists(_point_path(out_dir, index)):
+    for index, cfg in enumerate(configs):
+        if out_dir is not None:
             try:
-                with open(_point_path(out_dir, index), "r", encoding="utf-8") as fh:
-                    report = BERReport.from_dict(json.load(fh))
-                if report.config == configs[index]:
+                report = BERReport.from_dict(read_config_file(_point_path(out_dir, index)))
+                if report.config == cfg:
                     points[index] = SweepPoint(index, report=report)
                     continue
-            except (OSError, ValueError, KeyError, json.JSONDecodeError):
-                pass  # unreadable cache entry: recompute
+            except ConfigError:
+                pass  # missing, unreadable or malformed point file: recompute
         pending.append(index)
 
     def record(index: int, get_report) -> None:
         try:
             report = get_report()
             if out_dir is not None:
-                with open(_point_path(out_dir, index), "w", encoding="utf-8") as fh:
+                with _files.atomic_write(_point_path(out_dir, index)) as fh:
                     json.dump(report.to_dict(), fh, indent=2)
                     fh.write("\n")
             points[index] = SweepPoint(index, report=report)
@@ -469,7 +452,8 @@ def _csv_row(report: BERReport) -> str:
 
 
 def emit(reports, format: str, path) -> None:
-    """Write reports to `path` as CSV (fixed column set) or JSON (full reports).
+    """Write reports to `path` as CSV (fixed column set) or JSON (full reports),
+    replacing the file only once all of it is written.
 
     Floats are serialized with repr so parsing them back is bit-exact; output
     contains no timestamps, making equal runs byte-identical.
@@ -477,7 +461,7 @@ def emit(reports, format: str, path) -> None:
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
     reports = list(reports)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _files.atomic_write(path) as fh:
         if format == "csv":
             fh.write(CSV_COLUMNS + "\n")
             for report in reports:

@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from duolink import ChannelParams, EstimatorConfig, TrialConfig, VVConfig
+from duolink import ChannelParams, EstimatorConfig, TrialConfig, VVConfig, _checks
 
 REQUIRED = {TrialConfig: {"n_symbols": 1000}}
 
@@ -35,3 +35,9 @@ def test_every_typed_field_is_covered():
 def test_wrong_type_rejected_naming_field(cls, name, value):
     with pytest.raises(ValueError, match=name):
         cls(**{**REQUIRED.get(cls, {}), name: value})
+
+
+def test_int_beyond_float_range_is_not_a_finite_number():
+    _checks.number("x", 10**308)
+    with pytest.raises(ValueError, match="x must be a finite number"):
+        _checks.number("x", 10**400)

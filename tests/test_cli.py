@@ -70,6 +70,22 @@ class TestTrialCommand:
         path.write_text("{not json")
         assert main(["trial", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("content", [
+        b'{"n_symbols": 1000, "note": "\xff"}',
+        b"[" * 100_000,
+        b'{"n_symbols": 1' + b"0" * 5000 + b"}",
+    ], ids=["not-utf8", "nested-too-deep", "too-many-digits"])
+    def test_undecodable_config_is_config_error(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        assert main(["trial", "--config", str(path)]) == 1
+        assert "not valid UTF-8 JSON" in capsys.readouterr().err
+
+    def test_format_without_out_is_config_error(self, config_file, capsys):
+        assert main(["trial", "--config", config_file, "--format", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert "--format" in captured.err and captured.out == ""
+
     def test_unknown_flag(self, config_file):
         assert main(["trial", "--config", config_file, "--bogus"]) == 1
 

@@ -282,6 +282,31 @@ class TestEmit:
         with pytest.raises(ValueError, match="format"):
             emit([], "xml", tmp_path / "x")
 
+    @pytest.mark.parametrize("previous", [None, "previous contents\n"],
+                             ids=["absent", "present"])
+    def test_interrupted_write_leaves_no_partial_file(self, tmp_path, monkeypatch, previous):
+        path = tmp_path / "out.csv"
+        if previous is not None:
+            path.write_text(previous)
+        report = run_trial(small_config())
+        real, rows = duolink.harness._csv_row, []
+
+        def fail_on_second_row(r):
+            if rows:
+                raise RuntimeError("interrupted")
+            rows.append(real(r))
+            return rows[0]
+
+        monkeypatch.setattr(duolink.harness, "_csv_row", fail_on_second_row)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            emit([report, report], "csv", path)
+        assert rows  # the first row was written before the failure
+        if previous is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert list(tmp_path.iterdir()) == [path]
+            assert path.read_text() == previous
+
 
 class TestSweep:
     def test_single_point_grid_equals_run_trial(self):
@@ -326,6 +351,24 @@ class TestSweep:
         assert second[0].report.ber_compensated == 0.123456
         assert second[1].report == first[1].report
 
+    @pytest.mark.parametrize("damage", [
+        lambda d: {**d, "peak_correlation": 0.6},
+        lambda d: {k: v for k, v in d.items() if k != "valid_symbols"},
+        lambda d: [d["seed"]],
+        lambda d: {**d, "config": {**d["config"], "vv": {"window": 1, "bogus": 0}}},
+    ], ids=["extra-key", "missing-key", "json-list", "unknown-nested-key"])
+    def test_malformed_point_file_recomputed(self, tmp_path, damage):
+        base = replace(small_config(), n_symbols=2000)
+        axes = {"sigma_common": [0.2, 0.3]}
+        first = run_sweep(base, axes, out_dir=tmp_path)
+        path = tmp_path / "point_0001.json"
+        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+        rerun = run_sweep(base, axes, out_dir=tmp_path)
+        assert [p.report for p in rerun] == [p.report for p in first]
+        assert BERReport.from_dict(json.loads(path.read_text())) == first[1].report
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "point_0000.json", "point_0001.json"]
+
     def test_resume_recomputes_points_of_another_config(self, tmp_path):
         base = replace(small_config(), n_symbols=2000)
         run_sweep(base, {"sigma_common": [0.2, 0.3]}, out_dir=tmp_path)
@@ -340,6 +383,10 @@ class TestSweep:
         ({"kappa": [False]}, "kappa"),
         ({"sigma_common": ["0.2"]}, "sigma_common"),
         ({"delay_offset": [float("inf")]}, "delay_offset"),
+        ({"sigma_common": [10**400]}, "sigma_common"),
+        ({"delay_offset": [30.0]}, "delay_offset must be an integer"),
+        ({"sigma_common": [0.1, 0.2], "kappa": [0.0, float("nan")]},
+         "^sweep point 1: estimator: kappa must be a finite number$"),
     ])
     def test_malformed_axes_rejected(self, axes, message):
         with pytest.raises(ConfigError, match=message):
@@ -409,6 +456,7 @@ class TestTrialConfigValidation:
         ({"n_symbols": 1000, "channel": {"sigma_additive": "0.1"}}, "sigma_additive"),
         ({"n_symbols": 1000, "estimator": {"pipeline": "cascaded"}}, "pipeline"),
         ({"n_symbols": 1000, "estimator": {"subtract_half_pi": False}}, "subtract_half_pi"),
+        ({"n_symbols": 1000, "channel": {"sigma_common": 10**400}}, "sigma_common"),
     ])
     def test_config_file_values_rejected_at_load(self, data, field):
         with pytest.raises(ConfigError, match=field):
