@@ -24,7 +24,6 @@ from .channel import (
     stream_rng,
 )
 from .compensation import (
-    CommonPhaseEstimate,
     EstimatorConfig,
     apply_compensation,
     compensate_pair,
@@ -46,6 +45,7 @@ from .harness import (
     classify_case,
     classify_cases,
     emit,
+    kappa_objective,
     load_trial_config,
     run_sweep,
     run_trial,

@@ -35,9 +35,37 @@ def flag(name: str, value) -> None:
 _RULES = {"int": integer, "float": number, "bool": flag}
 
 
+def _rule(annotation: str):
+    """The check for an annotation built from "int", "float" and "bool" with
+    "X | None" and "tuple[X, ...]" (fixed length); None for any other."""
+    if annotation.endswith(" | None"):
+        inner = _rule(annotation[: -len(" | None")])
+        if inner is None:
+            return None
+
+        def check_optional(name, value):
+            if value is not None:
+                inner(name, value)
+
+        return check_optional
+    if annotation.startswith("tuple[") and annotation.endswith("]"):
+        items = [_rule(a) for a in annotation[len("tuple["):-1].split(", ")]
+        if None in items:
+            return None
+
+        def check_tuple(name, value):
+            if not isinstance(value, tuple) or len(value) != len(items):
+                raise ValueError(f"{name} must be a list of {len(items)}")
+            for i, (item, v) in enumerate(zip(items, value)):
+                item(f"{name}[{i}]", v)
+
+        return check_tuple
+    return _RULES.get(annotation)
+
+
 def check_fields(obj) -> None:
-    """Apply the rule of each dataclass field annotated "int", "float" or "bool"."""
+    """Apply the rule of each dataclass field whose annotation _rule reads."""
     for f in obj.__dataclass_fields__.values():
-        rule = _RULES.get(f.type)
+        rule = _rule(f.type)
         if rule is not None:
             rule(f.name, getattr(obj, f.name))

@@ -17,6 +17,7 @@ from .channel import export_efficiency_csv
 from .harness import (
     ConfigError,
     emit,
+    kappa_objective,
     load_trial_config,
     read_config_file,
     run_sweep,
@@ -116,16 +117,7 @@ def _cmd_adapt_kappa(args) -> int:
     if not args.tol > 0:
         raise ConfigError("--tol must be > 0")
     cfg = load_trial_config(args.config)
-
-    def objective(kappa: float) -> float:
-        trial_cfg = replace(
-            cfg,
-            estimator=replace(cfg.estimator, kappa=kappa, kappa_infinite=False),
-            compare_baseline=False,
-        )
-        return run_trial(trial_cfg).ber_compensated
-
-    result = adapt_kappa(objective, args.lo, args.hi, args.tol)
+    result = adapt_kappa(kappa_objective(cfg), args.lo, args.hi, args.tol)
     json.dump(asdict(result), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0

@@ -41,17 +41,11 @@ class EstimatorConfig:
             raise ValueError("kappa must be >= 0")
 
 
-@dataclass
-class CommonPhaseEstimate:
-    """Joint estimate: a float for scalar observations, else an array."""
-
-    value: float | np.ndarray
-
-
-def estimate_common_phase(phi1, phi2, cfg: EstimatorConfig) -> CommonPhaseEstimate:
+def estimate_common_phase(phi1, phi2, cfg: EstimatorConfig) -> float | np.ndarray:
     """Weighted joint estimate of the common phase from two observations.
 
-    Accepts scalars or equal-length arrays (per-symbol estimation).
+    Accepts scalars (returns a float) or equal-length arrays (per-symbol
+    estimation; returns an array).
     """
     scalar = np.ndim(phi1) == 0 and np.ndim(phi2) == 0
     p1 = np.asarray(phi1, dtype=float)
@@ -71,7 +65,7 @@ def estimate_common_phase(phi1, phi2, cfg: EstimatorConfig) -> CommonPhaseEstima
         w1 = np.exp(-cfg.kappa * (a1 - floor))
         w2 = np.exp(-cfg.kappa * (a2 - floor))
         value = (w1 * p1 + w2 * p2) / (w1 + w2)
-    return CommonPhaseEstimate(float(value) if scalar else value)
+    return float(value) if scalar else value
 
 
 def apply_compensation(rx: np.ndarray, estimates: np.ndarray) -> np.ndarray:
@@ -111,7 +105,7 @@ def compensate_traces(
         t2 = remove_mean_phase(t2)
     est = estimate_common_phase(t1, t2, cfg)
     # the common rotation is the same for both channels: compute it once
-    rotation = np.exp(-1j * est.value)
+    rotation = np.exp(-1j * est)
     return rx1 * rotation, rx2 * rotation
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from enum import IntEnum
 from functools import partial
 from itertools import product
@@ -159,6 +159,10 @@ class BERReport:
                     "ci_uncompensated", "ci_compensated", "case_counts"):
             if isinstance(getattr(report, key), list):
                 setattr(report, key, tuple(getattr(report, key)))
+        try:
+            _checks.check_fields(report)
+        except ValueError as exc:
+            raise ConfigError(f"report: {exc}") from exc
         return report
 
 
@@ -173,6 +177,49 @@ def run_trial(cfg: TrialConfig) -> BERReport:
     bit errors are counted from the decided quadrants. Deterministic for a
     given config.
     """
+    return _detect(_receive(cfg), cfg)
+
+
+def kappa_objective(cfg: TrialConfig):
+    """The compensated BER of cfg's channel realization as a function of kappa.
+
+    The realization, its phase traces, the delay recovery and the received
+    decisions are computed once, here; each call re-runs only the joint
+    estimate and the detection, giving exactly
+    run_trial(cfg with that finite kappa and no baseline).ber_compensated.
+    """
+    cfg = replace(cfg, compare_baseline=False)
+    reception = _receive(cfg)
+
+    def objective(kappa: float) -> float:
+        estimator = replace(cfg.estimator, kappa=kappa, kappa_infinite=False)
+        return _detect(reception, replace(cfg, estimator=estimator)).ber_compensated
+
+    return objective
+
+
+@dataclass(frozen=True)
+class _Reception:
+    """What a trial computes before the joint estimate: the received streams
+    (channel 2 aligned), the receiver's phase traces, the recovered delay and
+    the tx/rx quadrant decisions on the valid region."""
+
+    rx1: np.ndarray
+    rx2: np.ndarray
+    trace1: np.ndarray
+    trace2: np.ndarray
+    valid: slice
+    estimated_lag: int
+    lag_confident: bool
+    k_tx1: np.ndarray
+    k_tx2: np.ndarray
+    k_rx1: np.ndarray
+    k_rx2: np.ndarray
+
+
+def _receive(cfg: TrialConfig) -> _Reception:
+    """The part of run_trial that kappa, the estimator mode and
+    compare_baseline do not change."""
     n = cfg.n_symbols
     ch = cfg.channel
     bits = stream_rng(ch.seed, STREAM_BITS1).integers(0, 2, size=2 * n)
@@ -206,34 +253,44 @@ def run_trial(cfg: TrialConfig) -> BERReport:
         trace1 = trace2 = None  # free the per-symbol traces first
         trace1 = extract_phase(rx1, cfg.vv)
         trace2 = extract_phase(rx2, cfg.vv)
+    return _Reception(
+        rx1=rx1, rx2=rx2, trace1=trace1, trace2=trace2, valid=valid,
+        estimated_lag=applied_lag, lag_confident=delay.confident,
+        k_tx1=k_tx1[valid], k_tx2=k_tx2[valid],
+        k_rx1=quadrant_indices(rx1[valid]), k_rx2=quadrant_indices(rx2[valid]),
+    )
+
+
+def _detect(r: _Reception, cfg: TrialConfig) -> BERReport:
+    """The part of run_trial that depends on the estimator: joint
+    compensation, counting, the optional baseline and classification.
+    Reads the reception without modifying it."""
+    valid = r.valid
     n_valid = valid.stop - valid.start
     bits_per_channel = 2 * n_valid
-    k_tx1, k_tx2 = k_tx1[valid], k_tx2[valid]
-    k_rx1 = quadrant_indices(rx1[valid])
-    k_rx2 = quadrant_indices(rx2[valid])
 
     comp1, comp2 = compensate_traces(
-        rx1, rx2, trace1, trace2, cfg.vv.remove_mean, cfg.estimator)
+        r.rx1, r.rx2, r.trace1, r.trace2, cfg.vv.remove_mean, cfg.estimator)
     k_comp1 = quadrant_indices(comp1[valid])
     k_comp2 = quadrant_indices(comp2[valid])
     del comp1, comp2
-    ec1 = count_quadrant_errors(k_tx1, k_comp1)
-    ec2 = count_quadrant_errors(k_tx2, k_comp2)
+    ec1 = count_quadrant_errors(r.k_tx1, k_comp1)
+    ec2 = count_quadrant_errors(r.k_tx2, k_comp2)
     ber_comp = (ec1 + ec2) / (2 * bits_per_channel)
     ci_comp = wilson_interval(ec1 + ec2, 2 * bits_per_channel)
 
     if cfg.compare_baseline:
         eb1 = count_quadrant_errors(
-            k_tx1, quadrant_indices(apply_compensation(rx1, trace1)[valid]))
+            r.k_tx1, quadrant_indices(apply_compensation(r.rx1, r.trace1)[valid]))
         eb2 = count_quadrant_errors(
-            k_tx2, quadrant_indices(apply_compensation(rx2, trace2)[valid]))
+            r.k_tx2, quadrant_indices(apply_compensation(r.rx2, r.trace2)[valid]))
         ber_base = (eb1 + eb2) / (2 * bits_per_channel)
         ci_base = wilson_interval(eb1 + eb2, 2 * bits_per_channel)
         errors_base = (eb1, eb2)
     else:
         ber_base, ci_base, errors_base = None, None, None
 
-    codes = classify_cases(k_tx1, k_tx2, k_rx1, k_rx2, k_comp1, k_comp2)
+    codes = classify_cases(r.k_tx1, r.k_tx2, r.k_rx1, r.k_rx2, k_comp1, k_comp2)
     hist = np.bincount(codes, minlength=4)
     assert int(hist.sum()) == n_valid
 
@@ -247,9 +304,9 @@ def run_trial(cfg: TrialConfig) -> BERReport:
         ci_compensated=ci_comp,
         case_counts=tuple(int(c) for c in hist),
         valid_symbols=n_valid,
-        estimated_lag=applied_lag,
-        lag_confident=delay.confident,
-        seed=ch.seed,
+        estimated_lag=r.estimated_lag,
+        lag_confident=r.lag_confident,
+        seed=cfg.channel.seed,
         config=cfg,
     )
 

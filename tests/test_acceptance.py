@@ -74,11 +74,11 @@ def test_criterion_01_estimator_limits():
     p1 = rng.uniform(-QUARTER_PI, QUARTER_PI, 10**4)
     p2 = rng.uniform(-QUARTER_PI, QUARTER_PI, 10**4)
     mean_dev = np.abs(
-        estimate_common_phase(p1, p2, EstimatorConfig(kappa=0.0)).value
+        estimate_common_phase(p1, p2, EstimatorConfig(kappa=0.0))
         - (p1 + p2) / 2).max()
-    huge = estimate_common_phase(p1, p2, EstimatorConfig(kappa=1e6)).value
+    huge = estimate_common_phase(p1, p2, EstimatorConfig(kappa=1e6))
     border = estimate_common_phase(
-        p1, p2, EstimatorConfig(kappa_infinite=True)).value
+        p1, p2, EstimatorConfig(kappa_infinite=True))
     separated = np.abs(np.abs(p1) - np.abs(p2)) > 1e-3
     agree = bool(np.array_equal(huge[separated], border[separated]))
     elapsed = time.perf_counter() - start
@@ -89,7 +89,7 @@ def test_criterion_01_estimator_limits():
 
 
 def test_criterion_02_hand_oracle_value():
-    est = estimate_common_phase(0.2, 0.4, EstimatorConfig(kappa=1.0)).value
+    est = estimate_common_phase(0.2, 0.4, EstimatorConfig(kappa=1.0))
     ref = weighted_phase_reference(0.2, 0.4, 1.0)
     check(2, "kappa=1 hand value 0.29003",
           abs(est - 0.29003) <= 1e-5 and abs(est - ref) <= 1e-12,

@@ -1,6 +1,6 @@
 """The type policy applied to every typed field of the config classes."""
 
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import pytest
 
@@ -41,3 +41,35 @@ def test_int_beyond_float_range_is_not_a_finite_number():
     _checks.number("x", 10**308)
     with pytest.raises(ValueError, match="x must be a finite number"):
         _checks.number("x", 10**400)
+
+
+@dataclass
+class Composite:
+    pair: "tuple[int, int]"
+    optional_pair: "tuple[float, float] | None"
+    optional_count: "int | None"
+    unread: "tuple[int, str]"
+
+
+GOOD = dict(pair=(1, 2), optional_pair=(0.5, 1.0), optional_count=3, unread=(1, "a"))
+
+
+@pytest.mark.parametrize("name,value", [
+    ("pair", 5),
+    ("pair", [1, 2]),
+    ("pair", (1,)),
+    ("pair", (1, 2, 3)),
+    ("pair", (1, True)),
+    ("optional_pair", (0.5, "1")),
+    ("optional_pair", (0.5, float("inf"))),
+    ("optional_count", 1.0),
+])
+def test_tuple_and_optional_annotations_checked(name, value):
+    with pytest.raises(ValueError, match=name):
+        _checks.check_fields(Composite(**{**GOOD, name: value}))
+
+
+def test_none_and_unread_annotations_accepted():
+    _checks.check_fields(Composite(**GOOD))
+    _checks.check_fields(Composite(**{**GOOD, "optional_pair": None, "optional_count": None,
+                                      "unread": None}))

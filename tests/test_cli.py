@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from duolink import adapt_kappa, harness, run_trial, trial_config_from_dict
 from duolink.cli import main
 
 BASE_CONFIG = {
@@ -126,6 +128,19 @@ class TestSweepCommand:
         assert "sweep" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_mistyped_point_file_recomputed(self, tmp_path):
+        config = dict(BASE_CONFIG, n_symbols=2000, sweep={"sigma_common": [0.2, 0.3]})
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "results"
+        argv = ["sweep", "--config", str(cfg_path), "--out", str(out_dir)]
+        assert main(argv) == 0
+        csv = (out_dir / "sweep.csv").read_text()
+        point = out_dir / "point_0000.json"
+        point.write_text(json.dumps({**json.loads(point.read_text()), "case_counts": 5}))
+        assert main(argv) == 0
+        assert (out_dir / "sweep.csv").read_text() == csv
+
     @pytest.mark.parametrize("workers", ["0", "-4"])
     def test_workers_below_one_rejected(self, config_file, tmp_path, capsys, workers):
         out_dir = tmp_path / "results"
@@ -176,6 +191,30 @@ class TestAdaptKappaCommand:
         result = json.loads(capsys.readouterr().out)
         assert 0.0 <= result["kappa_opt"] <= 8.0
         assert result["evaluations"] >= 2
+
+    def test_one_channel_realization_per_search(self, tmp_path, capsys, monkeypatch):
+        """The search simulates the channel once and finds what one
+        run_trial per kappa finds."""
+        config = dict(BASE_CONFIG, n_symbols=2000)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        cfg = trial_config_from_dict(config)
+
+        def per_kappa_trial(kappa):
+            estimator = replace(cfg.estimator, kappa=kappa, kappa_infinite=False)
+            trial = replace(cfg, estimator=estimator, compare_baseline=False)
+            return run_trial(trial).ber_compensated
+
+        expected = asdict(adapt_kappa(per_kappa_trial, 0.0, 8.0, 0.5))
+        calls = []
+        apply_channel = harness.apply_channel
+        monkeypatch.setattr(harness, "apply_channel",
+                            lambda *a: calls.append(1) or apply_channel(*a))
+        assert main(["adapt-kappa", "--config", str(path),
+                     "--lo", "0", "--hi", "8", "--tol", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(expected))
+        assert expected["evaluations"] > 2
+        assert len(calls) == 1
 
     def test_bad_bracket(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

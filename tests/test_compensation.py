@@ -29,22 +29,22 @@ kappas = st.floats(min_value=0.0, max_value=50.0)
 class TestEstimateCommonPhase:
     def test_kappa_zero_is_arithmetic_mean(self):
         est = estimate_common_phase(0.2, 0.4, EstimatorConfig(kappa=0.0))
-        assert est.value == pytest.approx(0.3, abs=1e-12)
+        assert est == pytest.approx(0.3, abs=1e-12)
 
     def test_border_case_picks_minimum_magnitude(self):
         """kappa -> infinity returns the observation of smaller |phase|."""
         est = estimate_common_phase(0.2, -0.1, EstimatorConfig(kappa_infinite=True))
-        assert est.value == -0.1
+        assert est == -0.1
 
     def test_border_case_tie_returns_channel_one(self):
         est = estimate_common_phase(0.3, -0.3, EstimatorConfig(kappa_infinite=True))
-        assert est.value == 0.3
+        assert est == 0.3
 
     def test_kappa_one_hand_value(self):
         est = estimate_common_phase(0.2, 0.4, EstimatorConfig(kappa=1.0))
-        assert est.value == pytest.approx(0.29003, abs=1e-5)
-        assert est.value == pytest.approx(KAPPA1_EXPECTED, abs=1e-15)
-        assert est.value == pytest.approx(
+        assert est == pytest.approx(0.29003, abs=1e-5)
+        assert est == pytest.approx(KAPPA1_EXPECTED, abs=1e-15)
+        assert est == pytest.approx(
             weighted_phase_reference(0.2, 0.4, 1.0), abs=1e-15)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -61,43 +61,43 @@ class TestEstimateCommonPhase:
         cfg = EstimatorConfig(kappa=2.5)
         vec = estimate_common_phase(p1, p2, cfg)
         for i in range(64):
-            scalar = estimate_common_phase(p1[i], p2[i], cfg).value
-            assert vec.value[i] == pytest.approx(scalar, abs=1e-15)
+            scalar = estimate_common_phase(p1[i], p2[i], cfg)
+            assert vec[i] == pytest.approx(scalar, abs=1e-15)
 
     def test_large_kappa_no_overflow(self):
         """exp weighting stays finite even for kappa where exp(-k|phi|) underflows."""
         est = estimate_common_phase(0.3, 0.5, EstimatorConfig(kappa=1e6))
-        assert np.isfinite(est.value)
-        assert est.value == 0.3
+        assert np.isfinite(est)
+        assert est == 0.3
 
     @given(phases, phases, kappas)
     def test_convex_combination(self, p1, p2, kappa):
         est = estimate_common_phase(p1, p2, EstimatorConfig(kappa=kappa))
-        assert min(p1, p2) - 1e-12 <= est.value <= max(p1, p2) + 1e-12
+        assert min(p1, p2) - 1e-12 <= est <= max(p1, p2) + 1e-12
 
     @given(phases, phases, kappas)
     def test_symmetry(self, p1, p2, kappa):
         cfg = EstimatorConfig(kappa=kappa)
-        assert (estimate_common_phase(p1, p2, cfg).value
-                == estimate_common_phase(p2, p1, cfg).value)
+        assert (estimate_common_phase(p1, p2, cfg)
+                == estimate_common_phase(p2, p1, cfg))
 
     @given(phases, phases, kappas)
     def test_sign_equivariance(self, p1, p2, kappa):
         cfg = EstimatorConfig(kappa=kappa)
-        assert (estimate_common_phase(-p1, -p2, cfg).value
-                == -estimate_common_phase(p1, p2, cfg).value)
+        assert (estimate_common_phase(-p1, -p2, cfg)
+                == -estimate_common_phase(p1, p2, cfg))
 
     def test_small_kappa_approaches_mean(self):
         est = estimate_common_phase(0.2, 0.4, EstimatorConfig(kappa=1e-12))
-        assert est.value == pytest.approx(0.3, abs=1e-9)
+        assert est == pytest.approx(0.3, abs=1e-9)
 
     def test_huge_kappa_matches_border_mode(self):
         rng = np.random.default_rng(5)
         p1 = rng.uniform(-0.7, 0.7, 500)
         p2 = rng.uniform(-0.7, 0.7, 500)
         separated = np.abs(np.abs(p1) - np.abs(p2)) > 1e-3
-        huge = estimate_common_phase(p1, p2, EstimatorConfig(kappa=1e6)).value
-        border = estimate_common_phase(p1, p2, EstimatorConfig(kappa_infinite=True)).value
+        huge = estimate_common_phase(p1, p2, EstimatorConfig(kappa=1e6))
+        border = estimate_common_phase(p1, p2, EstimatorConfig(kappa_infinite=True))
         np.testing.assert_array_equal(huge[separated], border[separated])
 
 

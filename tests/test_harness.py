@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import duolink.harness
 from duolink import (
@@ -21,6 +23,7 @@ from duolink import (
     classify_case,
     classify_cases,
     emit,
+    kappa_objective,
     run_sweep,
     run_trial,
     sweep_configs,
@@ -191,6 +194,40 @@ class TestRunTrial:
         assert lo <= report.ber_compensated <= hi
 
 
+@st.composite
+def objective_cases(draw):
+    """A trial config (any estimator, baseline on or off) and four kappas in
+    shuffled order."""
+    cfg = TrialConfig(
+        n_symbols=draw(st.integers(100, 2000)),
+        channel=ChannelParams(
+            sigma_common=draw(st.floats(0.0, 0.5)),
+            sigma_additive=draw(st.floats(0.0, 0.3)),
+            phase_model=draw(st.sampled_from(["iid", "shaped"])),
+            delay_offset=draw(st.integers(-8, 8)),
+            seed=draw(st.integers(0, 2**32 - 1)),
+        ),
+        vv=VVConfig(window=draw(st.sampled_from([1, 33])), remove_mean=draw(st.booleans())),
+        estimator=EstimatorConfig(kappa=draw(st.floats(0.0, 20.0)),
+                                  kappa_infinite=draw(st.booleans())),
+        compare_baseline=draw(st.booleans()),
+        max_lag=draw(st.sampled_from([0, 16])),
+    )
+    kappas = draw(st.lists(st.floats(0.0, 50.0), min_size=4, max_size=4))
+    return cfg, draw(st.permutations(kappas))
+
+
+class TestKappaObjective:
+    @settings(max_examples=60, deadline=None)
+    @given(objective_cases())
+    def test_equals_run_trial_per_kappa(self, case):
+        cfg, kappas = case
+        objective = kappa_objective(cfg)
+        for kappa in kappas:
+            trial = replace(cfg, compare_baseline=False, estimator=EstimatorConfig(kappa=kappa))
+            assert objective(kappa) == run_trial(trial).ber_compensated
+
+
 class TestConfigRoundTrip:
     def test_dict_round_trip(self):
         cfg = small_config(delay_offset=2)
@@ -356,7 +393,11 @@ class TestSweep:
         lambda d: {k: v for k, v in d.items() if k != "valid_symbols"},
         lambda d: [d["seed"]],
         lambda d: {**d, "config": {**d["config"], "vv": {"window": 1, "bogus": 0}}},
-    ], ids=["extra-key", "missing-key", "json-list", "unknown-nested-key"])
+        lambda d: {**d, "case_counts": 5},
+        lambda d: {**d, "ci_compensated": d["ci_compensated"][:1]},
+        lambda d: {**d, "bits_per_channel": "x"},
+    ], ids=["extra-key", "missing-key", "json-list", "unknown-nested-key",
+            "case-counts-int", "ci-length-1", "bits-string"])
     def test_malformed_point_file_recomputed(self, tmp_path, damage):
         base = replace(small_config(), n_symbols=2000)
         axes = {"sigma_common": [0.2, 0.3]}
