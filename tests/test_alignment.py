@@ -138,7 +138,10 @@ class TestEstimateDelay:
         lag, peak = delay_reference(t1, t2, max_lag, tie_tol=TIE_TOL)
         result = estimate_delay(t1, t2, max_lag)
         assert result.lag == lag
-        assert result.confident == (peak >= CONFIDENCE_THRESHOLD)
+        # Three-sample overlaps with two equal values correlate as exactly
+        # +-0.5, which rounding puts on either side of the threshold
+        if abs(peak - CONFIDENCE_THRESHOLD) > 1e-12:
+            assert result.confident == (peak >= CONFIDENCE_THRESHOLD)
         assert abs(result.peak_correlation - peak) <= 1e-12
 
     def test_plain_python_result(self):
