@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _checks, _files
+from . import _blocks, _checks, _files
 
 # Substream identifiers for the per-seed random streams. Payload streams are
 # consumed by the Monte Carlo harness; keeping them here ensures every
@@ -175,16 +175,35 @@ def apply_channel(
         phi = np.asarray(phase, dtype=float)
         if phi.size != n:
             raise ValueError(f"phase trace length {phi.size} != stream length {n}")
-    rot = np.exp(1j * phi)
-    y1 = tx1 * rot
-    y2 = tx2 * rot
+    # channel 2 is written straight into its shifted layout: symbol j lands
+    # in slot (j - shift) mod n, a contiguous run for each block of
+    # [0, shift) and of [shift, n)
+    shift = params.delay_offset % n if n else 0
+    src, dst = [], []
+    for lo, hi, to in ((0, shift, n - shift), (shift, n, -shift)):
+        for b in _blocks.blocks(lo, hi):
+            src.append(b)
+            dst.append(slice(b.start + to, b.stop + to))
+    y1 = np.empty(n, dtype=complex)
+    y2 = np.empty(n, dtype=complex)
+    rot = np.empty(min(n, _blocks.BLOCK), dtype=complex)
+    for b, d in zip(src, dst):
+        r = rot[: b.stop - b.start]
+        # equal to np.exp(1j * phi), without its complex temporaries
+        np.cos(phi[b], out=r.real)
+        np.sin(phi[b], out=r.imag)
+        np.multiply(tx1[b], r, out=y1[b])
+        np.multiply(tx2[b], r, out=y2[d])
     if params.sigma_additive > 0:
         s = params.sigma_additive
-        g1 = stream_rng(params.seed, STREAM_NOISE1)
-        g2 = stream_rng(params.seed, STREAM_NOISE2)
-        y1 = y1 + s * g1.standard_normal(n) + 1j * s * g1.standard_normal(n)
-        y2 = y2 + s * g2.standard_normal(n) + 1j * s * g2.standard_normal(n)
-    return y1, np.roll(y2, -params.delay_offset)
+        # each generator's in-phase draws, then its quadrature draws, taken
+        # in symbol order as one whole-length draw would take them
+        for y, stream, where in ((y1, STREAM_NOISE1, src), (y2, STREAM_NOISE2, dst)):
+            g = stream_rng(params.seed, stream)
+            for part in (y.real, y.imag):
+                for w in where:
+                    part[w] += s * g.standard_normal(w.stop - w.start)
+    return y1, y2
 
 
 def export_efficiency_csv(

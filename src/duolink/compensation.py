@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from .cpe import VVConfig, extract_phase, remove_mean_phase
+from .cpe import VVConfig, extract_phase, wrap_quarter
 
 
 @dataclass
@@ -68,13 +68,27 @@ def estimate_common_phase(phi1, phi2, cfg: EstimatorConfig) -> float | np.ndarra
     return float(value) if scalar else value
 
 
+def _derotation(phase: np.ndarray) -> np.ndarray:
+    """np.exp(-1j * phase), taken from cos and sin without complex temporaries."""
+    phase = np.asarray(phase, dtype=float)
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    np.negative(out.imag, out=out.imag)
+    return out
+
+
 def apply_compensation(rx: np.ndarray, estimates: np.ndarray) -> np.ndarray:
     """Rotate each sample by minus its estimated common phase."""
     rx = np.asarray(rx)
     est = np.asarray(estimates, dtype=float)
     if est.size != rx.size:
         raise ValueError(f"estimate length {est.size} != stream length {rx.size}")
-    return rx * np.exp(-1j * est)
+    # the rotation is the product's first operand at every length: the
+    # rounding of a complex product depends on the operand order
+    out = _derotation(est)
+    out *= rx
+    return out
 
 
 def compensate_traces(
@@ -82,14 +96,17 @@ def compensate_traces(
     rx2: np.ndarray,
     trace1: np.ndarray,
     trace2: np.ndarray,
-    remove_mean: bool,
+    means: tuple[float, float] | None,
     cfg: EstimatorConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jointly compensate two streams observed at the same symbol index, given
     the phase traces extracted from them (see compensate_pair).
 
-    remove_mean selects the per-channel block-mean removal that precedes the
-    joint estimate. The traces are not modified.
+    means, the two traces' block-mean phases, selects the per-channel mean
+    removal that precedes the joint estimate (None skips it). They are the
+    means of the whole traces, also when the streams passed in are a part of
+    them, so compensating a trace in parts gives the same samples as
+    compensating it whole. The traces are not modified.
     """
     rx1 = np.asarray(rx1)
     rx2 = np.asarray(rx2)
@@ -98,14 +115,15 @@ def compensate_traces(
     if not rx1.shape == rx2.shape == t1.shape == t2.shape:
         raise ValueError(
             f"stream and trace lengths differ: {rx1.size}, {rx2.size}, {t1.size}, {t2.size}")
-    if remove_mean:
-        rx1 = rx1 * np.exp(-1j * t1.mean())
-        rx2 = rx2 * np.exp(-1j * t2.mean())
-        t1 = remove_mean_phase(t1)
-        t2 = remove_mean_phase(t2)
+    if means is not None:
+        mean1, mean2 = means
+        rx1 = rx1 * np.exp(-1j * mean1)
+        rx2 = rx2 * np.exp(-1j * mean2)
+        t1 = wrap_quarter(t1 - mean1)
+        t2 = wrap_quarter(t2 - mean2)
     est = estimate_common_phase(t1, t2, cfg)
     # the common rotation is the same for both channels: compute it once
-    rotation = np.exp(-1j * est)
+    rotation = _derotation(est)
     return rx1 * rotation, rx2 * rotation
 
 
@@ -125,5 +143,7 @@ def compensate_pair(
     rx2 = np.asarray(rx2)
     if rx1.shape != rx2.shape:
         raise ValueError(f"stream lengths differ: {rx1.size} vs {rx2.size}")
-    return compensate_traces(
-        rx1, rx2, extract_phase(rx1, vv), extract_phase(rx2, vv), vv.remove_mean, cfg)
+    t1 = extract_phase(rx1, vv)
+    t2 = extract_phase(rx2, vv)
+    means = (t1.mean(), t2.mean()) if vv.remove_mean else None
+    return compensate_traces(rx1, rx2, t1, t2, means, cfg)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _checks
+from . import _blocks, _checks
 
 QUARTER_PI = np.pi / 4
 HALF_PI = np.pi / 2
@@ -55,23 +55,33 @@ def extract_phase(samples: np.ndarray, cfg: VVConfig) -> np.ndarray:
     s = np.asarray(samples, dtype=complex)
     if s.size == 0:
         raise ValueError("sample stream is empty")
-    quartic = s**4
-    if cfg.window > 1:
-        # centered slice of the full convolution: works also for streams
-        # shorter than the window (np.convolve 'same' would return the
-        # window length there)
-        full = np.convolve(quartic, np.ones(cfg.window), mode="full")
-        half = cfg.window // 2
-        avg = full[half : half + s.size]
-    else:
-        avg = quartic
-    # -avg == avg * e^{-i pi}: removes the constellation's pi offset
-    phase = np.angle(-avg) / 4
-    # angle(-(0+0j)) is -pi from the signed zeros; the phase there is
-    # undefined and reported as 0
-    zero = avg == 0
-    if zero.any():
-        phase = np.where(zero, 0.0, phase)
+    n = s.size
+    half = cfg.window // 2
+    ones = np.ones(cfg.window)
+    phase = np.empty(n)
+    for b in _blocks.blocks(0, n):
+        # the windows of a block reach `half` samples past its ends; a
+        # segment shorter than the window is widened to it (or to the whole
+        # stream), because np.convolve swaps its arguments when the kernel
+        # is the longer one, which changes its summation order
+        lo, hi = max(b.start - half, 0), min(b.stop + half, n)
+        if hi - lo < cfg.window:
+            hi = min(lo + cfg.window, n)
+            lo = max(hi - cfg.window, 0)
+        quartic = s[lo:hi] ** 4
+        if cfg.window > 1:
+            # centered slice of the full convolution: works also for streams
+            # shorter than the window (np.convolve 'same' would return the
+            # window length there)
+            full = np.convolve(quartic, ones, mode="full")
+            avg = full[b.start - lo + half : b.stop - lo + half]
+        else:
+            avg = quartic
+        # -avg == avg * e^{-i pi}: removes the constellation's pi offset
+        phase[b] = np.angle(-avg) / 4
+        # angle(-(0+0j)) is -pi from the signed zeros; the phase there is
+        # undefined and reported as 0
+        phase[b][avg == 0] = 0.0
     return phase
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 from enum import IntEnum
 from functools import partial
@@ -30,7 +31,7 @@ from math import inf, sqrt
 
 import numpy as np
 
-from . import _checks, _files
+from . import _blocks, _checks, _files
 from .alignment import AlignmentResult, align, estimate_delay
 from .channel import STREAM_BITS1, STREAM_BITS2, ChannelParams, apply_channel, stream_rng
 from .compensation import EstimatorConfig, apply_compensation, compensate_traces
@@ -261,38 +262,54 @@ def _receive(cfg: TrialConfig) -> _Reception:
     )
 
 
+def _compensated_decisions(r: _Reception, cfg: TrialConfig):
+    """The joint compensation's quadrant decisions, one block of the valid
+    region at a time: (block of the streams, the same block of the k_*
+    arrays, decisions of channel 1, decisions of channel 2)."""
+    valid = r.valid
+    # the mean removal takes the whole traces' means, not each block's
+    means = (r.trace1.mean(), r.trace2.mean()) if cfg.vv.remove_mean else None
+    for b in _blocks.blocks(valid.start, valid.stop):
+        comp1, comp2 = compensate_traces(
+            r.rx1[b], r.rx2[b], r.trace1[b], r.trace2[b], means, cfg.estimator)
+        k = slice(b.start - valid.start, b.stop - valid.start)
+        yield b, k, quadrant_indices(comp1), quadrant_indices(comp2)
+
+
 def _detect(r: _Reception, cfg: TrialConfig) -> BERReport:
     """The part of run_trial that depends on the estimator: joint
     compensation, counting, the optional baseline and classification.
-    Reads the reception without modifying it."""
+    Reads the reception without modifying it.
+
+    Runs block by block over the valid region and keeps only counts: the
+    compensated streams and their decisions never exist whole.
+    """
     valid = r.valid
     n_valid = valid.stop - valid.start
     bits_per_channel = 2 * n_valid
+    ec1 = ec2 = eb1 = eb2 = 0
+    hist = np.zeros(4, dtype=np.int64)
+    for b, k, k_comp1, k_comp2 in _compensated_decisions(r, cfg):
+        k_tx1, k_tx2 = r.k_tx1[k], r.k_tx2[k]
+        ec1 += count_quadrant_errors(k_tx1, k_comp1)
+        ec2 += count_quadrant_errors(k_tx2, k_comp2)
+        if cfg.compare_baseline:
+            eb1 += count_quadrant_errors(
+                k_tx1, quadrant_indices(apply_compensation(r.rx1[b], r.trace1[b])))
+            eb2 += count_quadrant_errors(
+                k_tx2, quadrant_indices(apply_compensation(r.rx2[b], r.trace2[b])))
+        codes = classify_cases(k_tx1, k_tx2, r.k_rx1[k], r.k_rx2[k], k_comp1, k_comp2)
+        hist += np.bincount(codes, minlength=4)
+    assert int(hist.sum()) == n_valid
 
-    comp1, comp2 = compensate_traces(
-        r.rx1, r.rx2, r.trace1, r.trace2, cfg.vv.remove_mean, cfg.estimator)
-    k_comp1 = quadrant_indices(comp1[valid])
-    k_comp2 = quadrant_indices(comp2[valid])
-    del comp1, comp2
-    ec1 = count_quadrant_errors(r.k_tx1, k_comp1)
-    ec2 = count_quadrant_errors(r.k_tx2, k_comp2)
     ber_comp = (ec1 + ec2) / (2 * bits_per_channel)
     ci_comp = wilson_interval(ec1 + ec2, 2 * bits_per_channel)
-
     if cfg.compare_baseline:
-        eb1 = count_quadrant_errors(
-            r.k_tx1, quadrant_indices(apply_compensation(r.rx1, r.trace1)[valid]))
-        eb2 = count_quadrant_errors(
-            r.k_tx2, quadrant_indices(apply_compensation(r.rx2, r.trace2)[valid]))
         ber_base = (eb1 + eb2) / (2 * bits_per_channel)
         ci_base = wilson_interval(eb1 + eb2, 2 * bits_per_channel)
         errors_base = (eb1, eb2)
     else:
         ber_base, ci_base, errors_base = None, None, None
-
-    codes = classify_cases(r.k_tx1, r.k_tx2, r.k_rx1, r.k_rx2, k_comp1, k_comp2)
-    hist = np.bincount(codes, minlength=4)
-    assert int(hist.sum()) == n_valid
 
     return BERReport(
         ber_uncompensated=ber_base,
@@ -436,7 +453,9 @@ def run_sweep(
     instead of recomputed, so an interrupted sweep resumes where it stopped;
     any other point file is recomputed and overwritten. Points are
     independent and run in `workers` processes when workers > 1; results
-    merge by index. out_dir is created once the grid is accepted.
+    merge by index. A point lost because a worker died is run once more on
+    its own, so a point that kills its worker fails and no other does.
+    out_dir is created once the grid is accepted.
     """
     configs = sweep_configs(base, axes)
     if out_dir is not None:
@@ -467,10 +486,20 @@ def run_sweep(
             points[index] = SweepPoint(index, error=str(exc))
 
     if workers > 1 and len(pending) > 1:
+        lost = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {i: pool.submit(run_trial, configs[i]) for i in pending}
             for index, fut in futures.items():
-                record(index, fut.result)
+                if isinstance(fut.exception(), BrokenProcessPool):
+                    lost.append(index)
+                else:
+                    record(index, fut.result)
+        # a worker that died took every unfinished point down with it: run
+        # each lost point once more in a pool of its own, so that only a
+        # point that kills its worker fails
+        for index in lost:
+            with ProcessPoolExecutor(max_workers=1) as pool:
+                record(index, pool.submit(run_trial, configs[index]).result)
     else:
         for index in pending:
             record(index, partial(run_trial, configs[index]))

@@ -1,7 +1,9 @@
 """Tests for the trials, classifier, intervals, sweeps and emission."""
 
 import json
+import os
 import re
+import signal
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -32,6 +34,19 @@ from duolink import (
     wilson_interval,
 )
 from oracles import CASE_TRUTH_TABLE, wilson_reference
+
+
+_RUN_TRIAL = duolink.harness.run_trial
+KILLED_SIGMA = 0.25
+
+
+def run_trial_or_kill_worker(cfg):
+    """run_trial, except that the point with sigma_common KILLED_SIGMA kills
+    the process running it. Defined at module level so that a process pool
+    can pickle it by name."""
+    if cfg.channel.sigma_common == KILLED_SIGMA:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _RUN_TRIAL(cfg)
 
 
 def small_config(**channel_kwargs):
@@ -457,6 +472,18 @@ class TestSweep:
         assert points[0].report is not None and points[2].report is not None
         assert (tmp_path / "point_0000.json").exists()
         assert (tmp_path / "point_0002.json").exists()
+
+    def test_killed_worker_fails_only_its_own_point(self, monkeypatch):
+        base = replace(small_config(), n_symbols=2000)
+        axes = {"sigma_common": [0.2, KILLED_SIGMA, 0.3, 0.35, 0.4, 0.45]}
+        clean = run_sweep(base, axes, workers=1)
+        # forked pool workers inherit the patched module attribute
+        monkeypatch.setattr(duolink.harness, "run_trial", run_trial_or_kill_worker)
+        points = run_sweep(base, axes, workers=2)
+        assert [p.error is not None for p in points] == [False, True, False, False, False, False]
+        assert points[1].report is None and "terminated abruptly" in points[1].error
+        assert [p.report for p in points if p.index != 1] == [
+            p.report for p in clean if p.index != 1]
 
     def test_parallel_matches_serial(self):
         base = replace(small_config(), n_symbols=2000)
