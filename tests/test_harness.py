@@ -477,7 +477,7 @@ class TestSweep:
         base = replace(small_config(), n_symbols=2000)
         axes = {"sigma_common": [0.2, KILLED_SIGMA, 0.3, 0.35, 0.4, 0.45]}
         clean = run_sweep(base, axes, workers=1)
-        # forked pool workers inherit the patched module attribute
+        # run_sweep submits whatever harness.run_trial is at the time
         monkeypatch.setattr(duolink.harness, "run_trial", run_trial_or_kill_worker)
         points = run_sweep(base, axes, workers=2)
         assert [p.error is not None for p in points] == [False, True, False, False, False, False]
