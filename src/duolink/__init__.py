@@ -33,7 +33,6 @@ from .compensation import (
 from .cpe import (
     VVConfig,
     extract_phase,
-    remove_mean_phase,
     wrap_quarter,
 )
 from .harness import (
@@ -51,15 +50,11 @@ from .harness import (
     run_trial,
     sweep_configs,
     trial_config_from_dict,
-    trial_config_to_dict,
     wilson_interval,
 )
 from .qpsk import (
     SYMBOLS,
-    bits_from_quadrants,
-    count_errors,
     count_quadrant_errors,
-    demap_symbols,
     gray_indices,
     map_symbols,
     quadrant_indices,

@@ -105,6 +105,8 @@ def estimate_delay(
 
     Both traces are centered once; each overlap's sums come from _cuts and
     its cross term from one dot product over views, so no overlap is copied.
+    An overlap whose variance about the whole trace's mean falls under half
+    its sum of squares is centered on its own means instead.
     """
     t1 = np.asarray(trace1, dtype=float)
     t2 = np.asarray(trace2, dtype=float)
@@ -128,15 +130,21 @@ def estimate_delay(
         # overlaps trace1[:n+lag] with trace2[-lag:]
         j = abs(lag)
         if lag >= 0:
-            x, y, cross = head1, tail2, float(np.dot(c1[j:], c2[: n - j]))
+            x, y, cx, cy = head1, tail2, c1[j:], c2[: n - j]
         else:
-            x, y, cross = tail1, head2, float(np.dot(c1[: n - j], c2[j:]))
+            x, y, cx, cy = tail1, head2, c1[: n - j], c2[j:]
         m = n - j
         var_x = x.squares[j] - x.sums[j] ** 2 / m
         var_y = y.squares[j] - y.sums[j] ** 2 / m
+        cov = float(np.dot(cx, cy)) - x.sums[j] * y.sums[j] / m
+        if var_x < x.squares[j] / 2 or var_y < y.squares[j] / 2:
+            # the sums above cancel: center the overlap on its own means
+            cx, cy = cx - cx.mean(), cy - cy.mean()
+            var_x, var_y = float(np.dot(cx, cx)), float(np.dot(cy, cy))
+            cov = float(np.dot(cx, cy))
         r = 0.0
         if x.varies[j] and y.varies[j] and var_x > 0 and var_y > 0:
-            r = (cross - x.sums[j] * y.sums[j] / m) / math.sqrt(var_x * var_y)
+            r = cov / math.sqrt(var_x * var_y)
         if r > best_corr + TIE_TOL:
             best_lag, best_corr = lag, r
     return AlignmentResult(best_lag, best_corr, best_corr >= CONFIDENCE_THRESHOLD)

@@ -84,14 +84,3 @@ def extract_phase(samples: np.ndarray, cfg: VVConfig) -> np.ndarray:
         phase[b][avg == 0] = 0.0
     return phase
 
-
-def remove_mean_phase(trace: np.ndarray) -> np.ndarray:
-    """Subtract the arithmetic mean and re-wrap into (-pi/4, pi/4].
-
-    Block-wise stand-in for the slow-phase removal a running carrier phase
-    estimator performs; only the fast fluctuation around the mean survives.
-    """
-    t = np.asarray(trace, dtype=float)
-    if t.size == 0:
-        return t.copy()
-    return wrap_quarter(t - t.mean())

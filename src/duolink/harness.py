@@ -56,13 +56,10 @@ def classify_case(
     tx_q1: int, tx_q2: int, rx_q1: int, rx_q2: int, post_q1: int, post_q2: int
 ) -> Case:
     """Classify one symbol slot from the six quadrant indices (0..3 each)."""
-    for name, q in (
-        ("tx_q1", tx_q1), ("tx_q2", tx_q2), ("rx_q1", rx_q1),
-        ("rx_q2", rx_q2), ("post_q1", post_q1), ("post_q2", post_q2),
-    ):
+    qs = (tx_q1, tx_q2, rx_q1, rx_q2, post_q1, post_q2)
+    for name, q in zip(("tx_q1", "tx_q2", "rx_q1", "rx_q2", "post_q1", "post_q2"), qs):
         if q not in (0, 1, 2, 3):
             raise ValueError(f"{name}={q} is not a quadrant index in 0..3")
-    qs = (tx_q1, tx_q2, rx_q1, rx_q2, post_q1, post_q2)
     return Case(classify_cases(*([q] for q in qs))[0])
 
 
@@ -77,6 +74,8 @@ def classify_cases(
     """Classify each symbol slot from six equal-shape arrays of quadrant
     indices (0..3 each); returns an int array of Case values."""
     arrays = [np.asarray(a) for a in (tx_q1, tx_q2, rx_q1, rx_q2, post_q1, post_q2)]
+    if len({a.shape for a in arrays}) > 1:
+        raise ValueError(f"quadrant index array lengths differ: {[a.size for a in arrays]}")
     for a in arrays:
         if a.size and (a.min() < 0 or a.max() > 3):
             raise ValueError("quadrant indices must lie in 0..3")
@@ -364,10 +363,6 @@ def trial_config_from_dict(data: dict) -> TrialConfig:
     return _dataclass_from_dict(TrialConfig, data, "config")
 
 
-def trial_config_to_dict(cfg: TrialConfig) -> dict:
-    return asdict(cfg)
-
-
 def read_config_file(path):
     """Parse a JSON file; unreadable files, non-UTF-8 bytes and invalid JSON raise ConfigError."""
     try:
@@ -420,7 +415,7 @@ def sweep_configs(base: TrialConfig, axes: dict) -> list[TrialConfig]:
             raise ConfigError(f"sweep: axis '{name}' must be a non-empty list")
     configs = []
     for index, values in enumerate(product(*(axes[name] for name in names))):
-        data = trial_config_to_dict(base)
+        data = asdict(base)
         data["channel"]["seed"] ^= index
         for name, value in zip(names, values):
             if name != "kappa":

@@ -55,39 +55,11 @@ def quadrant_indices(samples: np.ndarray) -> np.ndarray:
     return np.uint8(2) * lower + np.where(lower, re > 0, re < 0)
 
 
-def bits_from_quadrants(k: np.ndarray) -> np.ndarray:
-    """Interleaved (b0, b1) bit stream for a vector of quadrant indices."""
-    k = np.asarray(k, dtype=np.int64)
-    b0 = k // 2
-    b1 = b0 ^ (k & 1)
-    bits = np.empty(2 * k.size, dtype=np.int64)
-    bits[0::2] = b0
-    bits[1::2] = b1
-    return bits
-
-
-def demap_symbols(samples: np.ndarray) -> np.ndarray:
-    """Hard-decide each sample to the bits of the quadrant containing it."""
-    return bits_from_quadrants(quadrant_indices(samples))
-
-
-def count_errors(tx: np.ndarray, rx: np.ndarray) -> tuple[int, float]:
-    """Return (bit error count, BER) between two equal-length bit streams."""
-    tx = np.asarray(tx)
-    rx = np.asarray(rx)
-    if tx.shape != rx.shape:
-        raise ValueError(f"bit stream lengths differ: {tx.size} vs {rx.size}")
-    if tx.size == 0:
-        return 0, 0.0
-    errors = int(np.count_nonzero(tx != rx))
-    return errors, errors / tx.size
-
-
 def count_quadrant_errors(k_tx: np.ndarray, k_rx: np.ndarray) -> int:
     """Bit errors between transmitted and decided quadrant indices.
 
-    Equal to count_errors on the Gray bits of both index streams, counted
-    from the histogram of (k_tx, k_rx) pairs weighted by GRAY_DISTANCE.
+    Counts the bits in which the Gray labels differ, from the histogram of
+    (k_tx, k_rx) pairs weighted by GRAY_DISTANCE.
     """
     k_tx = np.asarray(k_tx)
     k_rx = np.asarray(k_rx)

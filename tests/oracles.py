@@ -69,6 +69,26 @@ def quadrant_reference(samples):
     )
 
 
+# Gray labels (b0, b1) of quadrants k = 0..3, written from the convention in
+# duolink.qpsk's docstring: k=0 -> 00, k=1 -> 01, k=2 -> 11, k=3 -> 10.
+GRAY_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
+
+
+def demap_symbols(samples):
+    """Interleaved (b0, b1) bits of the quadrant containing each sample."""
+    return GRAY_BITS[quadrant_reference(samples)].ravel()
+
+
+def count_errors(tx, rx) -> tuple[int, float]:
+    """(bit error count, BER) of two equal-length bit streams, by comparing
+    them bit by bit."""
+    tx, rx = np.asarray(tx), np.asarray(rx)
+    if tx.shape != rx.shape:
+        raise ValueError(f"bit stream lengths differ: {tx.size} vs {rx.size}")
+    errors = int(np.count_nonzero(tx != rx))
+    return errors, errors / tx.size if tx.size else 0.0
+
+
 def pearson_reference(x, y) -> float:
     """Pearson coefficient of two equal-length samples, 0 if either is constant."""
     if x.max() == x.min() or y.max() == y.min():

@@ -21,8 +21,6 @@ from duolink import (
     classify_cases,
     compensate_pair,
     conversion_efficiency,
-    count_errors,
-    demap_symbols,
     emit,
     estimate_common_phase,
     estimate_delay,
@@ -33,7 +31,7 @@ from duolink import (
     shaped_filter_gain,
     adapt_kappa,
 )
-from oracles import CASE_TRUTH_TABLE, weighted_phase_reference
+from oracles import CASE_TRUTH_TABLE, count_errors, demap_symbols, weighted_phase_reference
 
 QUARTER_PI = np.pi / 4
 

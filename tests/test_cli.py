@@ -1,10 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import tempfile
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duolink import adapt_kappa, harness, run_trial, trial_config_from_dict
 from duolink.cli import main
@@ -100,7 +104,88 @@ class TestTrialCommand:
         assert "x.json" in capsys.readouterr().err
 
 
+class Interrupted(BaseException):
+    """Stands in for a signal that stops `duolink sweep` between two points."""
+
+
+@st.composite
+def resume_histories(draw):
+    """(sweep config, passes): a grid of at most six points of at most 500
+    symbols, and the passes of `duolink sweep` run on one output directory.
+    Each pass is (damage done to the directory before it, number of points it
+    computes before it is interrupted, or None to let it finish)."""
+    axes = {"sigma_common": draw(st.lists(st.sampled_from([0.1, 0.2, 0.3]),
+                                          min_size=1, max_size=3, unique=True)),
+            "kappa": draw(st.lists(st.sampled_from([0.0, 2.0, float("inf")]),
+                                   min_size=1, max_size=2, unique=True))}
+    config = dict(BASE_CONFIG, n_symbols=draw(st.integers(40, 500)), max_lag=4, sweep=axes)
+    points = len(axes["sigma_common"]) * len(axes["kappa"])
+    damage = st.tuples(st.sampled_from(["delete", "truncate", "corrupt", "stray"]),
+                       st.integers(0, points - 1), st.integers(0, 2**16))
+    passes = draw(st.lists(st.tuples(st.lists(damage, max_size=4),
+                                     st.none() | st.integers(0, points)),
+                           min_size=1, max_size=4))
+    return config, passes
+
+
+def damage_point(out_dir: Path, kind: str, index: int, cut: int) -> None:
+    """Damage the point file of `index` (if there is one) the way an
+    interrupted or faulty run could, or leave a temp file of a killed write."""
+    path = out_dir / f"point_{index:04d}.json"
+    if kind == "stray":
+        (out_dir / f".{path.name}.{cut}.tmp").write_text('{"index": ')
+        return
+    if not path.exists():
+        return
+    data = path.read_bytes()
+    if kind == "delete":
+        path.unlink()
+    elif kind == "truncate":
+        # cut before the last closing brace, so that the JSON is incomplete
+        path.write_bytes(data[: cut % max(data.rfind(b"}"), 1)])
+    else:
+        at = cut % (len(data) + 1)
+        path.write_bytes(data[:at] + (b"\xff" if cut % 2 else b"\x00") + data[at:])
+
+
 class TestSweepCommand:
+    @settings(max_examples=25, deadline=None)
+    @given(resume_histories())
+    def test_any_resume_history_gives_clean_csv(self, case):
+        """However passes are interrupted and point files damaged between
+        them, a final complete pass writes the CSV of one clean run."""
+        config, passes = case
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            tmp = Path(tmp)
+            cfg_path = tmp / "sweep.json"
+            cfg_path.write_text(json.dumps(config))
+            clean, out_dir = tmp / "clean", tmp / "resumed"
+            assert main(["sweep", "--config", str(cfg_path), "--out", str(clean)]) == 0
+            argv = ["sweep", "--config", str(cfg_path), "--out", str(out_dir)]
+            for damages, stop_after in passes:
+                if out_dir.exists():
+                    for kind, index, cut in damages:
+                        damage_point(out_dir, kind, index, cut)
+                if stop_after is None:
+                    assert main(argv) == 0
+                    continue
+                computed = []
+
+                def run_trial_until_stopped(cfg, real=harness.run_trial):
+                    if len(computed) == stop_after:
+                        raise Interrupted
+                    computed.append(cfg)
+                    return real(cfg)
+
+                mp.setattr(harness, "run_trial", run_trial_until_stopped)
+                try:
+                    main(argv)
+                except Interrupted:
+                    pass
+                mp.undo()
+            assert main(argv) == 0
+            assert (out_dir / "sweep.csv").read_bytes() == (clean / "sweep.csv").read_bytes()
+
     def test_sweep_writes_points_and_csv(self, tmp_path):
         config = dict(BASE_CONFIG, n_symbols=2000,
                       sweep={"sigma_common": [0.2, 0.3]})

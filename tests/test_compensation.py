@@ -12,12 +12,11 @@ from duolink import (
     apply_channel,
     apply_compensation,
     compensate_pair,
-    count_errors,
-    demap_symbols,
+    compensate_traces,
     estimate_common_phase,
     map_symbols,
 )
-from oracles import weighted_phase_reference
+from oracles import count_errors, demap_symbols, weighted_phase_reference
 
 # direct evaluation of the weighting formula at kappa=1, phi=(0.2, 0.4)
 KAPPA1_EXPECTED = 0.2900332005375044
@@ -177,3 +176,19 @@ class TestCompensatePair:
         with pytest.raises(ValueError, match="differ"):
             compensate_pair(np.ones(4, complex), np.ones(6, complex),
                             VVConfig(), EstimatorConfig())
+
+
+class TestCompensateTraces:
+    def test_result_rewrapped(self):
+        """A trace's deviation beyond pi/4 from its mean wraps back into
+        (-pi/4, pi/4] before the joint estimate."""
+        trace = np.array([0.78, 0.78, 0.78, -0.78])
+        mean = trace.mean()
+        rx = np.ones(4, dtype=complex)
+        out1, out2 = compensate_traces(rx, rx, trace, trace, (mean, mean),
+                                       EstimatorConfig(kappa_infinite=True))
+        residual = trace - mean
+        residual[3] += np.pi / 2
+        assert np.all((-np.pi / 4 < residual) & (residual <= np.pi / 4))
+        np.testing.assert_allclose(out1, np.exp(-1j * (mean + residual)), atol=1e-12)
+        np.testing.assert_array_equal(out2, out1)

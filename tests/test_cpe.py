@@ -1,4 +1,4 @@
-"""Tests for fourth-power phase extraction and mean-phase removal."""
+"""Tests for fourth-power phase extraction and phase wrapping."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from duolink import (
     VVConfig,
     extract_phase,
     map_symbols,
-    remove_mean_phase,
     wrap_quarter,
 )
 
@@ -113,22 +112,3 @@ class TestWrapQuarter:
         # congruent modulo pi/2
         assert abs((x - w) / (np.pi / 2) - round((x - w) / (np.pi / 2))) < 1e-6
 
-
-class TestRemoveMeanPhase:
-    def test_constant_trace_zeroed(self):
-        np.testing.assert_allclose(remove_mean_phase(np.full(16, 0.2)), 0.0, atol=1e-15)
-
-    def test_zero_mean_fixed_point(self):
-        trace = np.array([0.1, -0.1])
-        np.testing.assert_allclose(remove_mean_phase(trace), trace, atol=1e-15)
-
-    def test_mean_subtraction(self):
-        np.testing.assert_allclose(
-            remove_mean_phase(np.array([0.2, 0.4])), [-0.1, 0.1], atol=1e-15)
-
-    def test_result_rewrapped(self):
-        """Deviations beyond pi/4 from the mean wrap back into the interval."""
-        trace = np.array([0.78, 0.78, 0.78, -0.78])
-        out = remove_mean_phase(trace)
-        assert np.all(out > -QUARTER_PI) and np.all(out <= QUARTER_PI)
-        np.testing.assert_allclose(out[3], -0.78 - trace.mean() + np.pi / 2, atol=1e-12)

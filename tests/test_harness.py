@@ -4,7 +4,7 @@ import json
 import os
 import re
 import signal
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import product
 from pathlib import Path
 
@@ -30,7 +30,6 @@ from duolink import (
     run_trial,
     sweep_configs,
     trial_config_from_dict,
-    trial_config_to_dict,
     wilson_interval,
 )
 from oracles import CASE_TRUTH_TABLE, wilson_reference
@@ -100,6 +99,13 @@ class TestClassifyCase:
         codes = classify_cases(*cols)
         for i in range(500):
             assert codes[i] == classify_case(*(int(c[i]) for c in cols))
+
+    @pytest.mark.parametrize("lengths", [(3, 1, 3, 1, 3, 1), (3, 2, 3, 2, 3, 2), (3, 3, 3, 3, 3, 0)])
+    def test_vectorized_length_mismatch_rejected(self, lengths):
+        """Arrays of different lengths are rejected, not broadcast."""
+        cols = [np.zeros(k, dtype=np.uint8) for k in lengths]
+        with pytest.raises(ValueError, match=re.escape(f"lengths differ: {list(lengths)}")):
+            classify_cases(*cols)
 
     def test_vectorized_range_check(self):
         with pytest.raises(ValueError, match="quadrant"):
@@ -246,7 +252,7 @@ class TestKappaObjective:
 class TestConfigRoundTrip:
     def test_dict_round_trip(self):
         cfg = small_config(delay_offset=2)
-        assert trial_config_from_dict(trial_config_to_dict(cfg)) == cfg
+        assert trial_config_from_dict(asdict(cfg)) == cfg
 
     def test_missing_n_symbols(self):
         with pytest.raises(ConfigError, match="n_symbols"):

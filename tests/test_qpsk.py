@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from duolink import (
     SYMBOLS,
-    count_errors,
     count_quadrant_errors,
-    demap_symbols,
     gray_indices,
     map_symbols,
     quadrant_indices,
 )
-from oracles import quadrant_reference
+from oracles import count_errors, demap_symbols, quadrant_reference
 
 ISQ2 = 1 / np.sqrt(2)
 
@@ -71,21 +69,26 @@ class TestMapSymbols:
 
 
 class TestDemapSymbols:
+    """Hard decisions are quadrant_indices; the bits they stand for are
+    checked against the bit-level oracle."""
+
     def test_quadrant_one_interior(self):
-        np.testing.assert_array_equal(demap_symbols([0.9 + 0.1j]), [0, 0])
+        np.testing.assert_array_equal(quadrant_indices([0.9 + 0.1j]), [0])
 
     def test_quadrant_three_interior(self):
-        np.testing.assert_array_equal(demap_symbols([-0.3 - 0.7j]), [1, 1])
+        np.testing.assert_array_equal(quadrant_indices([-0.3 - 0.7j]), [2])
 
     def test_round_trip_all_symbols(self):
         bits = np.array([0, 0, 0, 1, 1, 1, 1, 0])
         np.testing.assert_array_equal(demap_symbols(map_symbols(bits)), bits)
+        np.testing.assert_array_equal(quadrant_indices(map_symbols(bits)), gray_indices(bits))
 
     @given(st.lists(st.integers(0, 1), min_size=2, max_size=200).filter(
         lambda b: len(b) % 2 == 0))
     def test_round_trip_random_streams(self, bits):
         bits = np.array(bits)
         np.testing.assert_array_equal(demap_symbols(map_symbols(bits)), bits)
+        np.testing.assert_array_equal(quadrant_indices(map_symbols(bits)), gray_indices(bits))
 
     def test_axis_ties_toward_smaller_k(self):
         """Boundary samples decide for the adjacent quadrant with smaller k."""
@@ -107,31 +110,33 @@ class TestDemapSymbols:
         np.testing.assert_array_equal(k, quadrant_reference(z))
 
     def test_zero_sample_flagged(self):
-        bits = demap_symbols([0j, 0.5 + 0.5j])
-        np.testing.assert_array_equal(bits, [0, 0, 0, 0])
+        np.testing.assert_array_equal(quadrant_indices([0j, 0.5 + 0.5j]), [0, 0])
 
 
 class TestCountErrors:
+    """Bit errors counted from quadrant indices equal a plain bit compare of
+    the Gray bit streams."""
+
     def test_identical_streams(self):
-        errors, ber = count_errors([0, 1, 1, 0], [0, 1, 1, 0])
-        assert errors == 0 and ber == 0.0
+        k = gray_indices([0, 1, 1, 0])
+        assert count_quadrant_errors(k, k) == 0
 
     def test_one_flip_in_thousand(self):
         tx = np.zeros(1000, dtype=int)
         rx = tx.copy()
         rx[123] = 1
-        errors, ber = count_errors(tx, rx)
-        assert errors == 1
-        assert ber == pytest.approx(0.001)
+        assert count_quadrant_errors(gray_indices(tx), gray_indices(rx)) == 1
+        assert count_errors(tx, rx) == (1, pytest.approx(0.001))
 
     def test_complemented_stream(self):
+        """Complementing both bits moves a symbol to the opposite quadrant."""
         tx = np.array([0, 1, 0, 1])
-        errors, ber = count_errors(tx, 1 - tx)
-        assert errors == 4 and ber == 1.0
+        assert count_quadrant_errors(gray_indices(tx), gray_indices(1 - tx)) == 4
 
     def test_length_mismatch_rejected(self):
+        """Streams of equal size but different shape are rejected too."""
         with pytest.raises(ValueError, match="differ"):
-            count_errors([0, 1], [0, 1, 0])
+            count_quadrant_errors([[0, 1]], [0, 1])
 
 
 class TestCountQuadrantErrors:
