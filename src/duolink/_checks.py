@@ -13,6 +13,12 @@ def integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer")
 
 
+def integer_array(name: str, value: np.ndarray) -> None:
+    """An array of an integer dtype; bool arrays are rejected."""
+    if not np.issubdtype(value.dtype, np.integer):
+        raise ValueError(f"{name} must be an array of integers, got dtype {value.dtype}")
+
+
 def number(name: str, value) -> None:
     """A finite real number; bools and ints too large for a float are rejected."""
     if isinstance(value, bool) or not isinstance(value, Real) or not _finite(value):

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import _checks
+from . import _blocks, _checks
 
 # Peak correlation at or above this is considered a reliable delay estimate.
 CONFIDENCE_THRESHOLD = 0.5
@@ -80,7 +80,7 @@ def _cuts(t: np.ndarray, c: np.ndarray, k: int) -> tuple[_Cuts, _Cuts]:
         first, last = int(changed.argmax()), n - 2 - int(changed[::-1].argmax())
     else:
         first, last = n, -1
-    total, total_sq = c.sum(), np.dot(c, c)
+    total, total_sq = c.sum(), _dot(c, c)
 
     def cut(end: np.ndarray, varies: list[bool]) -> _Cuts:
         sums = total - np.concatenate(([0.0], np.cumsum(end)))
@@ -90,6 +90,13 @@ def _cuts(t: np.ndarray, c: np.ndarray, k: int) -> tuple[_Cuts, _Cuts]:
     head = cut(c[:k], [last >= j for j in range(k + 1)])
     tail = cut(c[n - k:][::-1], [first <= n - 2 - j for j in range(k + 1)])
     return head, tail
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Dot product of two float vectors. np.einsum's kernel never threads,
+    so the sum's rounding does not depend on the BLAS thread count as
+    np.dot's does."""
+    return float(np.einsum("i,i->", a, b))
 
 
 def estimate_delay(
@@ -106,7 +113,8 @@ def estimate_delay(
     Both traces are centered once; each overlap's sums come from _cuts and
     its cross term from one dot product over views, so no overlap is copied.
     An overlap whose variance about the whole trace's mean falls under half
-    its sum of squares is centered on its own means instead.
+    its sum of squares is centered on its own means instead. The lags'
+    correlations are computed on the thread pool of _blocks.
     """
     t1 = np.asarray(trace1, dtype=float)
     t2 = np.asarray(trace2, dtype=float)
@@ -124,8 +132,8 @@ def estimate_delay(
     c2 = t2 - t2.mean()
     head1, tail1 = _cuts(t1, c1, max_lag)
     head2, tail2 = _cuts(t2, c2, max_lag)
-    best_lag, best_corr = 0, -math.inf
-    for lag in sorted(range(-max_lag, max_lag + 1), key=lambda s: (abs(s), s)):
+
+    def correlation(lag: int) -> float:
         # lag >= 0 overlaps trace1[lag:] with trace2[:n-lag], lag < 0
         # overlaps trace1[:n+lag] with trace2[-lag:]
         j = abs(lag)
@@ -136,15 +144,18 @@ def estimate_delay(
         m = n - j
         var_x = x.squares[j] - x.sums[j] ** 2 / m
         var_y = y.squares[j] - y.sums[j] ** 2 / m
-        cov = float(np.dot(cx, cy)) - x.sums[j] * y.sums[j] / m
+        cov = _dot(cx, cy) - x.sums[j] * y.sums[j] / m
         if var_x < x.squares[j] / 2 or var_y < y.squares[j] / 2:
             # the sums above cancel: center the overlap on its own means
             cx, cy = cx - cx.mean(), cy - cy.mean()
-            var_x, var_y = float(np.dot(cx, cx)), float(np.dot(cy, cy))
-            cov = float(np.dot(cx, cy))
-        r = 0.0
+            var_x, var_y, cov = _dot(cx, cx), _dot(cy, cy), _dot(cx, cy)
         if x.varies[j] and y.varies[j] and var_x > 0 and var_y > 0:
-            r = cov / math.sqrt(var_x * var_y)
+            return cov / math.sqrt(var_x * var_y)
+        return 0.0
+
+    lags = sorted(range(-max_lag, max_lag + 1), key=lambda s: (abs(s), s))
+    best_lag, best_corr = 0, -math.inf
+    for lag, r in zip(lags, _blocks.each(correlation, lags)):
         if r > best_corr + TIE_TOL:
             best_lag, best_corr = lag, r
     return AlignmentResult(best_lag, best_corr, best_corr >= CONFIDENCE_THRESHOLD)

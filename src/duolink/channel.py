@@ -186,23 +186,33 @@ def apply_channel(
             dst.append(slice(b.start + to, b.stop + to))
     y1 = np.empty(n, dtype=complex)
     y2 = np.empty(n, dtype=complex)
-    rot = np.empty(min(n, _blocks.BLOCK), dtype=complex)
-    for b, d in zip(src, dst):
-        r = rot[: b.stop - b.start]
+
+    def rotate(b: slice, d: slice) -> None:
         # equal to np.exp(1j * phi), without its complex temporaries
+        r = np.empty(b.stop - b.start, dtype=complex)
         np.cos(phi[b], out=r.real)
         np.sin(phi[b], out=r.imag)
         np.multiply(tx1[b], r, out=y1[b])
         np.multiply(tx2[b], r, out=y2[d])
+
+    _blocks.each(lambda bd: rotate(*bd), zip(src, dst))
     if params.sigma_additive > 0:
         s = params.sigma_additive
-        # each generator's in-phase draws, then its quadrature draws, taken
-        # in symbol order as one whole-length draw would take them
-        for y, stream, where in ((y1, STREAM_NOISE1, src), (y2, STREAM_NOISE2, dst)):
+
+        def add_noise(y: np.ndarray, stream: int, where: list[slice]) -> None:
+            # the generator's in-phase draws, then its quadrature draws,
+            # taken in symbol order as one whole-length draw would take them
             g = stream_rng(params.seed, stream)
+            buf = np.empty(min(n, _blocks.BLOCK))
             for part in (y.real, y.imag):
                 for w in where:
-                    part[w] += s * g.standard_normal(w.stop - w.start)
+                    draw = buf[: w.stop - w.start]
+                    g.standard_normal(out=draw)
+                    draw *= s
+                    part[w] += draw
+
+        _blocks.each(lambda task: add_noise(*task),
+                     ((y1, STREAM_NOISE1, src), (y2, STREAM_NOISE2, dst)))
     return y1, y2
 
 

@@ -59,7 +59,8 @@ def extract_phase(samples: np.ndarray, cfg: VVConfig) -> np.ndarray:
     half = cfg.window // 2
     ones = np.ones(cfg.window)
     phase = np.empty(n)
-    for b in _blocks.blocks(0, n):
+
+    def extract(b: slice) -> None:
         # the windows of a block reach `half` samples past its ends; a
         # segment shorter than the window is widened to it (or to the whole
         # stream), because np.convolve swaps its arguments when the kernel
@@ -82,5 +83,6 @@ def extract_phase(samples: np.ndarray, cfg: VVConfig) -> np.ndarray:
         # angle(-(0+0j)) is -pi from the signed zeros; the phase there is
         # undefined and reported as 0
         phase[b][avg == 0] = 0.0
-    return phase
 
+    _blocks.each(extract, _blocks.blocks(0, n))
+    return phase

@@ -52,12 +52,17 @@ class Case(IntEnum):
     NO_CORRECTION_POSSIBLE = 3
 
 
+_QUADRANT_ARGS = ("tx_q1", "tx_q2", "rx_q1", "rx_q2", "post_q1", "post_q2")
+
+
 def classify_case(
     tx_q1: int, tx_q2: int, rx_q1: int, rx_q2: int, post_q1: int, post_q2: int
 ) -> Case:
-    """Classify one symbol slot from the six quadrant indices (0..3 each)."""
+    """Classify one symbol slot from the six quadrant indices (integers in
+    0..3 each)."""
     qs = (tx_q1, tx_q2, rx_q1, rx_q2, post_q1, post_q2)
-    for name, q in zip(("tx_q1", "tx_q2", "rx_q1", "rx_q2", "post_q1", "post_q2"), qs):
+    for name, q in zip(_QUADRANT_ARGS, qs):
+        _checks.integer(name, q)
         if q not in (0, 1, 2, 3):
             raise ValueError(f"{name}={q} is not a quadrant index in 0..3")
     return Case(classify_cases(*([q] for q in qs))[0])
@@ -71,12 +76,13 @@ def classify_cases(
     post_q1: np.ndarray,
     post_q2: np.ndarray,
 ) -> np.ndarray:
-    """Classify each symbol slot from six equal-shape arrays of quadrant
-    indices (0..3 each); returns an int array of Case values."""
+    """Classify each symbol slot from six equal-shape integer arrays of
+    quadrant indices (0..3 each); returns an int array of Case values."""
     arrays = [np.asarray(a) for a in (tx_q1, tx_q2, rx_q1, rx_q2, post_q1, post_q2)]
     if len({a.shape for a in arrays}) > 1:
         raise ValueError(f"quadrant index array lengths differ: {[a.size for a in arrays]}")
-    for a in arrays:
+    for name, a in zip(_QUADRANT_ARGS, arrays):
+        _checks.integer_array(name, a)
         if a.size and (a.min() < 0 or a.max() > 3):
             raise ValueError("quadrant indices must lie in 0..3")
     tq1, tq2, rq1, rq2, pq1, pq2 = arrays
@@ -222,11 +228,9 @@ def _receive(cfg: TrialConfig) -> _Reception:
     compare_baseline do not change."""
     n = cfg.n_symbols
     ch = cfg.channel
-    bits = stream_rng(ch.seed, STREAM_BITS1).integers(0, 2, size=2 * n)
-    k_tx1 = gray_indices(bits)
-    bits = stream_rng(ch.seed, STREAM_BITS2).integers(0, 2, size=2 * n)
-    k_tx2 = gray_indices(bits)
-    del bits
+    k_tx1, k_tx2 = _blocks.each(
+        lambda stream: gray_indices(stream_rng(ch.seed, stream).integers(0, 2, size=2 * n)),
+        (STREAM_BITS1, STREAM_BITS2))
     rx1, rx2 = apply_channel(SYMBOLS[k_tx1], SYMBOLS[k_tx2], ch)
 
     # Delay recovery runs on per-symbol (window=1) traces. Extraction is
@@ -261,20 +265,6 @@ def _receive(cfg: TrialConfig) -> _Reception:
     )
 
 
-def _compensated_decisions(r: _Reception, cfg: TrialConfig):
-    """The joint compensation's quadrant decisions, one block of the valid
-    region at a time: (block of the streams, the same block of the k_*
-    arrays, decisions of channel 1, decisions of channel 2)."""
-    valid = r.valid
-    # the mean removal takes the whole traces' means, not each block's
-    means = (r.trace1.mean(), r.trace2.mean()) if cfg.vv.remove_mean else None
-    for b in _blocks.blocks(valid.start, valid.stop):
-        comp1, comp2 = compensate_traces(
-            r.rx1[b], r.rx2[b], r.trace1[b], r.trace2[b], means, cfg.estimator)
-        k = slice(b.start - valid.start, b.stop - valid.start)
-        yield b, k, quadrant_indices(comp1), quadrant_indices(comp2)
-
-
 def _detect(r: _Reception, cfg: TrialConfig) -> BERReport:
     """The part of run_trial that depends on the estimator: joint
     compensation, counting, the optional baseline and classification.
@@ -286,19 +276,34 @@ def _detect(r: _Reception, cfg: TrialConfig) -> BERReport:
     valid = r.valid
     n_valid = valid.stop - valid.start
     bits_per_channel = 2 * n_valid
-    ec1 = ec2 = eb1 = eb2 = 0
-    hist = np.zeros(4, dtype=np.int64)
-    for b, k, k_comp1, k_comp2 in _compensated_decisions(r, cfg):
+    # the mean removal takes the whole traces' means, not each block's
+    means = (r.trace1.mean(), r.trace2.mean()) if cfg.vv.remove_mean else None
+
+    def count(b: slice) -> np.ndarray:
+        """One block's compensated and baseline errors per channel, then its
+        histogram of cases: [ec1, ec2, eb1, eb2, case 1, ..., case 4]."""
+        k = slice(b.start - valid.start, b.stop - valid.start)
         k_tx1, k_tx2 = r.k_tx1[k], r.k_tx2[k]
-        ec1 += count_quadrant_errors(k_tx1, k_comp1)
-        ec2 += count_quadrant_errors(k_tx2, k_comp2)
+        comp1, comp2 = compensate_traces(
+            r.rx1[b], r.rx2[b], r.trace1[b], r.trace2[b], means, cfg.estimator)
+        k_comp1, k_comp2 = quadrant_indices(comp1), quadrant_indices(comp2)
+        del comp1, comp2
+        out = np.zeros(8, dtype=np.int64)
+        out[0] = count_quadrant_errors(k_tx1, k_comp1)
+        out[1] = count_quadrant_errors(k_tx2, k_comp2)
         if cfg.compare_baseline:
-            eb1 += count_quadrant_errors(
+            out[2] = count_quadrant_errors(
                 k_tx1, quadrant_indices(apply_compensation(r.rx1[b], r.trace1[b])))
-            eb2 += count_quadrant_errors(
+            out[3] = count_quadrant_errors(
                 k_tx2, quadrant_indices(apply_compensation(r.rx2[b], r.trace2[b])))
         codes = classify_cases(k_tx1, k_tx2, r.k_rx1[k], r.k_rx2[k], k_comp1, k_comp2)
-        hist += np.bincount(codes, minlength=4)
+        out[4:] = np.bincount(codes, minlength=4)
+        return out
+
+    totals = sum(_blocks.each(count, _blocks.blocks(valid.start, valid.stop)),
+                 np.zeros(8, dtype=np.int64))
+    ec1, ec2, eb1, eb2 = (int(c) for c in totals[:4])
+    hist = totals[4:]
     assert int(hist.sum()) == n_valid
 
     ber_comp = (ec1 + ec2) / (2 * bits_per_channel)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _checks
+
 # Quadrant centers, index = Gray symbol index k.
 SYMBOLS = np.exp(1j * (np.pi / 4 + np.arange(4) * np.pi / 2))
 
@@ -56,7 +58,8 @@ def quadrant_indices(samples: np.ndarray) -> np.ndarray:
 
 
 def count_quadrant_errors(k_tx: np.ndarray, k_rx: np.ndarray) -> int:
-    """Bit errors between transmitted and decided quadrant indices.
+    """Bit errors between transmitted and decided quadrant indices (arrays
+    of an integer dtype).
 
     Counts the bits in which the Gray labels differ, from the histogram of
     (k_tx, k_rx) pairs weighted by GRAY_DISTANCE.
@@ -65,6 +68,8 @@ def count_quadrant_errors(k_tx: np.ndarray, k_rx: np.ndarray) -> int:
     k_rx = np.asarray(k_rx)
     if k_tx.shape != k_rx.shape:
         raise ValueError(f"symbol stream lengths differ: {k_tx.size} vs {k_rx.size}")
+    for name, k in (("k_tx", k_tx), ("k_rx", k_rx)):
+        _checks.integer_array(name, k)
     if k_tx.size == 0:
         return 0
     for k in (k_tx, k_rx):

@@ -86,6 +86,20 @@ class TestClassifyCase:
         with pytest.raises(ValueError, match="quadrant"):
             classify_case(0, 0, 0, -1, 0, 0)
 
+    @pytest.mark.parametrize("args, name", [
+        ((True, 0, 1.0, 0, 0, 0), "tx_q1"),
+        ((0, 0, 1.0, 0, 0, 0), "rx_q1"),
+        ((0, 0, 0, 0, 0, np.float64(2.0)), "post_q2"),
+    ])
+    def test_non_integer_rejected(self, args, name):
+        """Bools and floats equal to a quadrant index are not indices."""
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            classify_case(*args)
+
+    def test_numpy_integers_accepted(self):
+        args = (np.uint8(0), np.int64(0), 1, np.intp(0), 0, 0)
+        assert classify_case(*args) is Case.CORRECTION_SUCCESSFUL
+
     def test_matches_truth_table_exhaustively(self):
         """All 4^6 quadrant combinations agree with the hand-written table."""
         for combo in product(range(4), repeat=6):
@@ -105,6 +119,15 @@ class TestClassifyCase:
         """Arrays of different lengths are rejected, not broadcast."""
         cols = [np.zeros(k, dtype=np.uint8) for k in lengths]
         with pytest.raises(ValueError, match=re.escape(f"lengths differ: {list(lengths)}")):
+            classify_cases(*cols)
+
+    @pytest.mark.parametrize("position", range(6))
+    @pytest.mark.parametrize("dtype", [float, bool])
+    def test_vectorized_non_integer_rejected(self, position, dtype):
+        cols = [np.zeros(3, dtype=np.uint8) for _ in range(6)]
+        cols[position] = cols[position].astype(dtype)
+        name = ("tx_q1", "tx_q2", "rx_q1", "rx_q2", "post_q1", "post_q2")[position]
+        with pytest.raises(ValueError, match=f"{name} must be an array of integers"):
             classify_cases(*cols)
 
     def test_vectorized_range_check(self):

@@ -164,3 +164,14 @@ class TestCountQuadrantErrors:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="quadrant"):
             count_quadrant_errors([0, 4], [0, 1])
+
+    @pytest.mark.parametrize("k_tx, k_rx, name", [
+        (np.array([0.5]), np.array([1]), "k_tx"),
+        (np.array([1]), np.array([1.0]), "k_rx"),
+        (np.array([True]), np.array([1]), "k_tx"),
+        (np.array([], dtype=float), np.array([], dtype=np.uint8), "k_tx"),
+    ])
+    def test_non_integer_rejected(self, k_tx, k_rx, name):
+        """A float or bool index is not truncated or cast to a quadrant."""
+        with pytest.raises(ValueError, match=f"{name} must be an array of integers"):
+            count_quadrant_errors(k_tx, k_rx)
