@@ -1,5 +1,5 @@
-"""The one type policy for config fields and boundary arguments: each rule
-raises ValueError naming the value."""
+"""The one copy of every input rule, for config fields and boundary
+arguments: each rule raises ValueError naming the value."""
 
 import math
 from numbers import Real
@@ -11,12 +11,6 @@ def integer(name: str, value) -> None:
     """An int or numpy integer; bools are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer")
-
-
-def integer_array(name: str, value: np.ndarray) -> None:
-    """An array of an integer dtype; bool arrays are rejected."""
-    if not np.issubdtype(value.dtype, np.integer):
-        raise ValueError(f"{name} must be an array of integers, got dtype {value.dtype}")
 
 
 def number(name: str, value) -> None:
@@ -36,6 +30,43 @@ def flag(name: str, value) -> None:
     """A bool or numpy bool."""
     if not isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be true or false")
+
+
+def at_least(name: str, value, low) -> None:
+    """low <= value; NaN is rejected."""
+    if not low <= value:
+        raise ValueError(f"{name} must be >= {low}")
+
+
+def positive(name: str, value) -> None:
+    """value > 0; NaN is rejected."""
+    if not value > 0:
+        raise ValueError(f"{name} must be > 0")
+
+
+def same_shape(**arrays: np.ndarray) -> None:
+    """Arrays of one shape, passed by name; the message lists their lengths
+    (the shape of an array that is not 1-D)."""
+    if len({a.shape for a in arrays.values()}) > 1:
+        dims = [a.size if a.ndim == 1 else a.shape for a in arrays.values()]
+        raise ValueError(f"{', '.join(arrays)} lengths differ: {dims}")
+
+
+def finite(**arrays: np.ndarray) -> None:
+    """Arrays, passed by name, holding no NaN or infinity."""
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
+
+
+def quadrants(**arrays: np.ndarray) -> None:
+    """Arrays of quadrant indices, passed by name: an integer dtype (bool
+    arrays are rejected) and values in 0..3."""
+    for name, a in arrays.items():
+        if not np.issubdtype(a.dtype, np.integer):
+            raise ValueError(f"{name} must be an array of integers, got dtype {a.dtype}")
+        if a.size and (a.min() < 0 or a.max() > 3):
+            raise ValueError(f"{name} must hold quadrant indices in 0..3")
 
 
 _RULES = {"int": integer, "float": number, "bool": flag}

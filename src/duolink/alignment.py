@@ -118,16 +118,13 @@ def estimate_delay(
     """
     t1 = np.asarray(trace1, dtype=float)
     t2 = np.asarray(trace2, dtype=float)
-    if t1.size != t2.size:
-        raise ValueError(f"trace lengths differ: {t1.size} vs {t2.size}")
+    _checks.same_shape(trace1=t1, trace2=t2)
     _checks.integer("max_lag", max_lag)
-    if max_lag < 0:
-        raise ValueError("max_lag must be a nonnegative integer")
+    _checks.at_least("max_lag", max_lag, 0)
     n = t1.size
     if n <= 2 * max_lag:
         raise ValueError(f"traces of length {n} too short for max_lag={max_lag}")
-    if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
-        raise ValueError("traces must be finite")
+    _checks.finite(trace1=t1, trace2=t2)
     c1 = t1 - t1.mean()
     c2 = t2 - t2.mean()
     head1, tail1 = _cuts(t1, c1, max_lag)
@@ -187,8 +184,7 @@ def adapt_kappa(
     """
     if not (hi > lo):
         raise ValueError("need hi > lo")
-    if not (tol > 0):
-        raise ValueError("tol must be > 0")
+    _checks.positive("tol", tol)
     history: list[tuple[float, float]] = []
 
     def f(kappa: float) -> float:

@@ -79,18 +79,14 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         _checks.check_fields(self)
-        if self.sigma_common < 0:
-            raise ValueError("sigma_common must be >= 0")
-        if self.sigma_additive < 0:
-            raise ValueError("sigma_additive must be >= 0")
-        if self.alpha_dB < 0:
-            raise ValueError("alpha_dB must be >= 0")
+        _checks.at_least("sigma_common", self.sigma_common, 0)
+        _checks.at_least("sigma_additive", self.sigma_additive, 0)
+        _checks.at_least("alpha_dB", self.alpha_dB, 0)
         if self.phase_model not in PHASE_MODELS:
             raise ValueError(f"phase_model must be one of {PHASE_MODELS}")
-        if self.phase_model == "shaped" and not self.cpe_cutoff > 0:
-            raise ValueError("cpe_cutoff must be > 0 for the shaped model")
-        if self.symbol_rate <= 0:
-            raise ValueError("symbol_rate must be > 0")
+        if self.phase_model == "shaped":
+            _checks.positive("cpe_cutoff", self.cpe_cutoff)
+        _checks.positive("symbol_rate", self.symbol_rate)
         if not 0 <= int(self.seed) < MAX_SEED:
             raise ValueError("seed must fit in 64 bits")
 
@@ -132,8 +128,7 @@ def gen_common_phase(n: int, params: ChannelParams) -> np.ndarray:
     shaped model: white Gaussian noise filtered by `shaped_filter_gain`, then
     rescaled so the sample std equals sigma_common exactly.
     """
-    if n < 1:
-        raise ValueError("need at least one symbol")
+    _checks.at_least("n", n, 1)
     if params.sigma_common == 0:
         return np.zeros(n)
     rng = stream_rng(params.seed, STREAM_PHASE)
@@ -166,15 +161,13 @@ def apply_channel(
     """
     tx1 = np.asarray(tx1)
     tx2 = np.asarray(tx2)
-    if tx1.shape != tx2.shape:
-        raise ValueError(f"stream lengths differ: {tx1.size} vs {tx2.size}")
+    _checks.same_shape(tx1=tx1, tx2=tx2)
     n = tx1.size
     if phase is None:
         phi = gen_common_phase(n, params)
     else:
         phi = np.asarray(phase, dtype=float)
-        if phi.size != n:
-            raise ValueError(f"phase trace length {phi.size} != stream length {n}")
+        _checks.same_shape(tx1=tx1, phase=phi)
     # channel 2 is written straight into its shifted layout: symbol j lands
     # in slot (j - shift) mod n, a contiguous run for each block of
     # [0, shift) and of [shift, n)
@@ -220,14 +213,11 @@ def export_efficiency_csv(
     path, alpha_dB: float, dbeta: float, fmax: float, points: int = 1000
 ) -> None:
     """Write the efficiency curve sampled on [0, fmax] Hz as freq_hz,efficiency CSV."""
-    for name, value in (("alpha_dB", alpha_dB), ("dbeta", dbeta), ("fmax", fmax)):
-        _checks.number(name, value)
-    if alpha_dB < 0:
-        raise ValueError("alpha_dB must be >= 0")
-    if points < 2:
-        raise ValueError("need at least 2 sample points")
-    if fmax <= 0:
-        raise ValueError("fmax must be > 0")
+    ChannelParams(alpha_dB=alpha_dB, dbeta=dbeta)  # the channel's rules for both
+    _checks.number("fmax", fmax)
+    _checks.positive("fmax", fmax)
+    _checks.integer("points", points)
+    _checks.at_least("points", points, 2)
     freq = np.linspace(0.0, fmax, points)
     eta = conversion_efficiency(2 * np.pi * freq, alpha_dB, dbeta)
     with _files.atomic_write(path) as fh:

@@ -81,8 +81,10 @@ def _cmd_trial(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.workers < 1:
-        raise ConfigError("--workers must be >= 1")
+    try:
+        _checks.at_least("--workers", args.workers, 1)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     data = read_config_file(args.config)
     axes = data.pop("sweep", {}) if isinstance(data, dict) else {}
     base = trial_config_from_dict(data)
@@ -108,14 +110,12 @@ def _cmd_adapt_kappa(args) -> int:
     try:
         for flag, value in (("--lo", args.lo), ("--hi", args.hi), ("--tol", args.tol)):
             _checks.number(flag, value)
+        _checks.at_least("--lo", args.lo, 0)
+        _checks.positive("--tol", args.tol)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if args.lo < 0:
-        raise ConfigError("--lo must be >= 0")
     if not args.hi > args.lo:
         raise ConfigError("--hi must be greater than --lo")
-    if not args.tol > 0:
-        raise ConfigError("--tol must be > 0")
     cfg = load_trial_config(args.config)
     result = adapt_kappa(kappa_objective(cfg), args.lo, args.hi, args.tol)
     json.dump(asdict(result), sys.stdout, indent=2)

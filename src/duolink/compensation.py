@@ -37,8 +37,7 @@ class EstimatorConfig:
 
     def __post_init__(self) -> None:
         _checks.check_fields(self)
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
+        _checks.at_least("kappa", self.kappa, 0)
 
 
 def estimate_common_phase(phi1, phi2, cfg: EstimatorConfig) -> float | np.ndarray:
@@ -50,10 +49,8 @@ def estimate_common_phase(phi1, phi2, cfg: EstimatorConfig) -> float | np.ndarra
     scalar = np.ndim(phi1) == 0 and np.ndim(phi2) == 0
     p1 = np.asarray(phi1, dtype=float)
     p2 = np.asarray(phi2, dtype=float)
-    if p1.shape != p2.shape:
-        raise ValueError("phase inputs must have identical shape")
-    if not (np.isfinite(p1).all() and np.isfinite(p2).all()):
-        raise ValueError("phase inputs must be finite")
+    _checks.same_shape(phi1=p1, phi2=p2)
+    _checks.finite(phi1=p1, phi2=p2)
     a1 = np.abs(p1)
     a2 = np.abs(p2)
     if cfg.kappa_infinite:
@@ -82,8 +79,7 @@ def apply_compensation(rx: np.ndarray, estimates: np.ndarray) -> np.ndarray:
     """Rotate each sample by minus its estimated common phase."""
     rx = np.asarray(rx)
     est = np.asarray(estimates, dtype=float)
-    if est.size != rx.size:
-        raise ValueError(f"estimate length {est.size} != stream length {rx.size}")
+    _checks.same_shape(rx=rx, estimates=est)
     # the rotation is the product's first operand at every length: the
     # rounding of a complex product depends on the operand order
     out = _derotation(est)
@@ -112,9 +108,7 @@ def compensate_traces(
     rx2 = np.asarray(rx2)
     t1 = np.asarray(trace1, dtype=float)
     t2 = np.asarray(trace2, dtype=float)
-    if not rx1.shape == rx2.shape == t1.shape == t2.shape:
-        raise ValueError(
-            f"stream and trace lengths differ: {rx1.size}, {rx2.size}, {t1.size}, {t2.size}")
+    _checks.same_shape(rx1=rx1, rx2=rx2, trace1=t1, trace2=t2)
     if means is not None:
         mean1, mean2 = means
         rx1 = rx1 * np.exp(-1j * mean1)
@@ -141,8 +135,7 @@ def compensate_pair(
     """
     rx1 = np.asarray(rx1)
     rx2 = np.asarray(rx2)
-    if rx1.shape != rx2.shape:
-        raise ValueError(f"stream lengths differ: {rx1.size} vs {rx2.size}")
+    _checks.same_shape(rx1=rx1, rx2=rx2)
     t1 = extract_phase(rx1, vv)
     t2 = extract_phase(rx2, vv)
     means = (t1.mean(), t2.mean()) if vv.remove_mean else None

@@ -30,8 +30,7 @@ class VVConfig:
 
     def __post_init__(self) -> None:
         _checks.check_fields(self)
-        if self.window < 1:
-            raise ValueError("window must be a positive integer")
+        _checks.at_least("window", self.window, 1)
         if self.window % 2 == 0:
             raise ValueError("window must be odd")
 

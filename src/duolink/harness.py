@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from enum import IntEnum
 from functools import partial
 from itertools import product
@@ -63,8 +64,6 @@ def classify_case(
     qs = (tx_q1, tx_q2, rx_q1, rx_q2, post_q1, post_q2)
     for name, q in zip(_QUADRANT_ARGS, qs):
         _checks.integer(name, q)
-        if q not in (0, 1, 2, 3):
-            raise ValueError(f"{name}={q} is not a quadrant index in 0..3")
     return Case(classify_cases(*([q] for q in qs))[0])
 
 
@@ -78,14 +77,11 @@ def classify_cases(
 ) -> np.ndarray:
     """Classify each symbol slot from six equal-shape integer arrays of
     quadrant indices (0..3 each); returns an int array of Case values."""
-    arrays = [np.asarray(a) for a in (tx_q1, tx_q2, rx_q1, rx_q2, post_q1, post_q2)]
-    if len({a.shape for a in arrays}) > 1:
-        raise ValueError(f"quadrant index array lengths differ: {[a.size for a in arrays]}")
-    for name, a in zip(_QUADRANT_ARGS, arrays):
-        _checks.integer_array(name, a)
-        if a.size and (a.min() < 0 or a.max() > 3):
-            raise ValueError("quadrant indices must lie in 0..3")
-    tq1, tq2, rq1, rq2, pq1, pq2 = arrays
+    given = (tx_q1, tx_q2, rx_q1, rx_q2, post_q1, post_q2)
+    arrays = dict(zip(_QUADRANT_ARGS, map(np.asarray, given)))
+    _checks.same_shape(**arrays)
+    _checks.quadrants(**arrays)
+    tq1, tq2, rq1, rq2, pq1, pq2 = arrays.values()
     rx_ok1, rx_ok2 = rq1 == tq1, rq2 == tq2
     post_ok1, post_ok2 = pq1 == tq1, pq2 == tq2
     out = np.full(tq1.shape, int(Case.NO_CORRECTION_POSSIBLE), dtype=np.int64)
@@ -97,8 +93,7 @@ def classify_cases(
 
 def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     """95% Wilson score confidence interval for a binomial proportion."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
+    _checks.positive("trials", trials)
     if not 0 <= errors <= trials:
         raise ValueError("errors must lie in [0, trials]")
     p = errors / trials
@@ -126,10 +121,8 @@ class TrialConfig:
 
     def __post_init__(self) -> None:
         _checks.check_fields(self)
-        if self.n_symbols < 1:
-            raise ValueError("n_symbols must be a positive integer")
-        if self.max_lag < 0:
-            raise ValueError("max_lag must be a nonnegative integer")
+        _checks.at_least("n_symbols", self.n_symbols, 1)
+        _checks.at_least("max_lag", self.max_lag, 0)
 
 
 @dataclass
@@ -154,22 +147,16 @@ class BERReport:
     seed: int
     config: TrialConfig
 
+    def __post_init__(self) -> None:
+        _checks.check_fields(self)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "BERReport":
         """Inverse of to_dict; a malformed dict raises ConfigError."""
-        report = _dataclass_from_dict(BERReport, d, "report")
-        for key in ("errors_uncompensated", "errors_compensated",
-                    "ci_uncompensated", "ci_compensated", "case_counts"):
-            if isinstance(getattr(report, key), list):
-                setattr(report, key, tuple(getattr(report, key)))
-        try:
-            _checks.check_fields(report)
-        except ValueError as exc:
-            raise ConfigError(f"report: {exc}") from exc
-        return report
+        return _dataclass_from_dict(BERReport, d, "report")
 
 
 def run_trial(cfg: TrialConfig) -> BERReport:
@@ -335,24 +322,26 @@ def _detect(r: _Reception, cfg: TrialConfig) -> BERReport:
 # ---------------------------------------------------------------------------
 # configuration (de)serialization
 
-_SECTIONS = {
-    "channel": ChannelParams, "vv": VVConfig, "estimator": EstimatorConfig,
-    "config": TrialConfig,
-}
-
-
 def _dataclass_from_dict(cls, data: dict, section: str):
-    """Build cls from data, rejecting unknown keys; fields named in
-    _SECTIONS are built from their own sub-objects first."""
+    """Build cls from data, rejecting unknown keys. The field annotations
+    (strings, as _checks reads them) say how a value is read: a field
+    annotated with a dataclass of cls's module is built from its own object
+    (its errors name the field), and a list given for a tuple field becomes
+    a tuple; cls's own checks then judge every value."""
     if not isinstance(data, dict):
         raise ConfigError(f"{section}: expected an object, got {type(data).__name__}")
     unknown = set(data) - set(cls.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"{section}: unknown field(s) {sorted(unknown)}")
-    kwargs = dict(data)
-    for key, sub_cls in _SECTIONS.items():
-        if key in kwargs:
-            kwargs[key] = _dataclass_from_dict(sub_cls, kwargs[key], key)
+    scope = vars(sys.modules[cls.__module__])
+    kwargs = {}
+    for key, value in data.items():
+        annotation = cls.__dataclass_fields__[key].type
+        if is_dataclass(scope.get(annotation)):
+            value = _dataclass_from_dict(scope[annotation], value, key)
+        elif isinstance(value, list) and annotation.startswith("tuple["):
+            value = tuple(value)
+        kwargs[key] = value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -66,14 +66,7 @@ def count_quadrant_errors(k_tx: np.ndarray, k_rx: np.ndarray) -> int:
     """
     k_tx = np.asarray(k_tx)
     k_rx = np.asarray(k_rx)
-    if k_tx.shape != k_rx.shape:
-        raise ValueError(f"symbol stream lengths differ: {k_tx.size} vs {k_rx.size}")
-    for name, k in (("k_tx", k_tx), ("k_rx", k_rx)):
-        _checks.integer_array(name, k)
-    if k_tx.size == 0:
-        return 0
-    for k in (k_tx, k_rx):
-        if k.min() < 0 or k.max() > 3:
-            raise ValueError("quadrant indices must lie in 0..3")
+    _checks.same_shape(k_tx=k_tx, k_rx=k_rx)
+    _checks.quadrants(k_tx=k_tx, k_rx=k_rx)
     pairs = np.bincount(4 * k_tx.astype(np.intp) + k_rx, minlength=16)
     return int(pairs @ GRAY_DISTANCE.ravel())
