@@ -32,10 +32,11 @@ def flag(name: str, value) -> None:
         raise ValueError(f"{name} must be true or false")
 
 
-def at_least(name: str, value, low) -> None:
-    """low <= value; NaN is rejected."""
-    if not low <= value:
-        raise ValueError(f"{name} must be >= {low}")
+def at_least(name: str, value, low, below=math.inf) -> None:
+    """low <= value < below; NaN is rejected."""
+    if not low <= value < below:
+        bound = f">= {low}" if below == math.inf else f"in [{low}, {below:g})"
+        raise ValueError(f"{name} must be {bound}")
 
 
 def positive(name: str, value) -> None:

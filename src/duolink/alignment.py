@@ -53,8 +53,8 @@ class KappaSearchResult:
     kappa_opt: float
     ber_at_opt: float
     evaluations: int
-    improving: bool = True
-    bracket_warning: bool = False
+    improving: bool
+    bracket_warning: bool
 
 
 class _Cuts(NamedTuple):
@@ -196,21 +196,21 @@ def adapt_kappa(
 
     a, b = float(lo), float(hi)
     if b - a < tol:
-        mid = (a + b) / 2
-        return KappaSearchResult(mid, f(mid), 1)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    yc = f(c)
-    yd = f(d)
-    while b - a >= tol:
-        if yc < yd:
-            b, d, yd = d, c, yc
-            c = b - _INV_PHI * (b - a)
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INV_PHI * (b - a)
-            yd = f(d)
+        f((a + b) / 2)  # the bracket is already narrow: one probe, no search
+    else:
+        c = b - _INV_PHI * (b - a)
+        d = a + _INV_PHI * (b - a)
+        yc = f(c)
+        yd = f(d)
+        while b - a >= tol:
+            if yc < yd:
+                b, d, yd = d, c, yc
+                c = b - _INV_PHI * (b - a)
+                yc = f(c)
+            else:
+                a, c, yc = c, d, yd
+                d = a + _INV_PHI * (b - a)
+                yd = f(d)
     values = [v for _, v in history]
     by_kappa = sorted(history)
     lowest = min(range(len(by_kappa)), key=lambda i: by_kappa[i][1])

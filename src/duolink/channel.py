@@ -44,6 +44,12 @@ PHASE_MODELS = ("iid", "shaped")
 
 MAX_SEED = 2**64
 
+# Bound on sigma_common and sigma_additive. Below it neither a noise draw
+# nor the receiver's fourth power of a sample overflows ((40 * 1e70)**4 is
+# about 3e286), so a larger sigma is rejected at load and never becomes a
+# non-finite trace deep in the receiver.
+MAX_SIGMA = 1e70
+
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """Deterministic generator for substream `stream` of a 64-bit seed."""
@@ -79,8 +85,8 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         _checks.check_fields(self)
-        _checks.at_least("sigma_common", self.sigma_common, 0)
-        _checks.at_least("sigma_additive", self.sigma_additive, 0)
+        _checks.at_least("sigma_common", self.sigma_common, 0, below=MAX_SIGMA)
+        _checks.at_least("sigma_additive", self.sigma_additive, 0, below=MAX_SIGMA)
         _checks.at_least("alpha_dB", self.alpha_dB, 0)
         if self.phase_model not in PHASE_MODELS:
             raise ValueError(f"phase_model must be one of {PHASE_MODELS}")
@@ -135,12 +141,21 @@ def gen_common_phase(n: int, params: ChannelParams) -> np.ndarray:
     if params.phase_model == "iid":
         return rng.normal(0.0, params.sigma_common, n)
     white = rng.standard_normal(n)
-    _, gain = shaped_filter_gain(n, params)
-    trace = np.fft.irfft(np.fft.rfft(white) * gain, n)
-    std = trace.std()
-    if std == 0:
-        return np.zeros(n)
-    return trace * (params.sigma_common / std)
+    # extreme filter parameters overflow the trace or its scale factor:
+    # that is reported below, by name, in place of numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, gain = shaped_filter_gain(n, params)
+        trace = np.fft.irfft(np.fft.rfft(white) * gain, n)
+        std = trace.std()
+        if std == 0:
+            return np.zeros(n)
+        scale = params.sigma_common / std
+    if not (math.isfinite(std) and math.isfinite(scale)):
+        raise ValueError(
+            f"the shaped phase model overflows with alpha_dB={params.alpha_dB!r}, "
+            f"dbeta={params.dbeta!r}, cpe_cutoff={params.cpe_cutoff!r} and "
+            f"symbol_rate={params.symbol_rate!r}")
+    return trace * scale
 
 
 def apply_channel(

@@ -57,11 +57,10 @@ def estimate_common_phase(phi1, phi2, cfg: EstimatorConfig) -> float | np.ndarra
         value = np.where(a2 < a1, p2, p1)  # tie -> channel 1
     else:
         # weights normalized so the larger one is exactly 1: the same
-        # estimate as exp(-kappa*|phi|), but immune to underflow
-        floor = np.minimum(a1, a2)
-        w1 = np.exp(-cfg.kappa * (a1 - floor))
-        w2 = np.exp(-cfg.kappa * (a2 - floor))
-        value = (w1 * p1 + w2 * p2) / (w1 + w2)
+        # estimate as exp(-kappa*|phi|), but immune to underflow. The
+        # observation of smaller magnitude weighs 1, the other w.
+        w = np.exp(-cfg.kappa * np.abs(a1 - a2))
+        value = np.where(a1 <= a2, p1 + w * p2, w * p1 + p2) / (1 + w)
     return float(value) if scalar else value
 
 

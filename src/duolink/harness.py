@@ -446,6 +446,8 @@ def run_sweep(
     its own, so a point that kills its worker fails and no other does.
     out_dir is created once the grid is accepted.
     """
+    _checks.integer("workers", workers)
+    _checks.at_least("workers", workers, 1)
     configs = sweep_configs(base, axes)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -1,7 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written without touching the package
-internals so that an implementation bug cannot hide in its own oracle.
+internals so that an implementation bug cannot hide in its own oracle. The
+one exception is reference_trial, which takes its random streams from the
+package (see there).
 """
 
 import math
@@ -9,6 +11,8 @@ import math
 import numpy as np
 
 from duolink import Case
+from duolink.alignment import CONFIDENCE_THRESHOLD, TIE_TOL
+from duolink.channel import STREAM_BITS1, STREAM_BITS2, apply_channel, stream_rng
 
 # Hand-written truth table for the four compensation-outcome cases, keyed by
 # (rx1 correct, rx2 correct, post1 correct, post2 correct). Derived from the
@@ -73,6 +77,13 @@ def quadrant_reference(samples):
 # duolink.qpsk's docstring: k=0 -> 00, k=1 -> 01, k=2 -> 11, k=3 -> 10.
 GRAY_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
 
+# The quadrant k of each label: GRAY_INDEX[b0, b1] == k.
+GRAY_INDEX = np.zeros((2, 2), dtype=int)
+GRAY_INDEX[GRAY_BITS[:, 0], GRAY_BITS[:, 1]] = np.arange(4)
+
+# Quadrant centers exp(i(pi/4 + k*pi/2)), from the same docstring.
+QPSK_SYMBOLS = np.exp(1j * (np.pi / 4 + np.arange(4) * np.pi / 2))
+
 
 def demap_symbols(samples):
     """Interleaved (b0, b1) bits of the quadrant containing each sample."""
@@ -115,3 +126,109 @@ def delay_reference(t1, t2, max_lag: int, tie_tol: float = 0.0) -> tuple[int, fl
         if r > best + tie_tol:
             best_lag, best = lag, r
     return best_lag, best
+
+
+def phase_reference(samples, window: int) -> np.ndarray:
+    """Per-symbol fourth-power phase: for each symbol, the sum of s**4 over
+    the window centered on it (cut off at the stream ends), then the angle
+    of minus that sum over 4; 0 where the sum is 0."""
+    quartic = (np.asarray(samples) ** 4).tolist()
+    n, half = len(quartic), window // 2
+    sums = []
+    for i in range(n):
+        lo, hi = max(i - half, 0), min(i + half + 1, n)
+        total = quartic[lo]
+        for q in quartic[lo + 1:hi]:
+            total += q
+        sums.append(total)
+    sums = np.array(sums, dtype=complex)
+    return np.where(sums == 0, 0.0, np.angle(-sums) / 4)
+
+
+def wrap_reference(x):
+    """x moved by a multiple of pi/2 into (-pi/4, pi/4]."""
+    return x - np.pi / 2 * np.ceil((x - np.pi / 4) / (np.pi / 2))
+
+
+def reference_trial(cfg) -> dict:
+    """Every BERReport field of run_trial(cfg) except `config`, computed
+    plainly from the package's documented behaviour.
+
+    The payload bits (stream_rng) and the channel (apply_channel) come from
+    the package: their stream layout is what both sides must share. The
+    rest is written here: Gray mapping, the delay search by direct Pearson
+    correlation of the per-symbol traces (taken only when the traces are
+    longer than 2*max_lag, applied only when confident), explicit window
+    sums, per-channel mean removal, the weights exp(-kappa*|phi|) of
+    duolink.compensation's docstring (the minimum-magnitude observation,
+    ties to channel 1, for kappa_infinite), bit-level error counts, the case
+    truth table and the Wilson interval.
+    """
+    n, ch = cfg.n_symbols, cfg.channel
+    bits = [stream_rng(ch.seed, stream).integers(0, 2, size=2 * n)
+            for stream in (STREAM_BITS1, STREAM_BITS2)]
+    tx = [QPSK_SYMBOLS[GRAY_INDEX[b[0::2], b[1::2]]] for b in bits]
+    rx1, rx2 = apply_channel(tx[0], tx[1], ch)
+
+    lag, confident = 0, False
+    if cfg.max_lag > 0 and n > 2 * cfg.max_lag:
+        lag, peak = delay_reference(phase_reference(rx1, 1), phase_reference(rx2, 1),
+                                    cfg.max_lag, TIE_TOL)
+        confident = peak >= CONFIDENCE_THRESHOLD
+    lag = lag if confident else 0
+    rx2 = np.roll(rx2, lag)
+    valid = slice(max(lag, 0), n + min(lag, 0))
+    n_valid = valid.stop - valid.start
+
+    rx = [rx1, rx2]
+    traces = [phase_reference(r, cfg.vv.window) for r in rx]
+    comp_rx, comp_traces = rx, traces
+    if cfg.vv.remove_mean:
+        means = [t.mean() for t in traces]
+        comp_rx = [r * np.exp(-1j * m) for r, m in zip(rx, means)]
+        comp_traces = [wrap_reference(t - m) for t, m in zip(traces, means)]
+    phi1, phi2 = comp_traces
+    if cfg.estimator.kappa_infinite:
+        estimate = np.where(np.abs(phi2) < np.abs(phi1), phi2, phi1)
+    else:
+        w1 = np.exp(-cfg.estimator.kappa * np.abs(phi1))
+        w2 = np.exp(-cfg.estimator.kappa * np.abs(phi2))
+        estimate = (w1 * phi1 + w2 * phi2) / (w1 + w2)
+    post = [r * np.exp(-1j * estimate) for r in comp_rx]
+    baseline = [r * np.exp(-1j * t) for r, t in zip(rx, traces)]
+
+    sent = [b[2 * valid.start:2 * valid.stop] for b in bits]
+
+    def errors(streams) -> tuple[int, int]:
+        return tuple(count_errors(s, demap_symbols(z[valid]))[0] for s, z in zip(sent, streams))
+
+    def correct(z, s) -> np.ndarray:
+        return (demap_symbols(z[valid]) == s).reshape(-1, 2).all(axis=1).tolist()
+
+    flags = zip(*(correct(z, s) for z, s in zip(rx + post, sent + sent)))
+    cases = [CASE_TRUTH_TABLE[key] for key in flags]
+    bits_per_channel = 2 * n_valid
+
+    def ber_and_interval(errs):
+        return sum(errs) / (2 * bits_per_channel), wilson_reference(sum(errs), 2 * bits_per_channel)
+
+    ec = errors(post)
+    ber_comp, ci_comp = ber_and_interval(ec)
+    eb = ber_base = ci_base = None
+    if cfg.compare_baseline:
+        eb = errors(baseline)
+        ber_base, ci_base = ber_and_interval(eb)
+    return dict(
+        ber_uncompensated=ber_base,
+        ber_compensated=ber_comp,
+        errors_uncompensated=eb,
+        errors_compensated=ec,
+        bits_per_channel=bits_per_channel,
+        ci_uncompensated=ci_base,
+        ci_compensated=ci_comp,
+        case_counts=tuple(cases.count(c) for c in Case),
+        valid_symbols=n_valid,
+        estimated_lag=lag,
+        lag_confident=confident,
+        seed=ch.seed,
+    )

@@ -261,6 +261,15 @@ class TestAdaptKappa:
         assert 5.5 < result.kappa_opt < 7.0
         assert result.bracket_warning
 
+    def test_narrow_bracket_probes_once(self):
+        """A bracket already narrower than tol is probed once at its
+        midpoint; a constant objective is flagged as non-improving there
+        too."""
+        result = adapt_kappa(lambda k: 0.1, 0.0, 1.0, 2.0)
+        assert (result.kappa_opt, result.ber_at_opt, result.evaluations) == (0.5, 0.1, 1)
+        assert not result.improving
+        assert not result.bracket_warning
+
     @pytest.mark.parametrize("lo,hi,tol", [(1.0, 1.0, 0.1), (2.0, 1.0, 0.1), (0.0, 1.0, 0.0)])
     def test_bad_bracket_rejected(self, lo, hi, tol):
         with pytest.raises(ValueError):

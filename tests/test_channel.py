@@ -5,13 +5,17 @@ import math
 import numpy as np
 import pytest
 
+import duolink.channel
 from duolink import (
     ChannelParams,
+    TrialConfig,
+    VVConfig,
     apply_channel,
     conversion_efficiency,
     export_efficiency_csv,
     gen_common_phase,
     map_symbols,
+    run_trial,
     shaped_filter_gain,
 )
 
@@ -194,6 +198,37 @@ class TestParamsValidation:
             ChannelParams(**{field: value})
 
 
+class TestOverflow:
+    """Channel values whose noise or phase trace would overflow fail in the
+    channel, named, never as a non-finite trace in the receiver."""
+
+    @pytest.mark.parametrize("max_lag", [16, 0])
+    @pytest.mark.parametrize("channel,message", [
+        ({"phase_model": "shaped", "dbeta": 1e300}, "dbeta=1e"),
+        ({"phase_model": "shaped", "cpe_cutoff": 1e-310}, "cpe_cutoff=1e"),
+        ({"phase_model": "shaped", "alpha_dB": 1e308}, "alpha_dB=1e"),
+        ({"phase_model": "shaped", "symbol_rate": 1e308}, "symbol_rate=1e"),
+        ({"sigma_common": 1e308}, "sigma_common"),
+        ({"sigma_additive": 1e308}, "sigma_additive"),
+        ({"sigma_additive": 1e100}, "sigma_additive"),
+    ], ids=["dbeta", "cpe_cutoff", "alpha_dB", "symbol_rate", "sigma_common",
+            "sigma_additive", "sigma_additive-1e100"])
+    def test_fails_in_channel_named(self, channel, message, max_lag):
+        with pytest.raises(ValueError, match=message):
+            params = ChannelParams(**{"sigma_common": 0.1, "seed": 1, **channel})
+            run_trial(TrialConfig(4000, params, max_lag=max_lag))
+
+    @pytest.mark.parametrize("phase_model", ["iid", "shaped"])
+    @pytest.mark.parametrize("window", [1, 33])
+    def test_largest_sigmas_run(self, phase_model, window):
+        """Just below the bound, no draw and no fourth power overflows."""
+        sigma = duolink.channel.MAX_SIGMA * (1 - 1e-12)
+        params = ChannelParams(sigma_common=sigma, sigma_additive=sigma,
+                               phase_model=phase_model, seed=1)
+        report = run_trial(TrialConfig(4000, params, VVConfig(window=window)))
+        assert report.valid_symbols > 0
+
+
 class TestEfficiencyExport:
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "eta.csv"
@@ -211,3 +246,9 @@ class TestEfficiencyExport:
             export_efficiency_csv(tmp_path / "x.csv", 0.2, 1e-9, fmax=0.0)
         with pytest.raises(ValueError):
             export_efficiency_csv(tmp_path / "x.csv", 0.2, 1e-9, fmax=1e9, points=1)
+
+    @pytest.mark.parametrize("points", [2.5, True])
+    def test_non_integer_points_rejected(self, tmp_path, points):
+        with pytest.raises(ValueError, match="points must be an integer"):
+            export_efficiency_csv(tmp_path / "x.csv", 0.2, 1e-9, fmax=1e9, points=points)
+        assert not (tmp_path / "x.csv").exists()

@@ -32,7 +32,7 @@ from duolink import (
     trial_config_from_dict,
     wilson_interval,
 )
-from oracles import CASE_TRUTH_TABLE, wilson_reference
+from oracles import CASE_TRUTH_TABLE, reference_trial, wilson_reference
 
 
 _RUN_TRIAL = duolink.harness.run_trial
@@ -272,6 +272,36 @@ class TestKappaObjective:
             assert objective(kappa) == run_trial(trial).ber_compensated
 
 
+@st.composite
+def reference_configs(draw):
+    kappa = draw(st.none() | st.floats(0.0, 20.0))
+    return TrialConfig(
+        n_symbols=draw(st.integers(1, 2000)),
+        channel=ChannelParams(
+            sigma_common=draw(st.floats(0.0, 0.5)),
+            sigma_additive=draw(st.floats(0.0, 0.3)),
+            phase_model=draw(st.sampled_from(["iid", "shaped"])),
+            delay_offset=draw(st.integers(-20, 20)),
+            seed=draw(st.integers(0, 2**32 - 1)),
+        ),
+        vv=VVConfig(window=draw(st.sampled_from([1, 33])), remove_mean=draw(st.booleans())),
+        # kappa <= 20 keeps the unnormalized weights of the reference from
+        # underflowing; None selects kappa_infinite
+        estimator=EstimatorConfig(kappa=kappa or 0.0, kappa_infinite=kappa is None),
+        compare_baseline=draw(st.booleans()),
+        max_lag=draw(st.sampled_from([0, 3, 16])),
+    )
+
+
+class TestReferenceTrial:
+    @settings(max_examples=40, deadline=None)
+    @given(reference_configs())
+    def test_every_report_field_equals_reference(self, cfg):
+        report = run_trial(cfg)
+        fields = {k: getattr(report, k) for k in report.__dataclass_fields__ if k != "config"}
+        assert fields == reference_trial(cfg)
+
+
 class TestConfigRoundTrip:
     def test_dict_round_trip(self):
         cfg = small_config(delay_offset=2)
@@ -390,6 +420,14 @@ class TestEmit:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("workers", [0, -2, True, 2.5])
+    def test_bad_workers_rejected(self, tmp_path, workers):
+        out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match="workers"):
+            run_sweep(small_config(), {"sigma_common": [0.2, 0.3]}, out_dir=out_dir,
+                      workers=workers)
+        assert not out_dir.exists()
+
     def test_single_point_grid_equals_run_trial(self):
         base = small_config()
         points = run_sweep(base, {})
