@@ -45,9 +45,10 @@ PHASE_MODELS = ("iid", "shaped")
 MAX_SEED = 2**64
 
 # Bound on sigma_common and sigma_additive. Below it neither a noise draw
-# nor the receiver's fourth power of a sample overflows ((40 * 1e70)**4 is
-# about 3e286), so a larger sigma is rejected at load and never becomes a
-# non-finite trace deep in the receiver.
+# nor the receiver's fourth power of a sample overflows: a normal draw
+# beyond 40 has probability below 1e-340, and (40 * 1e70)**4 is about
+# 3e286, far from the float limit even summed over a window. A larger sigma
+# is rejected at load instead of becoming a non-finite trace in the receiver.
 MAX_SIGMA = 1e70
 
 
