@@ -58,9 +58,12 @@ def estimate_common_phase(phi1, phi2, cfg: EstimatorConfig) -> float | np.ndarra
     else:
         # weights normalized so the larger one is exactly 1: the same
         # estimate as exp(-kappa*|phi|), but immune to underflow. The
-        # observation of smaller magnitude weighs 1, the other w.
+        # observation of smaller magnitude weighs 1 (w <= 1 is raised to
+        # it), the other w, so one exp per symbol serves both weights.
         w = np.exp(-cfg.kappa * np.abs(a1 - a2))
-        value = np.where(a1 <= a2, p1 + w * p2, w * p1 + p2) / (1 + w)
+        w1 = np.maximum(w, a1 <= a2)
+        w2 = np.maximum(w, a2 <= a1)
+        value = (w1 * p1 + w2 * p2) / (w1 + w2)
     return float(value) if scalar else value
 
 
