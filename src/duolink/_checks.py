@@ -60,6 +60,13 @@ def finite(**arrays: np.ndarray) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+def quadrant(name: str, value) -> None:
+    """A quadrant index: an integer (bools are rejected) in 0..3."""
+    integer(name, value)
+    if not 0 <= value <= 3:
+        raise ValueError(f"{name} must be a quadrant index in 0..3")
+
+
 def quadrants(**arrays: np.ndarray) -> None:
     """Arrays of quadrant indices, passed by name: an integer dtype (bool
     arrays are rejected) and values in 0..3."""

@@ -66,20 +66,27 @@ class _Cuts(NamedTuple):
     varies: list[bool]
 
 
-def _cuts(t: np.ndarray, c: np.ndarray, k: int) -> tuple[_Cuts, _Cuts]:
-    """_Cuts of c (t centered) for j = 0..k, cut from the head (c[j:]) and
-    from the tail (c[:n-j]).
-
-    The full sums are taken once and only the cut ends go through prefix
-    sums, so rounding stays that of one pass over c. Whether t varies is
-    exact: t is constant on [a, b) iff it changes at no index in [a, b-2].
-    """
+def _changes(t: np.ndarray) -> tuple[int, int]:
+    """First and last index i with t[i] != t[i + 1]; (n, -1) if t is constant."""
     n = t.size
     changed = t[1:] != t[:-1]
-    if changed.any():
-        first, last = int(changed.argmax()), n - 2 - int(changed[::-1].argmax())
-    else:
-        first, last = n, -1
+    if not changed.any():
+        return n, -1
+    return int(changed.argmax()), n - 2 - int(changed[::-1].argmax())
+
+
+def _cuts(changes: tuple[int, int], c: np.ndarray, k: int) -> tuple[_Cuts, _Cuts]:
+    """_Cuts of a centered trace c for j = 0..k, cut from the head (c[j:])
+    and from the tail (c[:n-j]); `changes` is _changes of the trace before
+    centering.
+
+    The full sums are taken once and only the cut ends go through prefix
+    sums, so rounding stays that of one pass over c. Whether the trace
+    varies is exact (centering can make two different samples equal): it is
+    constant on [a, b) iff it changes at no index in [a, b-2].
+    """
+    n = c.size
+    first, last = changes
     total, total_sq = c.sum(), _dot(c, c)
 
     def cut(end: np.ndarray, varies: list[bool]) -> _Cuts:
@@ -116,6 +123,12 @@ def estimate_delay(
     its sum of squares is centered on its own means instead. The lags'
     correlations are computed on the thread pool of _blocks.
     """
+    return _estimate_delay(trace1, trace2, max_lag, in_place=False)
+
+
+def _estimate_delay(trace1, trace2, max_lag: int, in_place: bool) -> AlignmentResult:
+    """estimate_delay, centering the traces in place when `in_place` is set:
+    for float64 traces that the caller needs no more."""
     t1 = np.asarray(trace1, dtype=float)
     t2 = np.asarray(trace2, dtype=float)
     _checks.same_shape(trace1=t1, trace2=t2)
@@ -125,10 +138,11 @@ def estimate_delay(
     if n <= 2 * max_lag:
         raise ValueError(f"traces of length {n} too short for max_lag={max_lag}")
     _checks.finite(trace1=t1, trace2=t2)
-    c1 = t1 - t1.mean()
-    c2 = t2 - t2.mean()
-    head1, tail1 = _cuts(t1, c1, max_lag)
-    head2, tail2 = _cuts(t2, c2, max_lag)
+    changes1, changes2 = _changes(t1), _changes(t2)
+    c1 = np.subtract(t1, t1.mean(), out=t1 if in_place else None)
+    c2 = np.subtract(t2, t2.mean(), out=t2 if in_place else None)
+    head1, tail1 = _cuts(changes1, c1, max_lag)
+    head2, tail2 = _cuts(changes2, c2, max_lag)
 
     def correlation(lag: int) -> float:
         # lag >= 0 overlaps trace1[lag:] with trace2[:n-lag], lag < 0

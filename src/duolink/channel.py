@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blocks, _checks, _files
+from .qpsk import SYMBOLS
 
 # Substream identifiers for the per-seed random streams. Payload streams are
 # consumed by the Monte Carlo harness; keeping them here ensures every
@@ -135,6 +136,7 @@ def gen_common_phase(n: int, params: ChannelParams) -> np.ndarray:
     shaped model: white Gaussian noise filtered by `shaped_filter_gain`, then
     rescaled so the sample std equals sigma_common exactly.
     """
+    _checks.integer("n", n)
     _checks.at_least("n", n, 1)
     if params.sigma_common == 0:
         return np.zeros(n)
@@ -167,6 +169,11 @@ def apply_channel(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run both transmit streams through the shared-phase channel.
 
+    Each stream is given either as complex symbols or as quadrant indices
+    (an integer dtype, values 0..3), which stand for their symbols
+    qpsk.SYMBOLS[k]: the channel then looks the symbols up block by block,
+    so the complex transmit stream never exists whole.
+
     Returns (rx1, rx2). Channel 2 is circularly shifted by
     params.delay_offset, so rx2[n] carries the symbol, phase imprint and
     noise of slot n + delay_offset; the first |delay_offset| symbols are
@@ -178,6 +185,9 @@ def apply_channel(
     tx1 = np.asarray(tx1)
     tx2 = np.asarray(tx2)
     _checks.same_shape(tx1=tx1, tx2=tx2)
+    for name, tx in (("tx1", tx1), ("tx2", tx2)):
+        if np.issubdtype(tx.dtype, np.integer):
+            _checks.quadrants(**{name: tx})
     n = tx1.size
     if phase is None:
         phi = gen_common_phase(n, params)
@@ -196,13 +206,16 @@ def apply_channel(
     y1 = np.empty(n, dtype=complex)
     y2 = np.empty(n, dtype=complex)
 
+    def symbols(tx: np.ndarray, b: slice) -> np.ndarray:
+        return SYMBOLS[tx[b]] if np.issubdtype(tx.dtype, np.integer) else tx[b]
+
     def rotate(b: slice, d: slice) -> None:
         # equal to np.exp(1j * phi), without its complex temporaries
         r = np.empty(b.stop - b.start, dtype=complex)
         np.cos(phi[b], out=r.real)
         np.sin(phi[b], out=r.imag)
-        np.multiply(tx1[b], r, out=y1[b])
-        np.multiply(tx2[b], r, out=y2[d])
+        np.multiply(symbols(tx1, b), r, out=y1[b])
+        np.multiply(symbols(tx2, b), r, out=y2[d])
 
     _blocks.each(lambda bd: rotate(*bd), zip(src, dst))
     if params.sigma_additive > 0:

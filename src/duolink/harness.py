@@ -33,11 +33,11 @@ from math import inf, sqrt
 import numpy as np
 
 from . import _blocks, _checks, _files
-from .alignment import AlignmentResult, align, estimate_delay
+from .alignment import AlignmentResult, _estimate_delay, align, estimate_delay
 from .channel import STREAM_BITS1, STREAM_BITS2, ChannelParams, apply_channel, stream_rng
 from .compensation import EstimatorConfig, apply_compensation, compensate_traces
 from .cpe import VVConfig, extract_phase
-from .qpsk import SYMBOLS, count_quadrant_errors, gray_indices, quadrant_indices
+from .qpsk import count_quadrant_errors, gray_indices, quadrant_indices
 
 WILSON_Z95 = 1.959963984540054
 
@@ -63,7 +63,7 @@ def classify_case(
     0..3 each)."""
     qs = (tx_q1, tx_q2, rx_q1, rx_q2, post_q1, post_q2)
     for name, q in zip(_QUADRANT_ARGS, qs):
-        _checks.integer(name, q)
+        _checks.quadrant(name, q)
     return Case(classify_cases(*([q] for q in qs))[0])
 
 
@@ -218,22 +218,26 @@ def _receive(cfg: TrialConfig) -> _Reception:
     k_tx1, k_tx2 = _blocks.each(
         lambda stream: gray_indices(stream_rng(ch.seed, stream).integers(0, 2, size=2 * n)),
         (STREAM_BITS1, STREAM_BITS2))
-    rx1, rx2 = apply_channel(SYMBOLS[k_tx1], SYMBOLS[k_tx2], ch)
+    rx1, rx2 = apply_channel(k_tx1, k_tx2, ch)
 
     # Delay recovery runs on per-symbol (window=1) traces. Extraction is
     # elementwise at window=1, so for a window=1 receiver the aligned
     # stream's trace is the per-symbol trace aligned the same way, and the
-    # same two traces also serve compensation and the baseline.
+    # same two traces also serve compensation and the baseline. For a wider
+    # window they serve only the search, which centers them in place, and
+    # are freed before alignment.
     per_symbol = VVConfig(window=1, remove_mean=False)
     search = cfg.max_lag > 0 and n > 2 * cfg.max_lag
     share = cfg.vv.window == 1
-    if search or share:
+    delay = AlignmentResult(lag=0, peak_correlation=0.0, confident=False)
+    if share:
         trace1 = extract_phase(rx1, per_symbol)
         trace2 = extract_phase(rx2, per_symbol)
-    if search:
-        delay = estimate_delay(trace1, trace2, cfg.max_lag)
-    else:
-        delay = AlignmentResult(lag=0, peak_correlation=0.0, confident=False)
+        if search:
+            delay = estimate_delay(trace1, trace2, cfg.max_lag)
+    elif search:
+        delay = _estimate_delay(extract_phase(rx1, per_symbol), extract_phase(rx2, per_symbol),
+                                cfg.max_lag, in_place=True)
     # only buffer on a confident estimate; an unconfident peak is noise
     applied_lag = delay.lag if delay.confident else 0
     aligned = align(rx2, applied_lag)
@@ -241,7 +245,6 @@ def _receive(cfg: TrialConfig) -> _Reception:
     if share:
         trace2 = align(trace2, applied_lag).samples
     else:
-        trace1 = trace2 = None  # free the per-symbol traces first
         trace1 = extract_phase(rx1, cfg.vv)
         trace2 = extract_phase(rx2, cfg.vv)
     return _Reception(

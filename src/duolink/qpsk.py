@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _checks
+from . import _blocks, _checks
 
 # Quadrant centers, index = Gray symbol index k.
 SYMBOLS = np.exp(1j * (np.pi / 4 + np.arange(4) * np.pi / 2))
@@ -48,13 +48,23 @@ def quadrant_indices(samples: np.ndarray) -> np.ndarray:
     Ties on the axes go to the adjacent quadrant with the smaller k; the
     origin maps to k=0 (signed zeros count as zero). A NaN component fails
     every comparison, so an all-NaN sample also maps to k=0.
+
+    Decides block by block on the thread pool of _blocks, writing into the
+    one output array.
     """
     z = np.asarray(samples)
-    re, im = z.real, z.imag
-    lower = im < 0
-    # im >= 0: k = 1 left of the imaginary axis, else 0;
-    # im < 0: k = 3 right of the imaginary axis, else 2
-    return np.uint8(2) * lower + np.where(lower, re > 0, re < 0)
+    out = np.empty(z.shape, dtype=np.uint8)
+    re, im, k = z.real.reshape(-1), z.imag.reshape(-1), out.reshape(-1)
+
+    def decide(b: slice) -> None:
+        lower = im[b] < 0
+        # im >= 0: k = 1 left of the imaginary axis, else 0;
+        # im < 0: k = 3 right of the imaginary axis, else 2
+        np.multiply(lower, np.uint8(2), out=k[b])
+        k[b] += np.where(lower, re[b] > 0, re[b] < 0)
+
+    _blocks.each(decide, _blocks.blocks(0, k.size))
+    return out if out.ndim else out[()]
 
 
 def count_quadrant_errors(k_tx: np.ndarray, k_rx: np.ndarray) -> int:

@@ -8,12 +8,30 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from duolink import KappaSearchResult, adapt_kappa, align, estimate_delay
-from duolink.alignment import CONFIDENCE_THRESHOLD, TIE_TOL, _cuts
+from duolink.alignment import CONFIDENCE_THRESHOLD, TIE_TOL, _changes, _cuts, _estimate_delay
 from oracles import delay_reference
 
 
 def noise_trace(n, seed):
     return np.random.default_rng(seed).normal(0, 0.3, n)
+
+
+# An overlap nearly constant at a level off the whole trace's mean, whose
+# variance about that mean cancels.
+CANCELLING_OVERLAP = (
+    np.array([-0.19590406, 0, 0, 0.19069219, -0.32166178, -0.02092202, 0.56211173]),
+    np.array([0.3] * 5 + [0.30035128, -0.15932305]), 3)
+
+# Traces whose samples differ by one ulp of 1.0, which centering on a mean
+# of about -0.36 rounds away: trace1 first changes at index 3 before
+# centering and at index 11 after it. Lag -3 then correlates as about 1e-16,
+# and as 0 if constancy were read from the centered samples.
+_ULP = np.nextafter(1.0, 2.0)
+ULP_APART = (
+    np.array([1.0, 1.0, 1.0, 1.0, _ULP, 1.0, 1.0, 1.0, 1.0, _ULP, 1.0, _ULP, -9.0, -9.0,
+              float.fromhex("0x1.23b157cb35228p-1")]),
+    np.array([1.0, 1.0, _ULP, _ULP, 1.0, 1.0, 1.0, 1.0, _ULP, 1.0, _ULP, 1.0, _ULP, 1.0, _ULP]),
+    3)
 
 
 @st.composite
@@ -123,7 +141,7 @@ class TestEstimateDelay:
         counts as varying exactly when the kept samples are not all equal."""
         t, _, k = case
         c = t - t.mean()
-        head, tail = _cuts(t, c, k)
+        head, tail = _cuts(_changes(t), c, k)
         n = t.size
         for j in range(k + 1):
             for cuts, kept in ((head, slice(j, n)), (tail, slice(0, n - j))):
@@ -147,6 +165,30 @@ class TestEstimateDelay:
         if abs(peak - CONFIDENCE_THRESHOLD) > 1e-12:
             assert result.confident == (peak >= CONFIDENCE_THRESHOLD)
         assert abs(result.peak_correlation - peak) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(trace_pairs())
+    @example(CANCELLING_OVERLAP)
+    @example(ULP_APART)
+    def test_in_place_search_equals_estimate_delay(self, case):
+        """The search that centers its traces in place returns estimate_delay's
+        result and leaves the traces centered, as estimate_delay's copies."""
+        t1, t2, max_lag = case
+        expected = estimate_delay(t1, t2, max_lag)
+        own1, own2 = t1.copy(), t2.copy()
+        assert _estimate_delay(own1, own2, max_lag, in_place=True) == expected
+        assert own1.tobytes() == (t1 - t1.mean()).tobytes()
+        assert own2.tobytes() == (t2 - t2.mean()).tobytes()
+
+    def test_ulp_apart_example_merges_under_centering(self):
+        """ULP_APART is what its comment says: the example above checks that
+        constancy is read before the in-place centering."""
+        t1 = ULP_APART[0]
+        assert _changes(t1) == (3, 13)
+        assert _changes(t1 - t1.mean()) == (11, 13)
+        result = estimate_delay(*ULP_APART)
+        assert (result.lag, result.confident) == (-3, False)
+        assert 0 < result.peak_correlation < 1e-15
 
     def test_plain_python_result(self):
         t = noise_trace(256, 6)

@@ -197,6 +197,20 @@ def test_channel_and_extraction_independent_of_block_size(cfg):
             assert got.tobytes() == phase.tobytes(), (block, i, w)
 
 
+@settings(max_examples=25, deadline=None)
+@given(trial_configs(), st.sampled_from([np.uint8, np.int64]))
+def test_channel_from_indices_equals_channel_from_symbols(cfg, dtype):
+    """Quadrant indices fed to the channel give the bytes of their symbols
+    SYMBOLS[k], at every block size and thread count."""
+    rng = np.random.default_rng(cfg.channel.seed)
+    k1, k2 = (rng.integers(0, 4, cfg.n_symbols).astype(dtype) for _ in range(2))
+    expected = [r.tobytes() for r in apply_channel(SYMBOLS[k1], SYMBOLS[k2], cfg.channel)]
+    for threads in THREADS:
+        for block in BLOCKS:
+            got = with_block(block, apply_channel, k1, k2, cfg.channel, threads=threads)
+            assert [r.tobytes() for r in got] == expected, (threads, block)
+
+
 @settings(max_examples=40, deadline=None)
 @given(trial_configs())
 def test_blocked_detection_equals_whole_arrays(cfg):
@@ -263,3 +277,34 @@ def test_trial_peak_memory_per_symbol(phase_model, window, remove_mean):
     finally:
         tracemalloc.stop()
     assert peak / n < 100
+
+
+@pytest.mark.parametrize("phase_model, window, remove_mean, bound", [
+    ("iid", 1, False, 70),
+    ("shaped", 33, True, 64),
+])
+def test_trial_peak_memory_without_spare_copies(monkeypatch, phase_model, window, remove_mean,
+                                                bound):
+    """With two threads, no complex transmit stream exists whole (the channel
+    reads the quadrant indices), and a window above 1 holds no centered copy
+    of the delay search's traces. Whole arrays at the peak: at window 1 the
+    two streams, the two traces, the search's centered copies and the
+    indices (66 B/sym); at window 33 the streams, the traces and the
+    indices (50 B/sym); the blocks in flight add the rest."""
+    monkeypatch.setattr(_blocks, "THREADS", 2)
+    n = 2**20
+    cfg = TrialConfig(
+        n_symbols=n,
+        channel=ChannelParams(sigma_common=0.3, sigma_additive=0.15, phase_model=phase_model,
+                              cpe_cutoff=1e8, delay_offset=3, seed=5),
+        vv=VVConfig(window=window, remove_mean=remove_mean),
+        estimator=EstimatorConfig(kappa=8.0),
+        compare_baseline=True,
+    )
+    tracemalloc.start()
+    try:
+        run_trial(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < bound

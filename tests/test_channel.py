@@ -59,6 +59,13 @@ class TestGenCommonPhase:
         with pytest.raises(ValueError):
             gen_common_phase(0, ChannelParams())
 
+    @pytest.mark.parametrize("phase_model", ["iid", "shaped"])
+    @pytest.mark.parametrize("n", [2.5, True, 100.0])
+    def test_non_integer_length_rejected(self, n, phase_model):
+        params = ChannelParams(sigma_common=0.1, phase_model=phase_model)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            gen_common_phase(n, params)
+
     def test_iid_sample_std(self):
         """Sample std of 1e6 iid draws stays inside the 3-sigma estimator band."""
         params = ChannelParams(sigma_common=0.3, seed=11)
@@ -153,6 +160,12 @@ class TestApplyChannel:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differ"):
             apply_channel(np.ones(4, complex), np.ones(5, complex), ChannelParams())
+
+    @pytest.mark.parametrize("k", [[0, 1, 4, 2], np.array([0, -1, 2, 3], dtype=np.int8)])
+    def test_index_stream_out_of_range_rejected(self, k):
+        k = np.asarray(k)
+        with pytest.raises(ValueError, match="tx2 must hold quadrant indices in 0..3"):
+            apply_channel(np.zeros(4, dtype=np.uint8), k, ChannelParams())
 
     def test_phase_override_length_checked(self):
         tx = np.ones(8, complex)

@@ -87,6 +87,17 @@ class TestClassifyCase:
             classify_case(0, 0, 0, -1, 0, 0)
 
     @pytest.mark.parametrize("args, name", [
+        ((2**70, 0, 0, 0, 0, 0), "tx_q1"),
+        ((0, 0, 0, -2**70, 0, 0), "rx_q2"),
+        ((0, 0, 0, 0, np.uint64(2**63), 0), "post_q1"),
+    ])
+    def test_huge_integer_rejected_as_quadrant(self, args, name):
+        """An integer beyond the int64 range is named as out of 0..3, not
+        rejected as an array of the wrong dtype."""
+        with pytest.raises(ValueError, match=f"^{name} must be a quadrant index in 0..3$"):
+            classify_case(*args)
+
+    @pytest.mark.parametrize("args, name", [
         ((True, 0, 1.0, 0, 0, 0), "tx_q1"),
         ((0, 0, 1.0, 0, 0, 0), "rx_q1"),
         ((0, 0, 0, 0, 0, np.float64(2.0)), "post_q2"),

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duolink import (
     SYMBOLS,
+    _blocks,
     count_quadrant_errors,
     gray_indices,
     map_symbols,
@@ -15,6 +16,17 @@ from duolink import (
 from oracles import count_errors, demap_symbols, quadrant_reference
 
 ISQ2 = 1 / np.sqrt(2)
+
+# Components on and next to the decision boundaries.
+EDGES = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]
+
+
+def per_sample_quadrant(z: complex) -> int:
+    """quadrant_indices' rule for one sample: below the real axis k = 3 right
+    of the imaginary axis, else 2; on or above it k = 1 left of it, else 0."""
+    if z.imag < 0:
+        return 3 if z.real > 0 else 2
+    return 1 if z.real < 0 else 0
 
 
 class TestMapSymbols:
@@ -111,6 +123,22 @@ class TestDemapSymbols:
 
     def test_zero_sample_flagged(self):
         np.testing.assert_array_equal(quadrant_indices([0j, 0.5 + 0.5j]), [0, 0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True)
+                    | st.sampled_from([complex(re, im) for re in EDGES for im in EDGES]),
+                    max_size=300),
+           st.sampled_from([1, 7, 64]), st.sampled_from([1, 2, 3]))
+    def test_pooled_blocks_equal_per_sample_rule(self, samples, block, threads):
+        """Decided in blocks on the pool, every sample gets the uint8 that the
+        documented rule gives it alone: axis ties, signed zeros and NaN too."""
+        z = np.array(samples, dtype=complex)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_blocks, "BLOCK", block)
+            mp.setattr(_blocks, "THREADS", threads)
+            k = quadrant_indices(z)
+        expected = np.array([per_sample_quadrant(x) for x in samples], dtype=np.uint8)
+        assert k.tobytes() == expected.tobytes()
 
 
 class TestCountErrors:
