@@ -1,16 +1,21 @@
 """Block size of a trial's elementwise stages, and the thread pool they run on.
 
 A trial holds whole only the arrays that a whole-trace step needs: the two
-received streams, the two phase traces and the uint8 quadrant decisions.
-Every elementwise stage in between runs over blocks of BLOCK symbols, so its
-temporaries stay the size of one block per thread however long the trial is.
-No result depends on BLOCK.
+received streams, the two phase traces and the uint8 quadrant indices.
+Every stage in between runs over blocks of BLOCK symbols, so its temporaries
+stay the size of one block per thread however long the trial is: the payload
+draws, the channel, the fourth-power extraction, the delay search (each
+block with max_lag samples of margin), the shift of channel 2 and the
+detection. No report depends on BLOCK; it can move the delay search's
+peak_correlation only by rounding, as it sets the order in which the
+search's sums are added.
 
-The blocks of a stage, and the lags of the delay search, run on a thread per
-CPU this process may run on: the calling thread and a pool started on first
-use, one per process (numpy releases the interpreter lock inside them). Each
-task writes its own part of an output or returns counts that are summed in a
-fixed order, so no result depends on the number of threads either.
+The blocks of a stage run on a thread per CPU this process may run on: the
+calling thread and a pool started on first use, one per process (numpy
+releases the interpreter lock inside them). Only the shift moves its blocks
+in order on the calling thread, as each move frees the room of the next.
+Each task writes its own part of an output or returns partial results that
+are added in a fixed order, so no result depends on the number of threads.
 """
 
 import os

@@ -6,6 +6,8 @@ from numbers import Real
 
 import numpy as np
 
+from . import _blocks
+
 
 def integer(name: str, value) -> None:
     """An int or numpy integer; bools are rejected."""
@@ -54,9 +56,11 @@ def same_shape(**arrays: np.ndarray) -> None:
 
 
 def finite(**arrays: np.ndarray) -> None:
-    """Arrays, passed by name, holding no NaN or infinity."""
+    """Arrays, passed by name, holding no NaN or infinity; read a block of
+    _blocks at a time, so that no array-sized mask is made."""
     for name, a in arrays.items():
-        if not np.isfinite(a).all():
+        flat = a.reshape(-1)
+        if not all(np.isfinite(flat[b]).all() for b in _blocks.blocks(0, flat.size)):
             raise ValueError(f"{name} must be finite")
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _blocks, _checks
 
@@ -75,27 +76,29 @@ def _changes(t: np.ndarray) -> tuple[int, int]:
     return int(changed.argmax()), n - 2 - int(changed[::-1].argmax())
 
 
-def _cuts(changes: tuple[int, int], c: np.ndarray, k: int) -> tuple[_Cuts, _Cuts]:
-    """_Cuts of a centered trace c for j = 0..k, cut from the head (c[j:])
-    and from the tail (c[:n-j]); `changes` is _changes of the trace before
-    centering.
+def _cuts(t: np.ndarray, mean: float, k: int, changes: tuple[int, int],
+          totals: tuple[float, float]) -> tuple[_Cuts, _Cuts]:
+    """_Cuts of the trace t centered on `mean`, c = t - mean, for j = 0..k,
+    cut from the head (c[j:]) and from the tail (c[:n-j]). `totals` is the
+    sum and the sum of squares of c, and `changes` is _changes of t.
 
-    The full sums are taken once and only the cut ends go through prefix
-    sums, so rounding stays that of one pass over c. Whether the trace
-    varies is exact (centering can make two different samples equal): it is
-    constant on [a, b) iff it changes at no index in [a, b-2].
+    Only the cut ends go through prefix sums, so rounding stays that of the
+    totals. Whether the trace varies is exact (centering can make two
+    different samples equal): it is constant on [a, b) iff it changes at no
+    index in [a, b-2].
     """
-    n = c.size
+    n = t.size
     first, last = changes
-    total, total_sq = c.sum(), _dot(c, c)
+    total, total_sq = totals
 
     def cut(end: np.ndarray, varies: list[bool]) -> _Cuts:
+        end = end - mean
         sums = total - np.concatenate(([0.0], np.cumsum(end)))
         squares = total_sq - np.concatenate(([0.0], np.cumsum(end * end)))
         return _Cuts(sums.tolist(), squares.tolist(), varies)
 
-    head = cut(c[:k], [last >= j for j in range(k + 1)])
-    tail = cut(c[n - k:][::-1], [first <= n - 2 - j for j in range(k + 1)])
+    head = cut(t[:k], [last >= j for j in range(k + 1)])
+    tail = cut(t[n - k:][::-1], [first <= n - 2 - j for j in range(k + 1)])
     return head, tail
 
 
@@ -117,18 +120,20 @@ def estimate_delay(
     TIE_TOL, so ties to within TIE_TOL resolve to the smaller |lag|. An
     overlap in which either trace is constant correlates as 0.
 
-    Both traces are centered once; each overlap's sums come from _cuts and
-    its cross term from one dot product over views, so no overlap is copied.
-    An overlap whose variance about the whole trace's mean falls under half
-    its sum of squares is centered on its own means instead. The lags'
-    correlations are computed on the thread pool of _blocks.
+    One pass over the blocks of _blocks, on its thread pool, neither copies
+    nor modifies the traces. Each block of trace2 is centered on its whole
+    trace's mean, and so is the block of trace1 with max_lag samples of
+    margin on either side (zero past the ends); one einsum over a sliding
+    window of the latter gives the block's cross terms at every lag (einsum
+    does not thread, so unlike BLAS its rounding is fixed). The
+    pass also sums each centered block and its squares and finds where the
+    traces change, from which _cuts gives each overlap's sums. The block
+    partials are added in block order, so no result depends on the thread
+    count; the block size moves the correlations only by rounding. An
+    overlap whose variance about the whole trace's mean falls under half its
+    sum of squares is centered on its own means instead, in copies made only
+    then.
     """
-    return _estimate_delay(trace1, trace2, max_lag, in_place=False)
-
-
-def _estimate_delay(trace1, trace2, max_lag: int, in_place: bool) -> AlignmentResult:
-    """estimate_delay, centering the traces in place when `in_place` is set:
-    for float64 traces that the caller needs no more."""
     t1 = np.asarray(trace1, dtype=float)
     t2 = np.asarray(trace2, dtype=float)
     _checks.same_shape(trace1=t1, trace2=t2)
@@ -138,48 +143,94 @@ def _estimate_delay(trace1, trace2, max_lag: int, in_place: bool) -> AlignmentRe
     if n <= 2 * max_lag:
         raise ValueError(f"traces of length {n} too short for max_lag={max_lag}")
     _checks.finite(trace1=t1, trace2=t2)
-    changes1, changes2 = _changes(t1), _changes(t2)
-    c1 = np.subtract(t1, t1.mean(), out=t1 if in_place else None)
-    c2 = np.subtract(t2, t2.mean(), out=t2 if in_place else None)
-    head1, tail1 = _cuts(changes1, c1, max_lag)
-    head2, tail2 = _cuts(changes2, c2, max_lag)
+    k = max_lag
+    mean1, mean2 = t1.mean(), t2.mean()
+
+    def changes(t: np.ndarray, b: slice) -> tuple[int, int]:
+        # the change indices in b, which compare with one sample past it
+        first, last = _changes(t[b.start:b.stop + 1])
+        return (b.start + first, b.start + last) if last >= 0 else (n, -1)
+
+    def partial(b: slice) -> tuple:
+        lo, hi = b.start - k, b.stop + k
+        a, e = max(lo, 0), min(hi, n)
+        w = np.zeros(hi - lo)
+        np.subtract(t1[a:e], mean1, out=w[a - lo:e - lo])
+        c1, c2 = w[k:w.size - k], t2[b] - mean2
+        # column j of the window's row i is c1 at sample b.start + i + j - k
+        cross = np.einsum("ij,i->j", sliding_window_view(w, 2 * k + 1), c2)
+        sums = np.array([c1.sum(), _dot(c1, c1), c2.sum(), _dot(c2, c2)])
+        return cross, sums, changes(t1, b), changes(t2, b)
+
+    parts = _blocks.each(partial, _blocks.blocks(0, n))
+    cross = sum(p[0] for p in parts).tolist()
+    sum1, sq1, sum2, sq2 = sum(p[1] for p in parts).tolist()
+    changes1, changes2 = ((min(p[i][0] for p in parts), max(p[i][1] for p in parts))
+                          for i in (2, 3))
+    head1, tail1 = _cuts(t1, mean1, k, changes1, (sum1, sq1))
+    head2, tail2 = _cuts(t2, mean2, k, changes2, (sum2, sq2))
 
     def correlation(lag: int) -> float:
         # lag >= 0 overlaps trace1[lag:] with trace2[:n-lag], lag < 0
         # overlaps trace1[:n+lag] with trace2[-lag:]
         j = abs(lag)
         if lag >= 0:
-            x, y, cx, cy = head1, tail2, c1[j:], c2[: n - j]
+            x, y, ox, oy = head1, tail2, slice(j, n), slice(0, n - j)
         else:
-            x, y, cx, cy = tail1, head2, c1[: n - j], c2[j:]
+            x, y, ox, oy = tail1, head2, slice(0, n - j), slice(j, n)
         m = n - j
         var_x = x.squares[j] - x.sums[j] ** 2 / m
         var_y = y.squares[j] - y.sums[j] ** 2 / m
-        cov = _dot(cx, cy) - x.sums[j] * y.sums[j] / m
+        cov = cross[lag + k] - x.sums[j] * y.sums[j] / m
         if var_x < x.squares[j] / 2 or var_y < y.squares[j] / 2:
             # the sums above cancel: center the overlap on its own means
-            cx, cy = cx - cx.mean(), cy - cy.mean()
+            cx, cy = t1[ox] - mean1, t2[oy] - mean2
+            cx -= cx.mean()
+            cy -= cy.mean()
             var_x, var_y, cov = _dot(cx, cx), _dot(cy, cy), _dot(cx, cy)
         if x.varies[j] and y.varies[j] and var_x > 0 and var_y > 0:
             return cov / math.sqrt(var_x * var_y)
         return 0.0
 
-    lags = sorted(range(-max_lag, max_lag + 1), key=lambda s: (abs(s), s))
     best_lag, best_corr = 0, -math.inf
-    for lag, r in zip(lags, _blocks.each(correlation, lags)):
+    for lag in sorted(range(-k, k + 1), key=lambda s: (abs(s), s)):
+        r = correlation(lag)
         if r > best_corr + TIE_TOL:
             best_lag, best_corr = lag, r
     return AlignmentResult(best_lag, best_corr, best_corr >= CONFIDENCE_THRESHOLD)
 
 
 def align(samples: np.ndarray, lag: int) -> AlignedStream:
-    """Shift a stream by `lag` symbols (circularly), marking the |lag|
-    wrapped-in overhang symbols invalid."""
-    s = np.asarray(samples)
+    """Shift a 1-D stream by `lag` symbols (circularly, as np.roll), marking
+    the |lag| wrapped-in overhang symbols invalid. Shifts a copy with _shift,
+    which a trial applies to its own streams in place."""
+    s = np.array(samples)
+    return AlignedStream(s, _shift(s, lag))
+
+
+def _shift(s: np.ndarray, lag: int) -> slice:
+    """Rotate the 1-D array s in place as np.roll(s, lag) would; returns the
+    slice of the symbols that did not wrap around.
+
+    The samples move a block of _blocks at a time, so besides the |lag|
+    wrapped samples at most one block is copied (numpy may buffer the
+    source of an overlapping move).
+    """
     _checks.integer("lag", lag)
-    if abs(lag) >= s.size:
-        raise ValueError(f"|lag|={abs(lag)} must be smaller than length {s.size}")
-    return AlignedStream(np.roll(s, lag), slice(max(lag, 0), s.size + min(lag, 0)))
+    n = s.size
+    if abs(lag) >= n:
+        raise ValueError(f"|lag|={abs(lag)} must be smaller than length {n}")
+    if lag:
+        moved = list(_blocks.blocks(max(-lag, 0), n - max(lag, 0)))
+        if lag > 0:  # move right: the last block first
+            wrapped, home = s[n - lag:].copy(), slice(0, lag)
+            moved.reverse()
+        else:
+            wrapped, home = s[:-lag].copy(), slice(n + lag, n)
+        for b in moved:
+            s[b.start + lag:b.stop + lag] = s[b]
+        s[home] = wrapped
+    return slice(max(lag, 0), n + min(lag, 0))
 
 
 def adapt_kappa(

@@ -78,10 +78,14 @@ def extract_phase(samples: np.ndarray, cfg: VVConfig) -> np.ndarray:
         else:
             avg = quartic
         # -avg == avg * e^{-i pi}: removes the constellation's pi offset
-        phase[b] = np.angle(-avg) / 4
+        p = phase[b]
+        p[:] = np.angle(-avg) / 4
+        # a positive real avg negates to an imaginary part of -0, whose
+        # angle is -pi: the boundary maps to +pi/4
+        p[p == -QUARTER_PI] = QUARTER_PI
         # angle(-(0+0j)) is -pi from the signed zeros; the phase there is
         # undefined and reported as 0
-        phase[b][avg == 0] = 0.0
+        p[avg == 0] = 0.0
 
     _blocks.each(extract, _blocks.blocks(0, n))
     return phase

@@ -33,7 +33,7 @@ from math import inf, sqrt
 import numpy as np
 
 from . import _blocks, _checks, _files
-from .alignment import AlignmentResult, _estimate_delay, align, estimate_delay
+from .alignment import AlignmentResult, _shift, estimate_delay
 from .channel import STREAM_BITS1, STREAM_BITS2, ChannelParams, apply_channel, stream_rng
 from .compensation import EstimatorConfig, apply_compensation, compensate_traces
 from .cpe import VVConfig, extract_phase
@@ -215,17 +215,23 @@ def _receive(cfg: TrialConfig) -> _Reception:
     compare_baseline do not change."""
     n = cfg.n_symbols
     ch = cfg.channel
-    k_tx1, k_tx2 = _blocks.each(
-        lambda stream: gray_indices(stream_rng(ch.seed, stream).integers(0, 2, size=2 * n)),
-        (STREAM_BITS1, STREAM_BITS2))
+
+    def payload(stream: int) -> np.ndarray:
+        # block by block from one generator: the bits of the whole draw
+        rng = stream_rng(ch.seed, stream)
+        k = np.empty(n, dtype=np.uint8)
+        for b in _blocks.blocks(0, n):
+            k[b] = gray_indices(rng.integers(0, 2, size=2 * (b.stop - b.start)))
+        return k
+
+    k_tx1, k_tx2 = _blocks.each(payload, (STREAM_BITS1, STREAM_BITS2))
     rx1, rx2 = apply_channel(k_tx1, k_tx2, ch)
 
     # Delay recovery runs on per-symbol (window=1) traces. Extraction is
     # elementwise at window=1, so for a window=1 receiver the aligned
-    # stream's trace is the per-symbol trace aligned the same way, and the
+    # stream's trace is the per-symbol trace shifted the same way, and the
     # same two traces also serve compensation and the baseline. For a wider
-    # window they serve only the search, which centers them in place, and
-    # are freed before alignment.
+    # window they serve only the search and are freed before alignment.
     per_symbol = VVConfig(window=1, remove_mean=False)
     search = cfg.max_lag > 0 and n > 2 * cfg.max_lag
     share = cfg.vv.window == 1
@@ -236,14 +242,13 @@ def _receive(cfg: TrialConfig) -> _Reception:
         if search:
             delay = estimate_delay(trace1, trace2, cfg.max_lag)
     elif search:
-        delay = _estimate_delay(extract_phase(rx1, per_symbol), extract_phase(rx2, per_symbol),
-                                cfg.max_lag, in_place=True)
+        delay = estimate_delay(extract_phase(rx1, per_symbol), extract_phase(rx2, per_symbol),
+                               cfg.max_lag)
     # only buffer on a confident estimate; an unconfident peak is noise
     applied_lag = delay.lag if delay.confident else 0
-    aligned = align(rx2, applied_lag)
-    rx2, valid = aligned.samples, aligned.valid
+    valid = _shift(rx2, applied_lag)
     if share:
-        trace2 = align(trace2, applied_lag).samples
+        _shift(trace2, applied_lag)
     else:
         trace1 = extract_phase(rx1, cfg.vv)
         trace2 = extract_phase(rx2, cfg.vv)

@@ -131,7 +131,8 @@ def delay_reference(t1, t2, max_lag: int, tie_tol: float = 0.0) -> tuple[int, fl
 def phase_reference(samples, window: int) -> np.ndarray:
     """Per-symbol fourth-power phase: for each symbol, the sum of s**4 over
     the window centered on it (cut off at the stream ends), then the angle
-    of minus that sum over 4; 0 where the sum is 0."""
+    of minus that sum over 4, with the angle pi on the negative real axis
+    (never -pi); 0 where the sum is 0."""
     quartic = (np.asarray(samples) ** 4).tolist()
     n, half = len(quartic), window // 2
     sums = []
@@ -142,7 +143,9 @@ def phase_reference(samples, window: int) -> np.ndarray:
             total += q
         sums.append(total)
     sums = np.array(sums, dtype=complex)
-    return np.where(sums == 0, 0.0, np.angle(-sums) / 4)
+    angles = np.angle(-sums)
+    angles[angles == -np.pi] = np.pi
+    return np.where(sums == 0, 0.0, angles / 4)
 
 
 def wrap_reference(x):

@@ -1,6 +1,8 @@
 """Tests for delay estimation, stream alignment and the kappa control loop."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from duolink import KappaSearchResult, adapt_kappa, align, estimate_delay
-from duolink.alignment import CONFIDENCE_THRESHOLD, TIE_TOL, _changes, _cuts, _estimate_delay
+from duolink import _blocks
+from duolink.alignment import CONFIDENCE_THRESHOLD, TIE_TOL, _changes, _cuts, _dot, _shift
 from oracles import delay_reference
 
 
@@ -141,7 +144,7 @@ class TestEstimateDelay:
         counts as varying exactly when the kept samples are not all equal."""
         t, _, k = case
         c = t - t.mean()
-        head, tail = _cuts(_changes(t), c, k)
+        head, tail = _cuts(t, t.mean(), k, _changes(t), (c.sum(), _dot(c, c)))
         n = t.size
         for j in range(k + 1):
             for cuts, kept in ((head, slice(j, n)), (tail, slice(0, n - j))):
@@ -151,10 +154,7 @@ class TestEstimateDelay:
 
     @settings(max_examples=300, deadline=None)
     @given(trace_pairs())
-    # an overlap nearly constant at a level off the whole trace's mean, whose
-    # variance about that mean cancels
-    @example((np.array([-0.19590406, 0, 0, 0.19069219, -0.32166178, -0.02092202, 0.56211173]),
-              np.array([0.3] * 5 + [0.30035128, -0.15932305]), 3))
+    @example(CANCELLING_OVERLAP)
     def test_matches_direct_pearson_reference(self, case):
         t1, t2, max_lag = case
         lag, peak = delay_reference(t1, t2, max_lag, tie_tol=TIE_TOL)
@@ -166,23 +166,68 @@ class TestEstimateDelay:
             assert result.confident == (peak >= CONFIDENCE_THRESHOLD)
         assert abs(result.peak_correlation - peak) <= 1e-12
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(trace_pairs())
     @example(CANCELLING_OVERLAP)
     @example(ULP_APART)
-    def test_in_place_search_equals_estimate_delay(self, case):
-        """The search that centers its traces in place returns estimate_delay's
-        result and leaves the traces centered, as estimate_delay's copies."""
+    def test_search_leaves_inputs_unchanged(self, case):
+        """The search reads its traces only: read-only traces go through, and
+        their bytes are those they had before."""
+        t1, t2, max_lag = case
+        before = t1.tobytes(), t2.tobytes()
+        t1.flags.writeable = t2.flags.writeable = False
+        estimate_delay(t1, t2, max_lag)
+        assert (t1.tobytes(), t2.tobytes()) == before
+
+    @settings(max_examples=60, deadline=None)
+    @given(trace_pairs())
+    @example(CANCELLING_OVERLAP)
+    @example(ULP_APART)
+    def test_independent_of_block_size_and_threads(self, case):
+        """The lag and the confidence do not depend on the block size or on
+        the thread count, and at one block size the peak correlation is
+        bit-equal whatever the thread count (the block size may move it by
+        rounding)."""
         t1, t2, max_lag = case
         expected = estimate_delay(t1, t2, max_lag)
-        own1, own2 = t1.copy(), t2.copy()
-        assert _estimate_delay(own1, own2, max_lag, in_place=True) == expected
-        assert own1.tobytes() == (t1 - t1.mean()).tobytes()
-        assert own2.tobytes() == (t2 - t2.mean()).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the pool's tasks finely
+        try:
+            for block in (1, 7, 64):
+                peaks = set()
+                for threads in (1, 2, 3):
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(_blocks, "BLOCK", block)
+                        mp.setattr(_blocks, "THREADS", threads)
+                        got = estimate_delay(t1, t2, max_lag)
+                    assert got.lag == expected.lag, (block, threads)
+                    # see test_matches_direct_pearson_reference
+                    if abs(expected.peak_correlation - CONFIDENCE_THRESHOLD) > 1e-12:
+                        assert got.confident == expected.confident, (block, threads)
+                    peaks.add(got.peak_correlation.hex())
+                assert len(peaks) == 1, (block, peaks)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_peak_memory_is_a_few_blocks(self, monkeypatch):
+        """On two threads the search holds a few blocks at a time, not a
+        copy of a trace (8 B/sym) nor a mask of one (1 B/sym)."""
+        monkeypatch.setattr(_blocks, "THREADS", 2)
+        n = 2**21
+        t1 = noise_trace(n, 9)
+        t2 = np.roll(t1, -3) + noise_trace(n, 10)
+        tracemalloc.start()
+        try:
+            result = estimate_delay(t1, t2, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.lag == 3
+        assert peak < 6 * 8 * _blocks.BLOCK, peak / n
 
     def test_ulp_apart_example_merges_under_centering(self):
-        """ULP_APART is what its comment says: the example above checks that
-        constancy is read before the in-place centering."""
+        """ULP_APART is what its comment says, and the search reads constancy
+        from the traces, not from their centered blocks."""
         t1 = ULP_APART[0]
         assert _changes(t1) == (3, 13)
         assert _changes(t1 - t1.mean()) == (11, 13)
@@ -243,6 +288,23 @@ class TestAlign:
         out = align(s, 2)
         np.testing.assert_array_equal(out.samples[2:], s[:-2])
         np.testing.assert_array_equal(np.arange(8)[out.valid], np.arange(2, 8))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 300).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(-(n - 1), n - 1), st.sampled_from([1, 7, 64]))))
+    def test_shift_equals_np_roll(self, case):
+        """The in-place block-wise rotation gives np.roll's bytes for any
+        length and lag, and align gives them on a copy."""
+        n, lag, block = case
+        s = np.random.default_rng(n).normal(size=n) + 1j * np.arange(n)
+        expected = np.roll(s, lag)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_blocks, "BLOCK", block)
+            aligned = align(s, lag)
+            valid = _shift(s, lag)
+        assert s.tobytes() == expected.tobytes()
+        assert aligned.samples.tobytes() == expected.tobytes()
+        assert valid == aligned.valid == slice(max(lag, 0), n + min(lag, 0))
 
     def test_excessive_lag_rejected(self):
         with pytest.raises(ValueError, match="lag"):

@@ -280,17 +280,18 @@ def test_trial_peak_memory_per_symbol(phase_model, window, remove_mean):
 
 
 @pytest.mark.parametrize("phase_model, window, remove_mean, bound", [
-    ("iid", 1, False, 70),
+    ("iid", 1, False, 60),
     ("shaped", 33, True, 64),
 ])
 def test_trial_peak_memory_without_spare_copies(monkeypatch, phase_model, window, remove_mean,
                                                 bound):
     """With two threads, no complex transmit stream exists whole (the channel
-    reads the quadrant indices), and a window above 1 holds no centered copy
-    of the delay search's traces. Whole arrays at the peak: at window 1 the
-    two streams, the two traces, the search's centered copies and the
-    indices (66 B/sym); at window 33 the streams, the traces and the
-    indices (50 B/sym); the blocks in flight add the rest."""
+    reads the quadrant indices), no payload bits (they are drawn block by
+    block), no centered copy of the delay search's traces (it centers block
+    by block) and no shifted copy of channel 2 (it is rotated in place).
+    Whole arrays at the peak, in the detection: the two streams, the two
+    traces and the four uint8 index arrays (52 B/sym); the blocks in flight
+    add the rest."""
     monkeypatch.setattr(_blocks, "THREADS", 2)
     n = 2**20
     cfg = TrialConfig(

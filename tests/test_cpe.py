@@ -11,6 +11,7 @@ from duolink import (
     map_symbols,
     wrap_quarter,
 )
+from oracles import phase_reference
 
 QUARTER_PI = np.pi / 4
 
@@ -36,6 +37,17 @@ class TestExtractPhase:
         stream = random_qpsk(64) * np.exp(1j * QUARTER_PI)
         trace = extract_phase(stream, VVConfig(window=1, remove_mean=False))
         np.testing.assert_allclose(trace, QUARTER_PI, atol=1e-12)
+
+    @pytest.mark.parametrize("window", [1, 3])
+    def test_samples_on_an_axis_map_to_plus_quarter_pi(self, window):
+        """A sample on an axis has a real positive fourth power with an
+        imaginary part of +0, whose negation has the angle -pi: the
+        extracted phase is +pi/4, the interval's included end, not -pi/4.
+        The oracle follows the same rule."""
+        samples = np.array([1 + 0j, 1j, 2 + 0j, -3 + 0j, -1j])
+        trace = extract_phase(samples, VVConfig(window=window, remove_mean=False))
+        assert trace.tolist() == [QUARTER_PI] * 5
+        assert phase_reference(samples, window).tolist() == [QUARTER_PI] * 5
 
     def test_data_independence(self):
         """All four symbols extract the identical phase under one rotation."""
