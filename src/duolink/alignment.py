@@ -125,14 +125,13 @@ def estimate_delay(
     trace's mean, and so is the block of trace1 with max_lag samples of
     margin on either side (zero past the ends); one einsum over a sliding
     window of the latter gives the block's cross terms at every lag (einsum
-    does not thread, so unlike BLAS its rounding is fixed). The
-    pass also sums each centered block and its squares and finds where the
-    traces change, from which _cuts gives each overlap's sums. The block
-    partials are added in block order, so no result depends on the thread
-    count; the block size moves the correlations only by rounding. An
-    overlap whose variance about the whole trace's mean falls under half its
-    sum of squares is centered on its own means instead, in copies made only
-    then.
+    never threads, so unlike BLAS its rounding is fixed). The pass also sums
+    each centered block and its squares and finds where the traces change,
+    from which _cuts gives each overlap's sums. The block partials are added
+    in block order, so no result depends on the thread count; the block size
+    moves the correlations only by rounding. An overlap whose variance about
+    the whole trace's mean falls under half its sum of squares is centered
+    on its own means instead, in copies made only then.
     """
     t1 = np.asarray(trace1, dtype=float)
     t2 = np.asarray(trace2, dtype=float)
