@@ -118,9 +118,13 @@ def estimate_delay(
     Lags are tried in order of |lag|, negative before positive, and a lag
     replaces the best one only when its correlation is higher by more than
     TIE_TOL, so ties to within TIE_TOL resolve to the smaller |lag|. An
-    overlap in which either trace is constant correlates as 0.
+    overlap in which either trace is constant correlates as 0. A documented
+    limit: a trace whose steps are within rounding of its mean (one-ulp steps
+    far from zero) can read as constant once centered, so it correlates as
+    about 0 and its peak is not confident, where the Pearson coefficient of
+    the raw samples may be.
 
-    One pass over the blocks of _blocks, on its thread pool, neither copies
+    One pass over the blocks of _blocks, on their threads, neither copies
     nor modifies the traces. Each block of trace2 is centered on its whole
     trace's mean, and so is the block of trace1 with max_lag samples of
     margin on either side (zero past the ends); one einsum over a sliding
@@ -246,6 +250,8 @@ def adapt_kappa(
     `improving` is False when the objective never varied over the
     evaluations.
     """
+    for name, value in (("lo", lo), ("hi", hi), ("tol", tol)):
+        _checks.number(name, value)
     if not (hi > lo):
         raise ValueError("need hi > lo")
     _checks.positive("tol", tol)

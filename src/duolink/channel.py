@@ -123,6 +123,8 @@ def shaped_filter_gain(n: int, params: ChannelParams) -> tuple[np.ndarray, np.nd
 
     One gain per rfft bin of an n-sample trace at params.symbol_rate.
     """
+    _checks.integer("n", n)
+    _checks.at_least("n", n, 1)
     freq = np.fft.rfftfreq(n, d=1.0 / params.symbol_rate)
     gain = conversion_efficiency(2 * np.pi * freq, params.alpha_dB, params.dbeta)
     gain = gain * _highpass_gain(freq, params.cpe_cutoff)

@@ -93,6 +93,8 @@ def classify_cases(
 
 def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     """95% Wilson score confidence interval for a binomial proportion."""
+    _checks.integer("errors", errors)
+    _checks.integer("trials", trials)
     _checks.positive("trials", trials)
     if not 0 <= errors <= trials:
         raise ValueError("errors must lie in [0, trials]")

@@ -49,7 +49,7 @@ def quadrant_indices(samples: np.ndarray) -> np.ndarray:
     origin maps to k=0 (signed zeros count as zero). A NaN component fails
     every comparison, so an all-NaN sample also maps to k=0.
 
-    Decides block by block on the thread pool of _blocks, writing into the
+    Decides block by block on the threads of _blocks, writing into the
     one output array.
     """
     z = np.asarray(samples)

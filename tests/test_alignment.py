@@ -374,7 +374,16 @@ class TestAdaptKappa:
         assert not result.improving
         assert not result.bracket_warning
 
-    @pytest.mark.parametrize("lo,hi,tol", [(1.0, 1.0, 0.1), (2.0, 1.0, 0.1), (0.0, 1.0, 0.0)])
+    @pytest.mark.parametrize("lo,hi,tol", [
+        (1.0, 1.0, 0.1), (2.0, 1.0, 0.1), (0.0, 1.0, 0.0),
+        (-math.inf, 3.0, 0.1), (0.0, math.inf, 0.1), (0.0, 1.0, math.inf),
+        (math.nan, 3.0, 0.1), (0.0, math.nan, 0.1), (0.0, 1.0, math.nan),
+        (True, 3.0, 0.1), (0.0, True, 0.1), (0.0, 1.0, True),
+    ])
     def test_bad_bracket_rejected(self, lo, hi, tol):
+        """A bracket end or tolerance that is not a finite number fails
+        before any evaluation, so none falls outside [lo, hi]."""
+        calls = []
         with pytest.raises(ValueError):
-            adapt_kappa(lambda k: k, lo, hi, tol)
+            adapt_kappa(lambda k: calls.append(k) or 0.1, lo, hi, tol)
+        assert calls == []

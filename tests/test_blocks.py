@@ -7,14 +7,12 @@ trials span several blocks plus a remainder, and the thread count to 1, 2
 and 3 whatever the machine has.
 """
 
-import multiprocessing
 import os
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -158,21 +156,14 @@ def test_delay_search_independent_of_blas_threads():
     assert outputs[0] == outputs[1]
 
 
-def _pool_forgotten() -> bool:
-    return _blocks._pool is None
-
-
-def test_forked_sweep_workers_start_their_own_pool(monkeypatch):
-    """A sweep forked after a trial started the parent's pool gives the
-    serial sweep's reports: each worker forgets the parent's pool, whose
-    threads it does not have, and starts its own."""
+def test_no_thread_outlives_a_trial_and_forked_sweep_matches_serial(monkeypatch):
+    """No duolink thread is alive after a trial on two threads, so a sweep
+    forked after it forks none; its reports equal the serial sweep's."""
     monkeypatch.setattr(_blocks, "THREADS", 2)
     base = TrialConfig(n_symbols=3000,
                        channel=ChannelParams(sigma_common=0.3, sigma_additive=0.15, seed=7))
     run_trial(base)
-    assert _blocks._pool is not None
-    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-        assert pool.submit(_pool_forgotten).result(timeout=60)
+    assert [t.name for t in threading.enumerate() if t.name.startswith("duolink")] == []
     axes = {"sigma_common": [0.2, 0.3], "delay_offset": [0, 5]}
     serial = run_sweep(replace(base, n_symbols=2 * _blocks.BLOCK + 100), axes, workers=1)
     parallel = run_sweep(replace(base, n_symbols=2 * _blocks.BLOCK + 100), axes, workers=2)

@@ -99,6 +99,14 @@ class TestGenCommonPhase:
         assert freq[0] == 0.0 and gain[0] == 0.0
         assert np.all(gain[1:] > 0)
 
+    @pytest.mark.parametrize("n,message", [(0, "n must be >= 1"), (-3, "n must be >= 1"),
+                                           (True, "n must be an integer"),
+                                           (2.5, "n must be an integer")])
+    def test_shaped_filter_gain_bad_length_rejected(self, n, message):
+        """The filter takes gen_common_phase's rules for n."""
+        with pytest.raises(ValueError, match=message):
+            shaped_filter_gain(n, ChannelParams(sigma_common=0.1, phase_model="shaped"))
+
 
 class TestApplyChannel:
     def test_identity_channel(self):

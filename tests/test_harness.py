@@ -175,6 +175,10 @@ class TestWilsonInterval:
             wilson_interval(1, 0)
         with pytest.raises(ValueError):
             wilson_interval(5, 4)
+        for errors, trials, name in [(2.5, 10, "errors"), (True, 10, "errors"),
+                                     (1, 10.5, "trials"), (1, True, "trials")]:
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                wilson_interval(errors, trials)
 
 
 class TestRunTrial:
