@@ -60,46 +60,33 @@ class KappaSearchResult:
 
 class _Cuts(NamedTuple):
     """Sum and sum of squares of a centered trace with j samples cut off one
-    end, and whether the trace varies on what is left; indexed by j."""
+    end, indexed by j."""
 
     sums: list[float]
     squares: list[float]
-    varies: list[bool]
 
 
-def _changes(t: np.ndarray) -> tuple[int, int]:
-    """First and last index i with t[i] != t[i + 1]; (n, -1) if t is constant."""
-    n = t.size
-    changed = t[1:] != t[:-1]
-    if not changed.any():
-        return n, -1
-    return int(changed.argmax()), n - 2 - int(changed[::-1].argmax())
-
-
-def _cuts(t: np.ndarray, mean: float, k: int, changes: tuple[int, int],
-          totals: tuple[float, float]) -> tuple[_Cuts, _Cuts]:
+def _cuts(t: np.ndarray, mean: float, k: int,
+          middle: tuple[float, float]) -> tuple[_Cuts, _Cuts]:
     """_Cuts of the trace t centered on `mean`, c = t - mean, for j = 0..k,
-    cut from the head (c[j:]) and from the tail (c[:n-j]). `totals` is the
-    sum and the sum of squares of c, and `changes` is _changes of t.
+    cut from the head (c[j:]) and from the tail (c[:n-j]). `middle` is the
+    sum and the sum of squares of c[k:n-k], which every cut keeps.
 
-    Only the cut ends go through prefix sums, so rounding stays that of the
-    totals. Whether the trace varies is exact (centering can make two
-    different samples equal): it is constant on [a, b) iff it changes at no
-    index in [a, b-2].
+    A cut's sums add the end samples it keeps to the middle's, the far end
+    first, so no removed sample enters them: subtracting the removed ends
+    from whole-trace totals cancels when those ends hold the variance.
     """
     n = t.size
-    first, last = changes
-    total, total_sq = totals
+    first, last = t[:k] - mean, t[n - k:] - mean
 
-    def cut(end: np.ndarray, varies: list[bool]) -> _Cuts:
-        end = end - mean
-        sums = total - np.concatenate(([0.0], np.cumsum(end)))
-        squares = total_sq - np.concatenate(([0.0], np.cumsum(end * end)))
-        return _Cuts(sums.tolist(), squares.tolist(), varies)
+    def cut(far: np.ndarray, near: np.ndarray) -> _Cuts:
+        # near holds the cut end from the middle outward; cut j keeps all
+        # but its last j samples
+        sums = np.cumsum(np.concatenate(([middle[0] + far.sum()], near)))
+        squares = np.cumsum(np.concatenate(([middle[1] + _dot(far, far)], near * near)))
+        return _Cuts(sums[::-1].tolist(), squares[::-1].tolist())
 
-    head = cut(t[:k], [last >= j for j in range(k + 1)])
-    tail = cut(t[n - k:][::-1], [first <= n - 2 - j for j in range(k + 1)])
-    return head, tail
+    return cut(last, first[::-1]), cut(first, last)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -118,11 +105,7 @@ def estimate_delay(
     Lags are tried in order of |lag|, negative before positive, and a lag
     replaces the best one only when its correlation is higher by more than
     TIE_TOL, so ties to within TIE_TOL resolve to the smaller |lag|. An
-    overlap in which either trace is constant correlates as 0. A documented
-    limit: a trace whose steps are within rounding of its mean (one-ulp steps
-    far from zero) can read as constant once centered, so it correlates as
-    about 0 and its peak is not confident, where the Pearson coefficient of
-    the raw samples may be.
+    overlap in which either trace is constant correlates as 0.
 
     One pass over the blocks of _blocks, on their threads, neither copies
     nor modifies the traces. Each block of trace2 is centered on its whole
@@ -130,12 +113,15 @@ def estimate_delay(
     margin on either side (zero past the ends); one einsum over a sliding
     window of the latter gives the block's cross terms at every lag (einsum
     never threads, so unlike BLAS its rounding is fixed). The pass also sums
-    each centered block and its squares and finds where the traces change,
-    from which _cuts gives each overlap's sums. The block partials are added
-    in block order, so no result depends on the thread count; the block size
-    moves the correlations only by rounding. An overlap whose variance about
-    the whole trace's mean falls under half its sum of squares is centered
-    on its own means instead, in copies made only then.
+    the centered samples in [max_lag, n - max_lag) and their squares, to
+    which _cuts adds the end samples each overlap keeps. The block partials
+    are added in block order, so no result depends on the thread count; the
+    block size moves the correlations only by rounding. An overlap whose
+    variance about the whole trace's mean falls under half its sum of
+    squares (a constant one among them) is degenerate and takes the direct
+    rule: 0 if either side's raw samples are all equal, else the Pearson
+    coefficient of the raw samples centered on their own means, in copies
+    made only then.
     """
     t1 = np.asarray(trace1, dtype=float)
     t2 = np.asarray(trace2, dtype=float)
@@ -149,11 +135,6 @@ def estimate_delay(
     k = max_lag
     mean1, mean2 = t1.mean(), t2.mean()
 
-    def changes(t: np.ndarray, b: slice) -> tuple[int, int]:
-        # the change indices in b, which compare with one sample past it
-        first, last = _changes(t[b.start:b.stop + 1])
-        return (b.start + first, b.start + last) if last >= 0 else (n, -1)
-
     def partial(b: slice) -> tuple:
         lo, hi = b.start - k, b.stop + k
         a, e = max(lo, 0), min(hi, n)
@@ -162,16 +143,16 @@ def estimate_delay(
         c1, c2 = w[k:w.size - k], t2[b] - mean2
         # column j of the window's row i is c1 at sample b.start + i + j - k
         cross = np.einsum("ij,i->j", sliding_window_view(w, 2 * k + 1), c2)
-        sums = np.array([c1.sum(), _dot(c1, c1), c2.sum(), _dot(c2, c2)])
-        return cross, sums, changes(t1, b), changes(t2, b)
+        # the block's samples in [k, n - k), which every overlap keeps
+        mid = slice(max(k - b.start, 0), max(n - k - b.start, 0))
+        c1, c2 = c1[mid], c2[mid]
+        return cross, np.array([c1.sum(), _dot(c1, c1), c2.sum(), _dot(c2, c2)])
 
     parts = _blocks.each(partial, _blocks.blocks(0, n))
     cross = sum(p[0] for p in parts).tolist()
     sum1, sq1, sum2, sq2 = sum(p[1] for p in parts).tolist()
-    changes1, changes2 = ((min(p[i][0] for p in parts), max(p[i][1] for p in parts))
-                          for i in (2, 3))
-    head1, tail1 = _cuts(t1, mean1, k, changes1, (sum1, sq1))
-    head2, tail2 = _cuts(t2, mean2, k, changes2, (sum2, sq2))
+    head1, tail1 = _cuts(t1, mean1, k, (sum1, sq1))
+    head2, tail2 = _cuts(t2, mean2, k, (sum2, sq2))
 
     def correlation(lag: int) -> float:
         # lag >= 0 overlaps trace1[lag:] with trace2[:n-lag], lag < 0
@@ -186,12 +167,13 @@ def estimate_delay(
         var_y = y.squares[j] - y.sums[j] ** 2 / m
         cov = cross[lag + k] - x.sums[j] * y.sums[j] / m
         if var_x < x.squares[j] / 2 or var_y < y.squares[j] / 2:
-            # the sums above cancel: center the overlap on its own means
-            cx, cy = t1[ox] - mean1, t2[oy] - mean2
-            cx -= cx.mean()
-            cy -= cy.mean()
+            # the sums above cancel: correlate the raw overlap directly
+            rx, ry = t1[ox], t2[oy]
+            if rx.min() == rx.max() or ry.min() == ry.max():
+                return 0.0
+            cx, cy = rx - rx.mean(), ry - ry.mean()
             var_x, var_y, cov = _dot(cx, cx), _dot(cy, cy), _dot(cx, cy)
-        if x.varies[j] and y.varies[j] and var_x > 0 and var_y > 0:
+        if var_x > 0 and var_y > 0:
             return cov / math.sqrt(var_x * var_y)
         return 0.0
 

@@ -196,13 +196,15 @@ def kappa_objective(cfg: TrialConfig):
 @dataclass(frozen=True)
 class _Reception:
     """What a trial computes before the joint estimate: the received streams
-    (channel 2 aligned), the receiver's phase traces, the recovered delay and
-    the tx/rx quadrant decisions on the valid region."""
+    (channel 2 aligned), the receiver's phase traces and their means for the
+    mean removal (None when it is off), the recovered delay and the tx/rx
+    quadrant decisions on the valid region."""
 
     rx1: np.ndarray
     rx2: np.ndarray
     trace1: np.ndarray
     trace2: np.ndarray
+    means: tuple[float, float] | None
     valid: slice
     estimated_lag: int
     lag_confident: bool
@@ -254,8 +256,10 @@ def _receive(cfg: TrialConfig) -> _Reception:
     else:
         trace1 = extract_phase(rx1, cfg.vv)
         trace2 = extract_phase(rx2, cfg.vv)
+    # the mean removal takes the whole traces' means, not each block's
+    means = (trace1.mean(), trace2.mean()) if cfg.vv.remove_mean else None
     return _Reception(
-        rx1=rx1, rx2=rx2, trace1=trace1, trace2=trace2, valid=valid,
+        rx1=rx1, rx2=rx2, trace1=trace1, trace2=trace2, means=means, valid=valid,
         estimated_lag=applied_lag, lag_confident=delay.confident,
         k_tx1=k_tx1[valid], k_tx2=k_tx2[valid],
         k_rx1=quadrant_indices(rx1[valid]), k_rx2=quadrant_indices(rx2[valid]),
@@ -273,8 +277,6 @@ def _detect(r: _Reception, cfg: TrialConfig) -> BERReport:
     valid = r.valid
     n_valid = valid.stop - valid.start
     bits_per_channel = 2 * n_valid
-    # the mean removal takes the whole traces' means, not each block's
-    means = (r.trace1.mean(), r.trace2.mean()) if cfg.vv.remove_mean else None
 
     def count(b: slice) -> np.ndarray:
         """One block's compensated and baseline errors per channel, then its
@@ -282,7 +284,7 @@ def _detect(r: _Reception, cfg: TrialConfig) -> BERReport:
         k = slice(b.start - valid.start, b.stop - valid.start)
         k_tx1, k_tx2 = r.k_tx1[k], r.k_tx2[k]
         comp1, comp2 = compensate_traces(
-            r.rx1[b], r.rx2[b], r.trace1[b], r.trace2[b], means, cfg.estimator)
+            r.rx1[b], r.rx2[b], r.trace1[b], r.trace2[b], r.means, cfg.estimator)
         k_comp1, k_comp2 = quadrant_indices(comp1), quadrant_indices(comp2)
         del comp1, comp2
         out = np.zeros(8, dtype=np.int64)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from duolink import KappaSearchResult, adapt_kappa, align, estimate_delay
 from duolink import _blocks
-from duolink.alignment import CONFIDENCE_THRESHOLD, TIE_TOL, _changes, _cuts, _dot, _shift
+from duolink.alignment import CONFIDENCE_THRESHOLD, TIE_TOL, _cuts, _dot, _shift
 from oracles import delay_reference
 
 
@@ -26,15 +26,22 @@ CANCELLING_OVERLAP = (
     np.array([0.3] * 5 + [0.30035128, -0.15932305]), 3)
 
 # Traces whose samples differ by one ulp of 1.0, which centering on a mean
-# of about -0.36 rounds away: trace1 first changes at index 3 before
-# centering and at index 11 after it. Lag -3 then correlates as about 1e-16,
-# and as 0 if constancy were read from the centered samples.
+# of about -0.36 rounds away: trace1's first 12 samples vary, but not once
+# centered. Lag -3 overlaps them with trace2 and correlates as 0.516 on the
+# raw samples, but as about 0 once centered on the whole trace's mean.
 _ULP = np.nextafter(1.0, 2.0)
 ULP_APART = (
     np.array([1.0, 1.0, 1.0, 1.0, _ULP, 1.0, 1.0, 1.0, 1.0, _ULP, 1.0, _ULP, -9.0, -9.0,
               float.fromhex("0x1.23b157cb35228p-1")]),
     np.array([1.0, 1.0, _ULP, _ULP, 1.0, 1.0, 1.0, 1.0, _ULP, 1.0, _ULP, 1.0, _ULP, 1.0, _ULP]),
     3)
+
+# Traces whose end samples hold almost all of trace2's variance: its sums of
+# squares over the overlaps that cut those ends off cancel if the ends are
+# subtracted from the whole trace's sums.
+ENDS_HOLD_THE_VARIANCE = (
+    np.array([0.26, 0.6, -0.35, -0.03, -0.2, -0.29, -0.79]),
+    np.array([1.99, -0.59, 0.7, 0.7001, 0.7, 0.7, 0.7]), 2)
 
 
 @st.composite
@@ -139,22 +146,25 @@ class TestEstimateDelay:
 
     @settings(max_examples=200, deadline=None)
     @given(trace_pairs())
-    def test_cut_sums_and_constancy(self, case):
-        """The per-cut sums match direct sums over the kept samples, and a cut
-        counts as varying exactly when the kept samples are not all equal."""
+    @example((ENDS_HOLD_THE_VARIANCE[1], None, 2))  # its trace2
+    def test_cut_sums(self, case):
+        """The per-cut sums match direct sums over the kept samples, the sums
+        of squares to within rounding of their own size."""
         t, _, k = case
-        c = t - t.mean()
-        head, tail = _cuts(t, t.mean(), k, _changes(t), (c.sum(), _dot(c, c)))
         n = t.size
+        c = t - t.mean()
+        middle = c[k:n - k]
+        head, tail = _cuts(t, t.mean(), k, (middle.sum(), _dot(middle, middle)))
         for j in range(k + 1):
             for cuts, kept in ((head, slice(j, n)), (tail, slice(0, n - j))):
-                assert cuts.varies[j] == (np.ptp(t[kept]) > 0)
                 assert cuts.sums[j] == pytest.approx(c[kept].sum(), abs=1e-12)
-                assert cuts.squares[j] == pytest.approx(np.dot(c[kept], c[kept]), abs=1e-12)
+                assert cuts.squares[j] == pytest.approx(np.dot(c[kept], c[kept]), rel=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(trace_pairs())
     @example(CANCELLING_OVERLAP)
+    @example(ENDS_HOLD_THE_VARIANCE)
+    @example(ULP_APART)
     def test_matches_direct_pearson_reference(self, case):
         t1, t2, max_lag = case
         lag, peak = delay_reference(t1, t2, max_lag, tie_tol=TIE_TOL)
@@ -226,14 +236,16 @@ class TestEstimateDelay:
         assert peak < 6 * 8 * _blocks.BLOCK, peak / n
 
     def test_ulp_apart_example_merges_under_centering(self):
-        """ULP_APART is what its comment says, and the search reads constancy
-        from the traces, not from their centered blocks."""
+        """ULP_APART is what its comment says, and the search correlates the
+        overlap's raw samples, as the direct reference does."""
         t1 = ULP_APART[0]
-        assert _changes(t1) == (3, 13)
-        assert _changes(t1 - t1.mean()) == (11, 13)
+        assert np.ptp(t1[:12]) > 0
+        assert np.ptp((t1 - t1.mean())[:12]) == 0
+        lag, peak = delay_reference(*ULP_APART, tie_tol=TIE_TOL)
+        assert (lag, peak >= CONFIDENCE_THRESHOLD) == (-3, True)
         result = estimate_delay(*ULP_APART)
-        assert (result.lag, result.confident) == (-3, False)
-        assert 0 < result.peak_correlation < 1e-15
+        assert (result.lag, result.confident) == (lag, True)
+        assert abs(result.peak_correlation - peak) <= 1e-12
 
     def test_plain_python_result(self):
         t = noise_trace(256, 6)
