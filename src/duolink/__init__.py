@@ -7,11 +7,9 @@ reproducible Monte Carlo harness quantifying the bit-error-ratio gain.
 """
 
 from .alignment import (
-    AlignedStream,
     AlignmentResult,
     KappaSearchResult,
     adapt_kappa,
-    align,
     estimate_delay,
 )
 from .channel import (
@@ -26,7 +24,6 @@ from .channel import (
 from .compensation import (
     EstimatorConfig,
     apply_compensation,
-    compensate_pair,
     compensate_traces,
     estimate_common_phase,
 )
@@ -41,7 +38,6 @@ from .harness import (
     ConfigError,
     SweepPoint,
     TrialConfig,
-    classify_case,
     classify_cases,
     emit,
     kappa_objective,

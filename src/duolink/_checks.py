@@ -55,6 +55,13 @@ def same_shape(**arrays: np.ndarray) -> None:
         raise ValueError(f"{', '.join(arrays)} lengths differ: {dims}")
 
 
+def one_d(**arrays: np.ndarray) -> None:
+    """Arrays of one dimension, passed by name; the message gives the shape."""
+    for name, a in arrays.items():
+        if a.ndim != 1:
+            raise ValueError(f"{name} must be a 1-D array, got shape {a.shape}")
+
+
 def finite(**arrays: np.ndarray) -> None:
     """Arrays, passed by name, holding no NaN or infinity; read a block of
     _blocks at a time, so that no array-sized mask is made."""
@@ -62,13 +69,6 @@ def finite(**arrays: np.ndarray) -> None:
         flat = a.reshape(-1)
         if not all(np.isfinite(flat[b]).all() for b in _blocks.blocks(0, flat.size)):
             raise ValueError(f"{name} must be finite")
-
-
-def quadrant(name: str, value) -> None:
-    """A quadrant index: an integer (bools are rejected) in 0..3."""
-    integer(name, value)
-    if not 0 <= value <= 3:
-        raise ValueError(f"{name} must be a quadrant index in 0..3")
 
 
 def quadrants(**arrays: np.ndarray) -> None:

@@ -33,20 +33,11 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 @dataclass
 class AlignmentResult:
     """lag > 0 means trace2 leads trace1 by `lag` symbols (trace2[n] matches
-    trace1[n + lag]); align(rx2, lag) buffers it back into alignment."""
+    trace1[n + lag]); _shift(rx2, lag) buffers it back into alignment."""
 
     lag: int
     peak_correlation: float
     confident: bool
-
-
-@dataclass
-class AlignedStream:
-    """Shifted stream plus the slice of its valid symbols; the overhang
-    symbols outside it must be excluded from error counting."""
-
-    samples: np.ndarray
-    valid: slice
 
 
 @dataclass
@@ -125,6 +116,7 @@ def estimate_delay(
     """
     t1 = np.asarray(trace1, dtype=float)
     t2 = np.asarray(trace2, dtype=float)
+    _checks.one_d(trace1=t1, trace2=t2)
     _checks.same_shape(trace1=t1, trace2=t2)
     _checks.integer("max_lag", max_lag)
     _checks.at_least("max_lag", max_lag, 0)
@@ -185,22 +177,16 @@ def estimate_delay(
     return AlignmentResult(best_lag, best_corr, best_corr >= CONFIDENCE_THRESHOLD)
 
 
-def align(samples: np.ndarray, lag: int) -> AlignedStream:
-    """Shift a 1-D stream by `lag` symbols (circularly, as np.roll), marking
-    the |lag| wrapped-in overhang symbols invalid. Shifts a copy with _shift,
-    which a trial applies to its own streams in place."""
-    s = np.array(samples)
-    return AlignedStream(s, _shift(s, lag))
-
-
 def _shift(s: np.ndarray, lag: int) -> slice:
     """Rotate the 1-D array s in place as np.roll(s, lag) would; returns the
-    slice of the symbols that did not wrap around.
+    slice of the symbols that did not wrap around, the valid region: the
+    |lag| wrapped-in overhang symbols must be excluded from error counting.
 
     The samples move a block of _blocks at a time, so besides the |lag|
     wrapped samples at most one block is copied (numpy may buffer the
     source of an overlapping move).
     """
+    _checks.one_d(s=s)
     _checks.integer("lag", lag)
     n = s.size
     if abs(lag) >= n:
@@ -236,6 +222,7 @@ def adapt_kappa(
         _checks.number(name, value)
     if not (hi > lo):
         raise ValueError("need hi > lo")
+    _checks.number("hi - lo", float(hi) - float(lo))
     _checks.positive("tol", tol)
     history: list[tuple[float, float]] = []
 

@@ -171,10 +171,10 @@ def apply_channel(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run both transmit streams through the shared-phase channel.
 
-    Each stream is given either as complex symbols or as quadrant indices
-    (an integer dtype, values 0..3), which stand for their symbols
-    qpsk.SYMBOLS[k]: the channel then looks the symbols up block by block,
-    so the complex transmit stream never exists whole.
+    Each stream is given as quadrant indices (a 1-D array of an integer
+    dtype, values 0..3), which stand for their symbols qpsk.SYMBOLS[k]: the
+    channel looks the symbols up block by block, so the complex transmit
+    stream never exists whole.
 
     Returns (rx1, rx2). Channel 2 is circularly shifted by
     params.delay_offset, so rx2[n] carries the symbol, phase imprint and
@@ -182,20 +182,21 @@ def apply_channel(
     wrapped and should be excluded from error counting downstream.
 
     `phase` overrides the generated per-symbol trace (testing and phase
-    inspection hook); it must match the stream length.
+    inspection hook); it must be finite and match the stream length.
     """
     tx1 = np.asarray(tx1)
     tx2 = np.asarray(tx2)
+    _checks.one_d(tx1=tx1, tx2=tx2)
     _checks.same_shape(tx1=tx1, tx2=tx2)
-    for name, tx in (("tx1", tx1), ("tx2", tx2)):
-        if np.issubdtype(tx.dtype, np.integer):
-            _checks.quadrants(**{name: tx})
+    _checks.quadrants(tx1=tx1, tx2=tx2)
     n = tx1.size
     if phase is None:
         phi = gen_common_phase(n, params)
     else:
         phi = np.asarray(phase, dtype=float)
+        _checks.one_d(phase=phi)
         _checks.same_shape(tx1=tx1, phase=phi)
+        _checks.finite(phase=phi)
     # channel 2 is written straight into its shifted layout: symbol j lands
     # in slot (j - shift) mod n, a contiguous run for each block of
     # [0, shift) and of [shift, n)
@@ -208,16 +209,13 @@ def apply_channel(
     y1 = np.empty(n, dtype=complex)
     y2 = np.empty(n, dtype=complex)
 
-    def symbols(tx: np.ndarray, b: slice) -> np.ndarray:
-        return SYMBOLS[tx[b]] if np.issubdtype(tx.dtype, np.integer) else tx[b]
-
     def rotate(b: slice, d: slice) -> None:
         # equal to np.exp(1j * phi), without its complex temporaries
         r = np.empty(b.stop - b.start, dtype=complex)
         np.cos(phi[b], out=r.real)
         np.sin(phi[b], out=r.imag)
-        np.multiply(symbols(tx1, b), r, out=y1[b])
-        np.multiply(symbols(tx2, b), r, out=y2[d])
+        np.multiply(SYMBOLS[tx1[b]], r, out=y1[b])
+        np.multiply(SYMBOLS[tx2[b]], r, out=y2[d])
 
     _blocks.each(lambda bd: rotate(*bd), zip(src, dst))
     if params.sigma_additive > 0:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from .cpe import VVConfig, extract_phase, wrap_quarter
+from .cpe import wrap_quarter
 
 
 @dataclass
@@ -40,13 +40,9 @@ class EstimatorConfig:
         _checks.at_least("kappa", self.kappa, 0)
 
 
-def estimate_common_phase(phi1, phi2, cfg: EstimatorConfig) -> float | np.ndarray:
-    """Weighted joint estimate of the common phase from two observations.
-
-    Accepts scalars (returns a float) or equal-length arrays (per-symbol
-    estimation; returns an array).
-    """
-    scalar = np.ndim(phi1) == 0 and np.ndim(phi2) == 0
+def estimate_common_phase(phi1, phi2, cfg: EstimatorConfig) -> np.ndarray:
+    """Per-symbol weighted joint estimate of the common phase from two
+    equal-shape arrays of observations; returns an array of their shape."""
     p1 = np.asarray(phi1, dtype=float)
     p2 = np.asarray(phi2, dtype=float)
     _checks.same_shape(phi1=p1, phi2=p2)
@@ -54,17 +50,16 @@ def estimate_common_phase(phi1, phi2, cfg: EstimatorConfig) -> float | np.ndarra
     a1 = np.abs(p1)
     a2 = np.abs(p2)
     if cfg.kappa_infinite:
-        value = np.where(a2 < a1, p2, p1)  # tie -> channel 1
-    else:
-        # weights normalized so the larger one is exactly 1: the same
-        # estimate as exp(-kappa*|phi|), but immune to underflow. The
-        # observation of smaller magnitude weighs 1 (w <= 1 is raised to
-        # it), the other w, so one exp per symbol serves both weights.
-        w = np.exp(-cfg.kappa * np.abs(a1 - a2))
-        w1 = np.maximum(w, a1 <= a2)
-        w2 = np.maximum(w, a2 <= a1)
-        value = (w1 * p1 + w2 * p2) / (w1 + w2)
-    return float(value) if scalar else value
+        return np.where(a2 < a1, p2, p1)  # tie -> channel 1
+    # weights normalized so the larger one is exactly 1: the same estimate
+    # as exp(-kappa*|phi|), but immune to underflow. The observation of
+    # smaller magnitude weighs 1 (w <= 1 is raised to it), the other w, so
+    # one exp per symbol serves both weights.
+    w = np.exp(-cfg.kappa * np.abs(a1 - a2))
+    w1 = np.maximum(w, a1 <= a2)
+    w2 = np.maximum(w, a2 <= a1)
+    # 0-d operands give a numpy scalar, which asarray makes a 0-d array
+    return np.asarray((w1 * p1 + w2 * p2) / (w1 + w2))
 
 
 def _derotation(phase: np.ndarray) -> np.ndarray:
@@ -98,7 +93,7 @@ def compensate_traces(
     cfg: EstimatorConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jointly compensate two streams observed at the same symbol index, given
-    the phase traces extracted from them (see compensate_pair).
+    the phase traces cpe.extract_phase extracted from them.
 
     means, the two traces' block-mean phases, selects the per-channel mean
     removal that precedes the joint estimate (None skips it). They are the
@@ -121,24 +116,3 @@ def compensate_traces(
     # the common rotation is the same for both channels: compute it once
     rotation = _derotation(est)
     return rx1 * rotation, rx2 * rotation
-
-
-def compensate_pair(
-    rx1: np.ndarray,
-    rx2: np.ndarray,
-    vv: VVConfig,
-    cfg: EstimatorConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Jointly compensate two received streams observed at the same symbol index.
-
-    With vv.remove_mean, each channel's block-mean phase is removed first
-    (samples rotated, traces re-centered); then the per-symbol joint estimate
-    of the (residual) traces is removed from both channels.
-    """
-    rx1 = np.asarray(rx1)
-    rx2 = np.asarray(rx2)
-    _checks.same_shape(rx1=rx1, rx2=rx2)
-    t1 = extract_phase(rx1, vv)
-    t2 = extract_phase(rx2, vv)
-    means = (t1.mean(), t2.mean()) if vv.remove_mean else None
-    return compensate_traces(rx1, rx2, t1, t2, means, cfg)

@@ -52,6 +52,7 @@ def extract_phase(samples: np.ndarray, cfg: VVConfig) -> np.ndarray:
     wrap artifacts that averaging angles directly would produce.
     """
     s = np.asarray(samples, dtype=complex)
+    _checks.one_d(samples=s)
     if s.size == 0:
         raise ValueError("sample stream is empty")
     n = s.size

@@ -53,20 +53,6 @@ class Case(IntEnum):
     NO_CORRECTION_POSSIBLE = 3
 
 
-_QUADRANT_ARGS = ("tx_q1", "tx_q2", "rx_q1", "rx_q2", "post_q1", "post_q2")
-
-
-def classify_case(
-    tx_q1: int, tx_q2: int, rx_q1: int, rx_q2: int, post_q1: int, post_q2: int
-) -> Case:
-    """Classify one symbol slot from the six quadrant indices (integers in
-    0..3 each)."""
-    qs = (tx_q1, tx_q2, rx_q1, rx_q2, post_q1, post_q2)
-    for name, q in zip(_QUADRANT_ARGS, qs):
-        _checks.quadrant(name, q)
-    return Case(classify_cases(*([q] for q in qs))[0])
-
-
 def classify_cases(
     tx_q1: np.ndarray,
     tx_q2: np.ndarray,
@@ -77,8 +63,9 @@ def classify_cases(
 ) -> np.ndarray:
     """Classify each symbol slot from six equal-shape integer arrays of
     quadrant indices (0..3 each); returns an int array of Case values."""
-    given = (tx_q1, tx_q2, rx_q1, rx_q2, post_q1, post_q2)
-    arrays = dict(zip(_QUADRANT_ARGS, map(np.asarray, given)))
+    given = dict(tx_q1=tx_q1, tx_q2=tx_q2, rx_q1=rx_q1, rx_q2=rx_q2,
+                 post_q1=post_q1, post_q2=post_q2)
+    arrays = {name: np.asarray(q) for name, q in given.items()}
     _checks.same_shape(**arrays)
     _checks.quadrants(**arrays)
     tq1, tq2, rq1, rq2, pq1, pq2 = arrays.values()
@@ -164,8 +151,8 @@ class BERReport:
 def run_trial(cfg: TrialConfig) -> BERReport:
     """Run one paired baseline/compensated trial.
 
-    Steps: random payloads -> Gray quadrant indices -> QPSK symbols ->
-    shared-phase channel -> delay recovery from per-symbol phase traces ->
+    Steps: random payloads -> Gray quadrant indices -> shared-phase channel
+    (on their QPSK symbols) -> delay recovery from per-symbol phase traces ->
     channel-2 alignment -> baseline (per-channel VV rotation) and compensated
     (joint) detection -> count and classify. Each phase trace is extracted
     once and each stream (received, compensated, baseline) is decided once;

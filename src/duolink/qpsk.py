@@ -69,7 +69,7 @@ def quadrant_indices(samples: np.ndarray) -> np.ndarray:
 
 def count_quadrant_errors(k_tx: np.ndarray, k_rx: np.ndarray) -> int:
     """Bit errors between transmitted and decided quadrant indices (arrays
-    of an integer dtype).
+    of an integer dtype and of one shape, any number of dimensions).
 
     Counts the bits in which the Gray labels differ, from the histogram of
     (k_tx, k_rx) pairs weighted by GRAY_DISTANCE.
@@ -78,5 +78,5 @@ def count_quadrant_errors(k_tx: np.ndarray, k_rx: np.ndarray) -> int:
     k_rx = np.asarray(k_rx)
     _checks.same_shape(k_tx=k_tx, k_rx=k_rx)
     _checks.quadrants(k_tx=k_tx, k_rx=k_rx)
-    pairs = np.bincount(4 * k_tx.astype(np.intp) + k_rx, minlength=16)
+    pairs = np.bincount((4 * k_tx.astype(np.intp) + k_rx).ravel(), minlength=16)
     return int(pairs @ GRAY_DISTANCE.ravel())

@@ -170,8 +170,8 @@ def reference_trial(cfg) -> dict:
     n, ch = cfg.n_symbols, cfg.channel
     bits = [stream_rng(ch.seed, stream).integers(0, 2, size=2 * n)
             for stream in (STREAM_BITS1, STREAM_BITS2)]
-    tx = [QPSK_SYMBOLS[GRAY_INDEX[b[0::2], b[1::2]]] for b in bits]
-    rx1, rx2 = apply_channel(tx[0], tx[1], ch)
+    k_tx = [GRAY_INDEX[b[0::2], b[1::2]] for b in bits]
+    rx1, rx2 = apply_channel(k_tx[0], k_tx[1], ch)
 
     lag, confident = 0, False
     if cfg.max_lag > 0 and n > 2 * cfg.max_lag:

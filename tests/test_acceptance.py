@@ -12,20 +12,22 @@ import numpy as np
 import pytest
 
 from duolink import (
+    SYMBOLS,
+    Case,
     ChannelParams,
     EstimatorConfig,
     TrialConfig,
     VVConfig,
     apply_channel,
-    classify_case,
     classify_cases,
-    compensate_pair,
+    compensate_traces,
     conversion_efficiency,
     emit,
     estimate_common_phase,
     estimate_delay,
     extract_phase,
     gen_common_phase,
+    gray_indices,
     map_symbols,
     run_trial,
     shaped_filter_gain,
@@ -101,13 +103,14 @@ def test_criterion_03_exact_cancellation():
     rng = np.random.default_rng(303)
     bits1 = rng.integers(0, 2, 2 * n)
     bits2 = rng.integers(0, 2, 2 * n)
-    tx1, tx2 = map_symbols(bits1), map_symbols(bits2)
+    k1, k2 = gray_indices(bits1), gray_indices(bits2)
     phi = rng.uniform(-0.7, 0.7, n)
-    rx1, rx2 = apply_channel(tx1, tx2, ChannelParams(seed=0), phase=phi)
-    out1, out2 = compensate_pair(
-        rx1, rx2, VVConfig(window=1, remove_mean=False),
+    rx1, rx2 = apply_channel(k1, k2, ChannelParams(seed=0), phase=phi)
+    vv = VVConfig(window=1, remove_mean=False)
+    out1, out2 = compensate_traces(
+        rx1, rx2, extract_phase(rx1, vv), extract_phase(rx2, vv), None,
         EstimatorConfig(kappa_infinite=True))
-    dev = max(np.abs(out1 - tx1).max(), np.abs(out2 - tx2).max())
+    dev = max(np.abs(out1 - SYMBOLS[k1]).max(), np.abs(out2 - SYMBOLS[k2]).max())
     errors = (count_errors(bits1, demap_symbols(out1))[0]
               + count_errors(bits2, demap_symbols(out2))[0])
     elapsed = time.perf_counter() - start
@@ -153,18 +156,18 @@ def test_criterion_05_case_frequency_ordering(grid_reports):
 def test_criterion_06_classifier_truth_table():
     start = time.perf_counter()
     mismatches = 0
+    single = []
     for combo in product(range(4), repeat=6):
         t1, t2, r1, r2, p1, p2 = combo
         key = (r1 == t1, r2 == t2, p1 == t1, p2 == t2)
-        if classify_case(*combo) is not CASE_TRUTH_TABLE[key]:
+        single.append(classify_cases(*([q] for q in combo))[0])
+        if Case(single[-1]) is not CASE_TRUTH_TABLE[key]:
             mismatches += 1
     cols = np.array(list(product(range(4), repeat=6))).T
     vector = classify_cases(*cols)
-    scalar = np.array([int(classify_case(*combo))
-                       for combo in product(range(4), repeat=6)])
     elapsed = time.perf_counter() - start
     check(6, "four-case classifier matches hand truth table (4096 combos)",
-          mismatches == 0 and np.array_equal(vector, scalar) and elapsed < 1.0,
+          mismatches == 0 and np.array_equal(vector, single) and elapsed < 1.0,
           f"{mismatches} mismatches, {elapsed:.2f}s")
 
 
@@ -240,8 +243,8 @@ def test_criterion_10_delay_recovery():
         params = ChannelParams(
             sigma_common=0.3, sigma_additive=0.15, delay_offset=d, seed=500 + d)
         rng = np.random.default_rng(1000 + d)
-        tx1 = map_symbols(rng.integers(0, 2, 2 * n))
-        tx2 = map_symbols(rng.integers(0, 2, 2 * n))
+        tx1 = gray_indices(rng.integers(0, 2, 2 * n))
+        tx2 = gray_indices(rng.integers(0, 2, 2 * n))
         rx1, rx2 = apply_channel(tx1, tx2, params)
         cfg = VVConfig(window=1, remove_mean=False)
         result = estimate_delay(

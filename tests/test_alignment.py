@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from duolink import KappaSearchResult, adapt_kappa, align, estimate_delay
+from duolink import KappaSearchResult, adapt_kappa, estimate_delay
 from duolink import _blocks
 from duolink.alignment import CONFIDENCE_THRESHOLD, TIE_TOL, _cuts, _dot, _shift
 from oracles import delay_reference
@@ -275,54 +275,59 @@ class TestEstimateDelay:
             estimate_delay(np.zeros(64), np.zeros(64), True)
 
 
+def shifted(samples, lag):
+    """A copy of samples shifted by _shift, and the slice of its valid
+    symbols."""
+    s = np.array(samples)
+    return s, _shift(s, lag)
+
+
 class TestAlign:
     def test_zero_lag_identity(self):
         s = np.arange(10, dtype=complex)
-        out = align(s, 0)
-        np.testing.assert_array_equal(out.samples, s)
-        np.testing.assert_array_equal(np.arange(10)[out.valid], np.arange(10))
+        out, valid = shifted(s, 0)
+        np.testing.assert_array_equal(out, s)
+        np.testing.assert_array_equal(np.arange(10)[valid], np.arange(10))
 
     def test_inverse_shifts_recover_on_valid_region(self):
         s = np.arange(32, dtype=complex)
-        fwd = align(s, 3)
-        back = align(fwd.samples, -3)
+        fwd, fwd_valid = shifted(s, 3)
+        back, back_valid = shifted(fwd, -3)
         idx = np.arange(32)
-        both = np.intersect1d(idx[fwd.valid], idx[back.valid])
-        np.testing.assert_array_equal(back.samples[both], s[both])
+        both = np.intersect1d(idx[fwd_valid], idx[back_valid])
+        np.testing.assert_array_equal(back[both], s[both])
 
     @pytest.mark.parametrize("lag", [-5, -1, 0, 2, 7])
     def test_valid_region_length(self, lag):
-        out = align(np.ones(64, complex), lag)
-        assert out.samples[out.valid].size == 64 - abs(lag)
+        out, valid = shifted(np.ones(64, complex), lag)
+        assert out[valid].size == 64 - abs(lag)
 
     def test_positive_lag_delays(self):
         s = np.arange(8, dtype=complex)
-        out = align(s, 2)
-        np.testing.assert_array_equal(out.samples[2:], s[:-2])
-        np.testing.assert_array_equal(np.arange(8)[out.valid], np.arange(2, 8))
+        out, valid = shifted(s, 2)
+        np.testing.assert_array_equal(out[2:], s[:-2])
+        np.testing.assert_array_equal(np.arange(8)[valid], np.arange(2, 8))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 300).flatmap(lambda n: st.tuples(
         st.just(n), st.integers(-(n - 1), n - 1), st.sampled_from([1, 7, 64]))))
     def test_shift_equals_np_roll(self, case):
         """The in-place block-wise rotation gives np.roll's bytes for any
-        length and lag, and align gives them on a copy."""
+        length and lag."""
         n, lag, block = case
         s = np.random.default_rng(n).normal(size=n) + 1j * np.arange(n)
         expected = np.roll(s, lag)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_blocks, "BLOCK", block)
-            aligned = align(s, lag)
             valid = _shift(s, lag)
         assert s.tobytes() == expected.tobytes()
-        assert aligned.samples.tobytes() == expected.tobytes()
-        assert valid == aligned.valid == slice(max(lag, 0), n + min(lag, 0))
+        assert valid == slice(max(lag, 0), n + min(lag, 0))
 
     def test_excessive_lag_rejected(self):
         with pytest.raises(ValueError, match="lag"):
-            align(np.ones(4, complex), 4)
+            shifted(np.ones(4, complex), 4)
         with pytest.raises(ValueError, match="lag"):
-            align(np.ones(4, complex), True)
+            shifted(np.ones(4, complex), True)
 
 
 class TestAdaptKappa:
@@ -391,10 +396,11 @@ class TestAdaptKappa:
         (-math.inf, 3.0, 0.1), (0.0, math.inf, 0.1), (0.0, 1.0, math.inf),
         (math.nan, 3.0, 0.1), (0.0, math.nan, 0.1), (0.0, 1.0, math.nan),
         (True, 3.0, 0.1), (0.0, True, 0.1), (0.0, 1.0, True),
+        (-1e308, 1e308, 1.0),
     ])
     def test_bad_bracket_rejected(self, lo, hi, tol):
-        """A bracket end or tolerance that is not a finite number fails
-        before any evaluation, so none falls outside [lo, hi]."""
+        """A bracket end, width or tolerance that is not a finite number
+        fails before any evaluation, so none falls outside [lo, hi]."""
         calls = []
         with pytest.raises(ValueError):
             adapt_kappa(lambda k: calls.append(k) or 0.1, lo, hi, tol)

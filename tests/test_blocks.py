@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duolink import (
-    SYMBOLS,
     ChannelParams,
     EstimatorConfig,
     TrialConfig,
@@ -30,7 +29,6 @@ from duolink import (
     apply_channel,
     apply_compensation,
     classify_cases,
-    compensate_pair,
     compensate_traces,
     count_quadrant_errors,
     extract_phase,
@@ -39,6 +37,7 @@ from duolink import (
 )
 import duolink
 from duolink import _blocks, harness, run_sweep
+from oracles import QPSK_SYMBOLS
 
 BLOCKS = (1, 7, 64)
 THREADS = (1, 2, 3)
@@ -130,11 +129,11 @@ def test_each_nested_in_pool_threads_completes(monkeypatch):
 
 DELAY_SCRIPT = """
 import numpy as np
-from duolink import SYMBOLS, ChannelParams, VVConfig, apply_channel, estimate_delay, extract_phase
+from duolink import ChannelParams, VVConfig, apply_channel, estimate_delay, extract_phase
 for seed in (1, 2, 3):
     rng = np.random.default_rng(seed)
     params = ChannelParams(sigma_common=0.3, sigma_additive=0.15, delay_offset=30, seed=seed)
-    tx1, tx2 = (SYMBOLS[rng.integers(0, 4, 200_000)] for _ in range(2))
+    tx1, tx2 = (rng.integers(0, 4, 200_000) for _ in range(2))
     t1, t2 = (extract_phase(rx, VVConfig(window=1)) for rx in apply_channel(tx1, tx2, params))
     print(repr(estimate_delay(t1, t2, 128).peak_correlation))
 """
@@ -176,7 +175,7 @@ def test_no_thread_outlives_a_trial_and_forked_sweep_matches_serial(monkeypatch)
 def test_channel_and_extraction_independent_of_block_size(cfg):
     rng = np.random.default_rng(cfg.channel.seed)
     n = cfg.n_symbols
-    tx1, tx2 = SYMBOLS[rng.integers(0, 4, n)], SYMBOLS[rng.integers(0, 4, n)]
+    tx1, tx2 = rng.integers(0, 4, n), rng.integers(0, 4, n)
     rx = apply_channel(tx1, tx2, cfg.channel)
     phases = {(i, w): extract_phase(r, VVConfig(window=w)) for i, r in enumerate(rx)
               for w in (1, 33)}
@@ -190,12 +189,12 @@ def test_channel_and_extraction_independent_of_block_size(cfg):
 
 @settings(max_examples=25, deadline=None)
 @given(trial_configs(), st.sampled_from([np.uint8, np.int64]))
-def test_channel_from_indices_equals_channel_from_symbols(cfg, dtype):
-    """Quadrant indices fed to the channel give the bytes of their symbols
-    SYMBOLS[k], at every block size and thread count."""
+def test_channel_from_indices_independent_of_block_size_and_threads(cfg, dtype):
+    """The channel gives the same bytes at every block size and thread
+    count, for indices of either dtype."""
     rng = np.random.default_rng(cfg.channel.seed)
     k1, k2 = (rng.integers(0, 4, cfg.n_symbols).astype(dtype) for _ in range(2))
-    expected = [r.tobytes() for r in apply_channel(SYMBOLS[k1], SYMBOLS[k2], cfg.channel)]
+    expected = [r.tobytes() for r in apply_channel(k1, k2, cfg.channel)]
     for threads in THREADS:
         for block in BLOCKS:
             got = with_block(block, apply_channel, k1, k2, cfg.channel, threads=threads)
@@ -203,11 +202,26 @@ def test_channel_from_indices_equals_channel_from_symbols(cfg, dtype):
 
 
 @settings(max_examples=40, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 64]))
+def test_noiseless_channel_gives_the_quadrant_centers(n, seed, block):
+    """With no noise and a zero phase, each index k comes out as the
+    independently written quadrant center QPSK_SYMBOLS[k], byte for byte."""
+    rng = np.random.default_rng(seed)
+    k1, k2 = rng.integers(0, 4, n), rng.integers(0, 4, n)
+    rx1, rx2 = with_block(block, apply_channel, k1.astype(np.uint8), k2, ChannelParams(),
+                          np.zeros(n))
+    assert rx1.tobytes() == QPSK_SYMBOLS[k1].tobytes()
+    assert rx2.tobytes() == QPSK_SYMBOLS[k2].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
 @given(trial_configs())
 def test_blocked_detection_equals_whole_arrays(cfg):
     r = harness._receive(cfg)
     valid = r.valid
-    comp1, comp2 = compensate_pair(r.rx1, r.rx2, cfg.vv, cfg.estimator)
+    t1, t2 = extract_phase(r.rx1, cfg.vv), extract_phase(r.rx2, cfg.vv)
+    means = (t1.mean(), t2.mean()) if cfg.vv.remove_mean else None
+    comp1, comp2 = compensate_traces(r.rx1, r.rx2, t1, t2, means, cfg.estimator)
     k_comp1, k_comp2 = quadrant_indices(comp1[valid]), quadrant_indices(comp2[valid])
     cases = np.bincount(
         classify_cases(r.k_tx1, r.k_tx2, r.k_rx1, r.k_rx2, k_comp1, k_comp2), minlength=4)

@@ -7,6 +7,7 @@ import pytest
 
 import duolink.channel
 from duolink import (
+    SYMBOLS,
     ChannelParams,
     TrialConfig,
     VVConfig,
@@ -14,7 +15,7 @@ from duolink import (
     conversion_efficiency,
     export_efficiency_csv,
     gen_common_phase,
-    map_symbols,
+    gray_indices,
     run_trial,
     shaped_filter_gain,
 )
@@ -110,28 +111,28 @@ class TestGenCommonPhase:
 
 class TestApplyChannel:
     def test_identity_channel(self):
-        tx1 = map_symbols(np.tile([0, 1], 32))
-        tx2 = map_symbols(np.tile([1, 0], 32))
+        tx1 = gray_indices(np.tile([0, 1], 32))
+        tx2 = gray_indices(np.tile([1, 0], 32))
         rx1, rx2 = apply_channel(tx1, tx2, ChannelParams(seed=0))
-        np.testing.assert_array_equal(rx1, tx1)
-        np.testing.assert_array_equal(rx2, tx2)
+        np.testing.assert_array_equal(rx1, SYMBOLS[tx1])
+        np.testing.assert_array_equal(rx2, SYMBOLS[tx2])
 
     def test_pure_rotation_forced_constant_phase(self):
-        tx1 = map_symbols(np.tile([0, 0], 16))
-        tx2 = map_symbols(np.tile([1, 1], 16))
+        tx1 = gray_indices(np.tile([0, 0], 16))
+        tx2 = gray_indices(np.tile([1, 1], 16))
         phase = np.full(16, 0.5)
         rx1, rx2 = apply_channel(tx1, tx2, ChannelParams(seed=0), phase=phase)
-        np.testing.assert_allclose(rx1, tx1 * np.exp(0.5j), atol=1e-12)
-        np.testing.assert_allclose(rx2, tx2 * np.exp(0.5j), atol=1e-12)
+        np.testing.assert_allclose(rx1, SYMBOLS[tx1] * np.exp(0.5j), atol=1e-12)
+        np.testing.assert_allclose(rx2, SYMBOLS[tx2] * np.exp(0.5j), atol=1e-12)
 
     def test_both_channels_share_the_phase_trace(self):
         """The injected rotations of the two channels are identical."""
         n = 2048
         params = ChannelParams(sigma_common=0.3, seed=21)
-        tx = np.ones(n, dtype=complex)
+        tx = np.zeros(n, dtype=np.uint8)
         rx1, rx2 = apply_channel(tx, tx, params)
-        phi1 = np.angle(rx1)
-        phi2 = np.angle(rx2)
+        phi1 = np.angle(rx1 * np.conj(SYMBOLS[0]))
+        phi2 = np.angle(rx2 * np.conj(SYMBOLS[0]))
         np.testing.assert_array_equal(phi1, phi2)
         assert np.corrcoef(phi1, phi2)[0, 1] == pytest.approx(1.0)
         np.testing.assert_allclose(phi1, gen_common_phase(n, params), atol=1e-12)
@@ -139,7 +140,7 @@ class TestApplyChannel:
     def test_additive_noise_channels_uncorrelated(self):
         n = 10**5
         params = ChannelParams(sigma_additive=1.0, seed=13)
-        tx = np.zeros(n, dtype=complex)
+        tx = np.zeros(n, dtype=np.uint8)
         rx1, rx2 = apply_channel(tx, tx, params)
         bound = 3 / math.sqrt(n)
         assert abs(np.corrcoef(rx1.real, rx2.real)[0, 1]) < bound
@@ -149,7 +150,7 @@ class TestApplyChannel:
     def test_noise_statistics(self):
         n = 10**5
         params = ChannelParams(sigma_additive=0.15, seed=29)
-        tx = np.zeros(n, dtype=complex)
+        tx = np.zeros(n, dtype=np.uint8)
         rx1, _ = apply_channel(tx, tx, params)
         assert rx1.real.std() == pytest.approx(0.15, rel=0.02)
         assert rx1.imag.std() == pytest.approx(0.15, rel=0.02)
@@ -157,8 +158,8 @@ class TestApplyChannel:
     def test_delay_shifts_channel_two_circularly(self):
         n = 64
         params = ChannelParams(sigma_common=0.2, delay_offset=5, seed=9)
-        tx1 = map_symbols(np.arange(2 * n) % 2)
-        tx2 = map_symbols((np.arange(2 * n) + 1) % 2)
+        tx1 = gray_indices(np.arange(2 * n) % 2)
+        tx2 = gray_indices((np.arange(2 * n) + 1) % 2)
         rx1, rx2 = apply_channel(tx1, tx2, params)
         aligned_params = ChannelParams(sigma_common=0.2, delay_offset=0, seed=9)
         y1, y2 = apply_channel(tx1, tx2, aligned_params)
@@ -167,7 +168,7 @@ class TestApplyChannel:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differ"):
-            apply_channel(np.ones(4, complex), np.ones(5, complex), ChannelParams())
+            apply_channel(np.zeros(4, np.uint8), np.zeros(5, np.uint8), ChannelParams())
 
     @pytest.mark.parametrize("k", [[0, 1, 4, 2], np.array([0, -1, 2, 3], dtype=np.int8)])
     def test_index_stream_out_of_range_rejected(self, k):
@@ -175,14 +176,33 @@ class TestApplyChannel:
         with pytest.raises(ValueError, match="tx2 must hold quadrant indices in 0..3"):
             apply_channel(np.zeros(4, dtype=np.uint8), k, ChannelParams())
 
+    @pytest.mark.parametrize("name", ["tx1", "tx2"])
+    @pytest.mark.parametrize("stream", [
+        SYMBOLS[[0, 1, 2, 3]], np.array([0.0, 1.0, 2.0, 3.0]),
+        np.array([False, True, True, False])], ids=["complex", "float", "bool"])
+    def test_non_index_stream_rejected(self, stream, name):
+        """Complex symbols, and floats or bools equal to quadrant indices,
+        are not taken as transmit streams."""
+        streams = {"tx1": np.zeros(4, dtype=np.uint8), "tx2": np.zeros(4, dtype=np.uint8)}
+        streams[name] = stream
+        with pytest.raises(ValueError, match=f"{name} must be an array of integers"):
+            apply_channel(streams["tx1"], streams["tx2"], ChannelParams())
+
     def test_phase_override_length_checked(self):
-        tx = np.ones(8, complex)
+        tx = np.zeros(8, np.uint8)
         with pytest.raises(ValueError, match="length"):
             apply_channel(tx, tx, ChannelParams(), phase=np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_phase_override_non_finite_rejected(self, bad):
+        tx = np.zeros(4, np.uint8)
+        phase = np.array([0.0, bad, 0.1, 0.2])
+        with pytest.raises(ValueError, match="phase must be finite"):
+            apply_channel(tx, tx, ChannelParams(), phase=phase)
+
     def test_same_seed_bit_identical(self):
         params = ChannelParams(sigma_common=0.3, sigma_additive=0.1, seed=101)
-        tx = map_symbols(np.tile([0, 1, 1, 0], 64))
+        tx = gray_indices(np.tile([0, 1, 1, 0], 64))
         a1, a2 = apply_channel(tx, tx, params)
         b1, b2 = apply_channel(tx, tx, params)
         np.testing.assert_array_equal(a1, b1)

@@ -1,10 +1,23 @@
-"""The type policy applied to every typed field of the config classes."""
+"""The type policy applied to every typed field of the config classes, and
+the 1-D rule applied to every stream argument."""
 
+import re
 from dataclasses import dataclass, fields
 
+import numpy as np
 import pytest
 
-from duolink import ChannelParams, EstimatorConfig, TrialConfig, VVConfig, _checks
+from duolink import (
+    ChannelParams,
+    EstimatorConfig,
+    TrialConfig,
+    VVConfig,
+    _checks,
+    apply_channel,
+    estimate_delay,
+    extract_phase,
+)
+from duolink.alignment import _shift
 
 REQUIRED = {TrialConfig: {"n_symbols": 1000}}
 
@@ -73,3 +86,31 @@ def test_none_and_unread_annotations_accepted():
     _checks.check_fields(Composite(**GOOD))
     _checks.check_fields(Composite(**{**GOOD, "optional_pair": None, "optional_count": None,
                                       "unread": None}))
+
+
+N = 8
+
+# Each stream argument given an array of the shape passed in, the others
+# valid 1-D arrays of its size.
+STREAM_ARGUMENTS = {
+    "tx1": lambda a: apply_channel(a.astype(np.uint8), a.astype(np.uint8), ChannelParams()),
+    "tx2": lambda a: apply_channel(np.zeros(a.size, np.uint8), a.astype(np.uint8),
+                                   ChannelParams()),
+    "phase": lambda a: apply_channel(np.zeros(a.size, np.uint8), np.zeros(a.size, np.uint8),
+                                     ChannelParams(), phase=a),
+    "samples": lambda a: extract_phase(a.astype(complex), VVConfig(window=1)),
+    "trace1": lambda a: estimate_delay(a, a, 0),
+    "trace2": lambda a: estimate_delay(np.zeros(a.size), a, 0),
+    "s": lambda a: _shift(a, 0),
+}
+
+
+@pytest.mark.parametrize("shape", [(), (3, 4), (N, 1)], ids=str)
+@pytest.mark.parametrize("name", STREAM_ARGUMENTS)
+def test_stream_argument_must_be_one_dimensional(name, shape):
+    """A stream that is not 1-D is named with its shape, not left to fail
+    in numpy's broadcasting or indexing."""
+    a = np.zeros(shape)
+    message = f"{name} must be a 1-D array, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        STREAM_ARGUMENTS[name](a)

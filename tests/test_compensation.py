@@ -6,14 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from duolink import (
+    SYMBOLS,
     ChannelParams,
     EstimatorConfig,
     VVConfig,
     apply_channel,
     apply_compensation,
-    compensate_pair,
     compensate_traces,
     estimate_common_phase,
+    extract_phase,
+    gray_indices,
     map_symbols,
 )
 from oracles import count_errors, demap_symbols, weighted_phase_reference
@@ -52,6 +54,13 @@ class TestEstimateCommonPhase:
             estimate_common_phase(bad, 0.1, EstimatorConfig())
         with pytest.raises(ValueError, match="finite"):
             estimate_common_phase(0.1, bad, EstimatorConfig())
+
+    @pytest.mark.parametrize("cfg", [EstimatorConfig(kappa=1.0),
+                                     EstimatorConfig(kappa_infinite=True)])
+    def test_returns_an_array_for_any_input(self, cfg):
+        for phi1, phi2 in [(0.2, 0.4), (np.array([0.2, -0.1]), np.array([0.4, 0.3]))]:
+            est = estimate_common_phase(phi1, phi2, cfg)
+            assert isinstance(est, np.ndarray) and est.shape == np.shape(phi1)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(2)
@@ -134,11 +143,22 @@ class TestApplyCompensation:
             apply_compensation(np.ones(4, complex), np.zeros(3))
 
 
+def compensate_streams(rx1, rx2, vv, cfg):
+    """Joint compensation of two received streams from the traces
+    extract_phase takes of them, with each trace's mean removed first when
+    vv.remove_mean is set."""
+    t1, t2 = extract_phase(rx1, vv), extract_phase(rx2, vv)
+    means = (t1.mean(), t2.mean()) if vv.remove_mean else None
+    return compensate_traces(rx1, rx2, t1, t2, means, cfg)
+
+
 class TestCompensatePair:
+    """A received pair compensated from its extracted traces."""
+
     def test_zero_noise_identity(self):
         tx1 = map_symbols(np.tile([0, 1], 64))
         tx2 = map_symbols(np.tile([1, 1], 64))
-        out1, out2 = compensate_pair(
+        out1, out2 = compensate_streams(
             tx1, tx2, VVConfig(window=1, remove_mean=False),
             EstimatorConfig(kappa_infinite=True))
         np.testing.assert_allclose(out1, tx1, atol=1e-12)
@@ -151,14 +171,14 @@ class TestCompensatePair:
         rng = np.random.default_rng(12)
         bits1 = rng.integers(0, 2, 2 * n)
         bits2 = rng.integers(0, 2, 2 * n)
-        tx1, tx2 = map_symbols(bits1), map_symbols(bits2)
+        k1, k2 = gray_indices(bits1), gray_indices(bits2)
         phi = rng.uniform(-0.7, 0.7, n)
-        rx1, rx2 = apply_channel(tx1, tx2, ChannelParams(seed=0), phase=phi)
-        out1, out2 = compensate_pair(
+        rx1, rx2 = apply_channel(k1, k2, ChannelParams(seed=0), phase=phi)
+        out1, out2 = compensate_streams(
             rx1, rx2, VVConfig(window=1, remove_mean=False),
             EstimatorConfig(kappa_infinite=True))
-        np.testing.assert_allclose(out1, tx1, atol=1e-12)
-        np.testing.assert_allclose(out2, tx2, atol=1e-12)
+        np.testing.assert_allclose(out1, SYMBOLS[k1], atol=1e-12)
+        np.testing.assert_allclose(out2, SYMBOLS[k2], atol=1e-12)
         assert count_errors(bits1, demap_symbols(out1))[0] == 0
         assert count_errors(bits2, demap_symbols(out2))[0] == 0
 
@@ -166,16 +186,17 @@ class TestCompensatePair:
         """A constant carrier offset disappears with remove_mean."""
         tx = map_symbols(np.tile([0, 1, 1, 0], 64))
         rx = tx * np.exp(0.2j)
-        out1, out2 = compensate_pair(
+        out1, out2 = compensate_streams(
             rx, rx, VVConfig(window=1, remove_mean=True),
             EstimatorConfig(kappa=0.0))
         np.testing.assert_allclose(out1, tx, atol=1e-9)
         np.testing.assert_allclose(out2, tx, atol=1e-9)
 
     def test_length_mismatch_rejected(self):
+        rx1, rx2 = np.ones(4, complex), np.ones(6, complex)
+        t1, t2 = extract_phase(rx1, VVConfig()), extract_phase(rx2, VVConfig())
         with pytest.raises(ValueError, match="differ"):
-            compensate_pair(np.ones(4, complex), np.ones(6, complex),
-                            VVConfig(), EstimatorConfig())
+            compensate_traces(rx1, rx2, t1, t2, None, EstimatorConfig())
 
 
 class TestCompensateTraces:

@@ -22,7 +22,6 @@ from duolink import (
     EstimatorConfig,
     TrialConfig,
     VVConfig,
-    classify_case,
     classify_cases,
     emit,
     kappa_objective,
@@ -59,43 +58,37 @@ def small_config(**channel_kwargs):
     )
 
 
+def classify_one(*quadrants):
+    """The Case of one symbol slot, from classify_cases on one-element arrays."""
+    return Case(classify_cases(*([q] for q in quadrants))[0])
+
+
 class TestClassifyCase:
     def test_both_received_correct(self):
-        assert classify_case(0, 0, 0, 0, 0, 0) is Case.NO_CORRECTION_REQUIRED
+        assert classify_one(0, 0, 0, 0, 0, 0) is Case.NO_CORRECTION_REQUIRED
 
     def test_neighbor_quadrant_corrected(self):
-        assert classify_case(0, 0, 0, 1, 0, 0) is Case.CORRECTION_SUCCESSFUL
+        assert classify_one(0, 0, 0, 1, 0, 0) is Case.CORRECTION_SUCCESSFUL
 
     def test_both_moved_not_correctable(self):
-        assert classify_case(0, 0, 1, 1, 1, 1) is Case.NO_CORRECTION_POSSIBLE
+        assert classify_one(0, 0, 1, 1, 1, 1) is Case.NO_CORRECTION_POSSIBLE
 
     def test_correct_channel_broken_is_additional_error(self):
-        assert classify_case(0, 0, 1, 0, 1, 1) is Case.ADDITIONAL_ERRORS
+        assert classify_one(0, 0, 1, 0, 1, 1) is Case.ADDITIONAL_ERRORS
 
     def test_wrong_channel_stays_wrong(self):
-        assert classify_case(0, 0, 1, 0, 1, 0) is Case.NO_CORRECTION_POSSIBLE
+        assert classify_one(0, 0, 1, 0, 1, 0) is Case.NO_CORRECTION_POSSIBLE
 
     def test_received_correct_takes_precedence(self):
         """Both received correct classifies as case 1 even if the algorithm
         then breaks a channel (first rule in the decision list)."""
-        assert classify_case(0, 0, 0, 0, 1, 0) is Case.NO_CORRECTION_REQUIRED
+        assert classify_one(0, 0, 0, 0, 1, 0) is Case.NO_CORRECTION_REQUIRED
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="quadrant"):
-            classify_case(4, 0, 0, 0, 0, 0)
+            classify_one(4, 0, 0, 0, 0, 0)
         with pytest.raises(ValueError, match="quadrant"):
-            classify_case(0, 0, 0, -1, 0, 0)
-
-    @pytest.mark.parametrize("args, name", [
-        ((2**70, 0, 0, 0, 0, 0), "tx_q1"),
-        ((0, 0, 0, -2**70, 0, 0), "rx_q2"),
-        ((0, 0, 0, 0, np.uint64(2**63), 0), "post_q1"),
-    ])
-    def test_huge_integer_rejected_as_quadrant(self, args, name):
-        """An integer beyond the int64 range is named as out of 0..3, not
-        rejected as an array of the wrong dtype."""
-        with pytest.raises(ValueError, match=f"^{name} must be a quadrant index in 0..3$"):
-            classify_case(*args)
+            classify_one(0, 0, 0, -1, 0, 0)
 
     @pytest.mark.parametrize("args, name", [
         ((True, 0, 1.0, 0, 0, 0), "tx_q1"),
@@ -104,26 +97,27 @@ class TestClassifyCase:
     ])
     def test_non_integer_rejected(self, args, name):
         """Bools and floats equal to a quadrant index are not indices."""
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            classify_case(*args)
+        with pytest.raises(ValueError, match=f"{name} must be an array of integers"):
+            classify_one(*args)
 
     def test_numpy_integers_accepted(self):
         args = (np.uint8(0), np.int64(0), 1, np.intp(0), 0, 0)
-        assert classify_case(*args) is Case.CORRECTION_SUCCESSFUL
+        assert classify_one(*args) is Case.CORRECTION_SUCCESSFUL
 
     def test_matches_truth_table_exhaustively(self):
         """All 4^6 quadrant combinations agree with the hand-written table."""
         for combo in product(range(4), repeat=6):
             t1, t2, r1, r2, p1, p2 = combo
             key = (r1 == t1, r2 == t2, p1 == t1, p2 == t2)
-            assert classify_case(*combo) is CASE_TRUTH_TABLE[key]
+            assert classify_one(*combo) is CASE_TRUTH_TABLE[key]
 
     def test_vectorized_matches_scalar(self):
+        """500 slots classified at once equal each slot classified alone."""
         rng = np.random.default_rng(0)
         cols = [rng.integers(0, 4, 500) for _ in range(6)]
         codes = classify_cases(*cols)
         for i in range(500):
-            assert codes[i] == classify_case(*(int(c[i]) for c in cols))
+            assert codes[i] == classify_one(*(int(c[i]) for c in cols))
 
     @pytest.mark.parametrize("lengths", [(3, 1, 3, 1, 3, 1), (3, 2, 3, 2, 3, 2), (3, 3, 3, 3, 3, 0)])
     def test_vectorized_length_mismatch_rejected(self, lengths):

@@ -189,6 +189,15 @@ class TestCountQuadrantErrors:
         with pytest.raises(ValueError, match="differ"):
             count_quadrant_errors([0, 1], [0, 1, 2])
 
+    @pytest.mark.parametrize("shape", [(2, 2), (5, 6), (2, 3, 5)])
+    def test_any_shape_counts_as_flattened(self, shape):
+        """Equal-shape arrays of any dimensions, as classify_cases takes,
+        count as their flattened pairs."""
+        rng = np.random.default_rng(4)
+        k_tx, k_rx = rng.integers(0, 4, shape), rng.integers(0, 4, shape)
+        assert count_quadrant_errors(k_tx, k_rx) == count_quadrant_errors(
+            k_tx.ravel(), k_rx.ravel())
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="quadrant"):
             count_quadrant_errors([0, 4], [0, 1])
