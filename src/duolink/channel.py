@@ -172,9 +172,9 @@ def apply_channel(
     """Run both transmit streams through the shared-phase channel.
 
     Each stream is given as quadrant indices (a 1-D array of an integer
-    dtype, values 0..3), which stand for their symbols qpsk.SYMBOLS[k]: the
-    channel looks the symbols up block by block, so the complex transmit
-    stream never exists whole.
+    dtype, values 0..3, at least one symbol long), which stand for their
+    symbols qpsk.SYMBOLS[k]: the channel looks the symbols up block by
+    block, so the complex transmit stream never exists whole.
 
     Returns (rx1, rx2). Channel 2 is circularly shifted by
     params.delay_offset, so rx2[n] carries the symbol, phase imprint and
@@ -190,6 +190,7 @@ def apply_channel(
     _checks.same_shape(tx1=tx1, tx2=tx2)
     _checks.quadrants(tx1=tx1, tx2=tx2)
     n = tx1.size
+    _checks.at_least("tx1 length", n, 1)
     if phase is None:
         phi = gen_common_phase(n, params)
     else:
@@ -200,7 +201,7 @@ def apply_channel(
     # channel 2 is written straight into its shifted layout: symbol j lands
     # in slot (j - shift) mod n, a contiguous run for each block of
     # [0, shift) and of [shift, n)
-    shift = params.delay_offset % n if n else 0
+    shift = params.delay_offset % n
     src, dst = [], []
     for lo, hi, to in ((0, shift, n - shift), (shift, n, -shift)):
         for b in _blocks.blocks(lo, hi):

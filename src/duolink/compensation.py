@@ -78,10 +78,10 @@ def apply_compensation(rx: np.ndarray, estimates: np.ndarray) -> np.ndarray:
     est = np.asarray(estimates, dtype=float)
     _checks.same_shape(rx=rx, estimates=est)
     # the rotation is the product's first operand at every length: the
-    # rounding of a complex product depends on the operand order
-    out = _derotation(est)
-    out *= rx
-    return out
+    # rounding of a complex product depends on the operand order. Nor is it
+    # taken in place: numpy rounds an in-place product of one element
+    # differently from the same product in a longer array
+    return _derotation(est) * rx
 
 
 def compensate_traces(

@@ -36,11 +36,22 @@ class VVConfig:
 
 
 def wrap_quarter(values: np.ndarray) -> np.ndarray:
-    """Wrap phases into (-pi/4, pi/4], boundary to +pi/4."""
+    """Wrap phases into (-pi/4, pi/4], boundary to +pi/4: the bits of
+    pi/4 - np.mod(pi/4 - x, pi/2), with the excluded endpoint moved to +pi/4."""
     x = np.asarray(values, dtype=float)
-    out = QUARTER_PI - np.mod(QUARTER_PI - x, HALF_PI)
-    # float rounding in np.mod can land exactly on the excluded endpoint
-    out = np.where(out <= -QUARTER_PI, out + HALF_PI, out)
+    a = np.subtract(QUARTER_PI, x, out=np.empty(x.shape))
+    if a.size and -HALF_PI <= a.min() and a.max() < np.pi:
+        # np.mod(a, pi/2) by one branch: a - pi/2 on [pi/2, pi) is exact,
+        # as fmod is, and a + pi/2 on [-pi/2, 0) is the sum np.mod rounds.
+        # The branch is taken by adding 0 or pi/2, not by a mask, whose
+        # random pattern would cost more than the arithmetic.
+        a -= HALF_PI * (a >= HALF_PI)
+        a += HALF_PI * (a < 0)
+    else:  # also NaN and infinities
+        np.mod(a, HALF_PI, out=a)
+    out = np.subtract(QUARTER_PI, a, out=a)
+    # float rounding can land exactly on the excluded endpoint
+    out += HALF_PI * (out <= -QUARTER_PI)
     return out
 
 
@@ -61,6 +72,8 @@ def extract_phase(samples: np.ndarray, cfg: VVConfig) -> np.ndarray:
     phase = np.empty(n)
 
     def extract(b: slice) -> None:
+        if not np.isfinite(s[b]).all():
+            raise ValueError("samples must be finite")
         # the windows of a block reach `half` samples past its ends; a
         # segment shorter than the window is widened to it (or to the whole
         # stream), because np.convolve swaps its arguments when the kernel

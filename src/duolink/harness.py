@@ -36,8 +36,8 @@ from . import _blocks, _checks, _files
 from .alignment import AlignmentResult, _shift, estimate_delay
 from .channel import STREAM_BITS1, STREAM_BITS2, ChannelParams, apply_channel, stream_rng
 from .compensation import EstimatorConfig, apply_compensation, compensate_traces
-from .cpe import VVConfig, extract_phase
-from .qpsk import count_quadrant_errors, gray_indices, quadrant_indices
+from .cpe import HALF_PI, QUARTER_PI, VVConfig, extract_phase, wrap_quarter
+from .qpsk import GRAY_DISTANCE, gray_indices, quadrant_indices
 
 WILSON_Z95 = 1.959963984540054
 
@@ -155,9 +155,10 @@ def run_trial(cfg: TrialConfig) -> BERReport:
     (on their QPSK symbols) -> delay recovery from per-symbol phase traces ->
     channel-2 alignment -> baseline (per-channel VV rotation) and compensated
     (joint) detection -> count and classify. Each phase trace is extracted
-    once and each stream (received, compensated, baseline) is decided once;
-    bit errors are counted from the decided quadrants. Deterministic for a
-    given config.
+    once. A symbol whose decisions its own phase already fixes is decided
+    from that phase, once; only the others are rotated and decided (see
+    MARGIN). Bit errors are counted from the decided quadrants.
+    Deterministic for a given config.
     """
     return _detect(_receive(cfg), cfg)
 
@@ -165,10 +166,11 @@ def run_trial(cfg: TrialConfig) -> BERReport:
 def kappa_objective(cfg: TrialConfig):
     """The compensated BER of cfg's channel realization as a function of kappa.
 
-    The realization, its phase traces, the delay recovery and the received
-    decisions are computed once, here; each call re-runs only the joint
-    estimate and the detection, giving exactly
-    run_trial(cfg with that finite kappa and no baseline).ber_compensated.
+    The realization, its phase traces, the delay recovery, the received
+    decisions and the compensated decisions that no estimate can change (the
+    settled symbols, see MARGIN) are computed once, here. Each call re-runs
+    the joint estimate and the detection on the open symbols only, giving
+    exactly run_trial(cfg with that finite kappa and no baseline).ber_compensated.
     """
     cfg = replace(cfg, compare_baseline=False)
     reception = _receive(cfg)
@@ -180,30 +182,96 @@ def kappa_objective(cfg: TrialConfig):
     return objective
 
 
+# A symbol is settled at reception when its compensated decision is the same
+# for every estimate the joint estimator can return. Only the other, open,
+# symbols are rotated and decided for each estimator setting.
+#
+# Channel j's sample has the angle c(k_rx) + o. Here k_rx is its quadrant,
+# c(k) = pi/4 + k*pi/2 that quadrant's center, and o the sample's own
+# window-1 offset (cpe.extract_phase at window 1). Compensation rotates the
+# sample by m + theta. m is the mean that the mean removal takes off (0
+# without it). theta is the joint estimate: a weighted mean of the two
+# wrapped, mean-removed observations for a finite kappa, and one of them for
+# kappa_infinite, so it lies in their hull [lo, hi] up to rounding. The
+# compensated decision is (k_rx + s) mod 4, s = floor((o - m - theta + pi/4)
+# / (pi/2)).
+#
+# A symbol is settled when both channels meet three conditions:
+# - |o| < pi/4 - MARGIN: the sample lies off the axes, so k_rx and o
+#   describe one angle;
+# - the sample's power is at least NORMAL_POWER: its fourth power is a
+#   normal float, so o is accurate;
+# - s is one integer over all of [lo - MARGIN, hi + MARGIN].
+# Extraction, wrap, estimate and rotation each err by about 1e-15 rad, far
+# below MARGIN. So the float pipeline's compensated sample lies inside the
+# quadrant that s names, by about MARGIN, and is decided there. The baseline
+# rotates channel j by its trace t_j alone: the same rule holds for it with
+# m = 0 and the hull [t_j, t_j].
+MARGIN = 1e-9
+NORMAL_POWER = 2.0**-500
+
+_QUARTER_TURNS = 1 / HALF_PI  # per radian
+
+# A symbol's code packs, from the top: tx1 and tx2 (two bits each), whether
+# each channel was received in its transmitted quadrant (one bit each), and
+# the compensated decisions post1 and post2 (two bits each). Its top six bits
+# are the key that the reception keeps per open symbol. A baseline code packs
+# tx1, tx2, base1 and base2.
+_CODES = 1 << 10
+_BASE_CODES = 1 << 8
+
+
+def _count_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Integer tables that turn a code histogram into counts: per code
+    [errors 1, errors 2, case 1, ..., case 4], per baseline code
+    [errors 1, errors 2]."""
+    code = np.arange(_CODES)
+    tx1, tx2, post1, post2 = code >> 8, code >> 6 & 3, code >> 2 & 3, code & 3
+    # the cases depend only on whether each channel was received right, so
+    # a wrong reception stands as some other quadrant
+    rx1 = np.where(code >> 5 & 1, tx1, tx1 ^ 1)
+    rx2 = np.where(code >> 4 & 1, tx2, tx2 ^ 1)
+    cases = classify_cases(tx1, tx2, rx1, rx2, post1, post2)
+    counts = np.column_stack([GRAY_DISTANCE[tx1, post1], GRAY_DISTANCE[tx2, post2],
+                              cases[:, None] == np.arange(len(Case))])
+    base = np.arange(_BASE_CODES)
+    base_errors = np.column_stack([GRAY_DISTANCE[base >> 6, base >> 2 & 3],
+                                   GRAY_DISTANCE[base >> 4 & 3, base & 3]])
+    return counts.astype(np.int64), base_errors.astype(np.int64)
+
+
+_COUNTS, _BASE_ERRORS = _count_tables()
+
+
 @dataclass(frozen=True)
 class _Reception:
-    """What a trial computes before the joint estimate: the received streams
-    (channel 2 aligned), the receiver's phase traces and their means for the
-    mean removal (None when it is off), the recovered delay and the tx/rx
-    quadrant decisions on the valid region."""
+    """What a trial computes before the joint estimate, on the valid region.
+
+    The open symbols' samples (channel 2 aligned), phase traces and keys,
+    gathered in symbol order; the histogram of the settled symbols' codes;
+    the histogram of the baseline codes (None without the baseline); the
+    traces' means for the mean removal (None when it is off); the number of
+    valid symbols and the recovered delay.
+    """
 
     rx1: np.ndarray
     rx2: np.ndarray
     trace1: np.ndarray
     trace2: np.ndarray
+    key: np.ndarray
+    settled: np.ndarray
+    baseline: np.ndarray | None
     means: tuple[float, float] | None
-    valid: slice
+    valid_symbols: int
     estimated_lag: int
     lag_confident: bool
-    k_tx1: np.ndarray
-    k_tx2: np.ndarray
-    k_rx1: np.ndarray
-    k_rx2: np.ndarray
 
 
 def _receive(cfg: TrialConfig) -> _Reception:
     """The part of run_trial that kappa, the estimator mode and
-    compare_baseline do not change."""
+    compare_baseline do not change, ending in the settle pass (see MARGIN).
+    Only what _Reception holds outlives it: the whole streams and traces
+    are freed when it returns."""
     n = cfg.n_symbols
     ch = cfg.channel
 
@@ -245,56 +313,149 @@ def _receive(cfg: TrialConfig) -> _Reception:
         trace2 = extract_phase(rx2, cfg.vv)
     # the mean removal takes the whole traces' means, not each block's
     means = (trace1.mean(), trace2.mean()) if cfg.vv.remove_mean else None
-    return _Reception(
-        rx1=rx1, rx2=rx2, trace1=trace1, trace2=trace2, means=means, valid=valid,
-        estimated_lag=applied_lag, lag_confident=delay.confident,
-        k_tx1=k_tx1[valid], k_tx2=k_tx2[valid],
-        k_rx1=quadrant_indices(rx1[valid]), k_rx2=quadrant_indices(rx2[valid]),
-    )
+    settled, baseline, opened = _settle(
+        rx1[valid], rx2[valid], trace1[valid], trace2[valid], k_tx1[valid], k_tx2[valid],
+        means, share, cfg.compare_baseline)
+    return _Reception(*opened, settled=settled, baseline=baseline, means=means,
+                      valid_symbols=valid.stop - valid.start, estimated_lag=applied_lag,
+                      lag_confident=delay.confident)
+
+
+def _settle(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means, own_offsets: bool,
+            baseline: bool) -> tuple[np.ndarray, np.ndarray | None, tuple[np.ndarray, ...]]:
+    """The settle pass (see MARGIN) over equal-length arrays: the received
+    samples, the receiver's phase traces, the transmitted quadrants and the
+    traces' means (None: no mean removal). With own_offsets the traces are
+    the samples' own window-1 offsets; otherwise those are extracted here.
+
+    Returns the histogram of the settled symbols' codes, the histogram of
+    every symbol's baseline code (None unless baseline) and the open
+    symbols' (rx1, rx2, trace1, trace2, key), gathered in order. Runs block
+    by block: the received decisions and the offsets exist one block at a
+    time, and a baseline decision that its own phase does not fix is taken
+    from the rotated sample.
+    """
+    removed = (0.0, 0.0) if means is None else means
+    margin = MARGIN * _QUARTER_TURNS
+
+    def settle(b: slice):
+        rx, traces, k_tx = (rx1[b], rx2[b]), (trace1[b], trace2[b]), (k_tx1[b], k_tx2[b])
+        # the estimate's hull, widened by MARGIN, in quarter turns
+        obs = traces if means is None else [wrap_quarter(t - m) for t, m in zip(traces, means)]
+        lo = np.minimum(*obs)
+        lo *= _QUARTER_TURNS
+        lo -= margin
+        hi = np.maximum(*obs)
+        hi *= _QUARTER_TURNS
+        hi += margin
+        del obs
+        key = k_tx[0] << 4
+        key |= k_tx[1] << 2
+        settled = np.ones(key.size, dtype=bool)
+        base_settled = np.ones(key.size, dtype=bool)
+        posts, bases = [], []
+        for j, (z, t) in enumerate(zip(rx, traces)):
+            k_rx = quadrant_indices(z)
+            key |= (k_rx == k_tx[j]).view(np.uint8) << (1 - j)
+            o = t if own_offsets else _offset(z)
+            exact = np.abs(o) < QUARTER_PI - MARGIN
+            power = z.real * z.real
+            power += z.imag * z.imag
+            exact &= power >= NORMAL_POWER
+            del power
+            settled &= exact
+            # the sample's angle less m, from the axis before quadrant
+            # k_rx, in quarter turns
+            a = o * _QUARTER_TURNS
+            a += 0.5 - removed[j] * _QUARTER_TURNS
+            posts.append(_decision(a, lo, hi, settled, k_rx))
+            if baseline:
+                base_settled &= exact
+                # the same less t, whose hull is [-margin, margin]
+                a = o - t
+                a *= _QUARTER_TURNS
+                a += 0.5
+                bases.append(_decision(a, -margin, margin, base_settled, k_rx))
+        code = key.astype(np.uint16) << 4
+        code |= posts[0] << 2
+        code |= posts[1]
+        hist = np.bincount(code[settled], minlength=_CODES)
+        at = np.flatnonzero(~settled)
+        opened = (rx[0][at], rx[1][at], traces[0][at], traces[1][at], key[at])
+        if not baseline:
+            return hist, None, opened
+        at = np.flatnonzero(~base_settled)
+        for z, t, decided in zip(rx, traces, bases):
+            decided[at] = quadrant_indices(apply_compensation(z[at], t[at]))
+        code = (key >> 2) << 4
+        code |= bases[0] << 2
+        code |= bases[1]
+        return hist, np.bincount(code, minlength=_BASE_CODES), opened
+
+    parts = _blocks.each(settle, _blocks.blocks(0, k_tx1.size))
+    settled = sum((p[0] for p in parts), np.zeros(_CODES, dtype=np.int64))
+    base = sum((p[1] for p in parts), np.zeros(_BASE_CODES, dtype=np.int64)) if baseline else None
+    opened = tuple(np.concatenate(arrays) for arrays in zip(*(p[2] for p in parts)))
+    return settled, base, opened
+
+
+def _offset(z: np.ndarray) -> np.ndarray:
+    """Each sample's window-1 offset angle(-z**4) / 4, within a few rounding
+    errors of extract_phase's, as the settle rule allows. The fourth power
+    is taken by two squarings; extract_phase's rules for the +-pi/4
+    endpoint and for a zero sample are left out, as such a sample is open
+    anyway."""
+    q = z * z
+    q *= q
+    np.negative(q, out=q)
+    o = np.arctan2(q.imag, q.real)
+    o /= 4
+    return o
+
+
+def _decision(a: np.ndarray, lo, hi, settled: np.ndarray, k_rx: np.ndarray) -> np.ndarray:
+    """(k_rx + floor(a - theta)) mod 4 as uint8, for theta at lo; clears
+    `settled` where floor(a - theta) is not one integer on [lo, hi]. All
+    angles are in quarter turns. Consumes a."""
+    s = a - lo
+    np.floor(s, out=s)
+    a -= hi
+    # floor(a - hi) <= s: they are equal where a - hi reaches s
+    settled &= a >= s
+    decided = s.astype(np.int8).view(np.uint8)
+    decided += k_rx
+    decided &= 3
+    return decided
 
 
 def _detect(r: _Reception, cfg: TrialConfig) -> BERReport:
-    """The part of run_trial that depends on the estimator: joint
-    compensation, counting, the optional baseline and classification.
-    Reads the reception without modifying it.
+    """The part of run_trial that depends on the estimator: the joint
+    compensation and decisions of the open symbols, whose codes join the
+    settled histogram, and the counts read from it. Reads the reception
+    without modifying it.
 
-    Runs block by block over the valid region and keeps only counts: the
-    compensated streams and their decisions never exist whole.
+    Runs block by block over the open symbols; the compensated streams and
+    their decisions never exist whole.
     """
-    valid = r.valid
-    n_valid = valid.stop - valid.start
-    bits_per_channel = 2 * n_valid
 
-    def count(b: slice) -> np.ndarray:
-        """One block's compensated and baseline errors per channel, then its
-        histogram of cases: [ec1, ec2, eb1, eb2, case 1, ..., case 4]."""
-        k = slice(b.start - valid.start, b.stop - valid.start)
-        k_tx1, k_tx2 = r.k_tx1[k], r.k_tx2[k]
+    def decide(b: slice) -> np.ndarray:
         comp1, comp2 = compensate_traces(
             r.rx1[b], r.rx2[b], r.trace1[b], r.trace2[b], r.means, cfg.estimator)
-        k_comp1, k_comp2 = quadrant_indices(comp1), quadrant_indices(comp2)
-        del comp1, comp2
-        out = np.zeros(8, dtype=np.int64)
-        out[0] = count_quadrant_errors(k_tx1, k_comp1)
-        out[1] = count_quadrant_errors(k_tx2, k_comp2)
-        if cfg.compare_baseline:
-            out[2] = count_quadrant_errors(
-                k_tx1, quadrant_indices(apply_compensation(r.rx1[b], r.trace1[b])))
-            out[3] = count_quadrant_errors(
-                k_tx2, quadrant_indices(apply_compensation(r.rx2[b], r.trace2[b])))
-        codes = classify_cases(k_tx1, k_tx2, r.k_rx1[k], r.k_rx2[k], k_comp1, k_comp2)
-        out[4:] = np.bincount(codes, minlength=4)
-        return out
+        code = r.key[b].astype(np.uint16) << 4
+        code |= quadrant_indices(comp1) << 2
+        code |= quadrant_indices(comp2)
+        return np.bincount(code, minlength=_CODES)
 
-    totals = sum(_blocks.each(count, _blocks.blocks(valid.start, valid.stop)),
-                 np.zeros(8, dtype=np.int64))
-    ec1, ec2, eb1, eb2 = (int(c) for c in totals[:4])
-    hist = totals[4:]
-    assert int(hist.sum()) == n_valid
+    hist = sum(_blocks.each(decide, _blocks.blocks(0, r.key.size)), r.settled)
+    ec1, ec2, *cases = (hist @ _COUNTS).tolist()
+    n_valid = r.valid_symbols
+    assert sum(cases) == n_valid
+    bits_per_channel = 2 * n_valid
 
     ber_comp = (ec1 + ec2) / (2 * bits_per_channel)
     ci_comp = wilson_interval(ec1 + ec2, 2 * bits_per_channel)
     if cfg.compare_baseline:
+        eb1, eb2 = (r.baseline @ _BASE_ERRORS).tolist()
         ber_base = (eb1 + eb2) / (2 * bits_per_channel)
         ci_base = wilson_interval(eb1 + eb2, 2 * bits_per_channel)
         errors_base = (eb1, eb2)
@@ -309,7 +470,7 @@ def _detect(r: _Reception, cfg: TrialConfig) -> BERReport:
         bits_per_channel=bits_per_channel,
         ci_uncompensated=ci_base,
         ci_compensated=ci_comp,
-        case_counts=tuple(int(c) for c in hist),
+        case_counts=tuple(cases),
         valid_symbols=n_valid,
         estimated_lag=r.estimated_lag,
         lag_confident=r.lag_confident,

@@ -59,9 +59,13 @@ def quadrant_indices(samples: np.ndarray) -> np.ndarray:
     def decide(b: slice) -> None:
         lower = im[b] < 0
         # im >= 0: k = 1 left of the imaginary axis, else 0;
-        # im < 0: k = 3 right of the imaginary axis, else 2
+        # im < 0: k = 3 right of the imaginary axis, else 2. The turn to 1
+        # or 3 is taken in bool arithmetic (left and not lower, or right
+        # and lower): a select on the random pattern of `lower` costs more
+        turned = np.greater(re[b] < 0, lower)
+        turned |= (re[b] > 0) & lower
         np.multiply(lower, np.uint8(2), out=k[b])
-        k[b] += np.where(lower, re[b] > 0, re[b] < 0)
+        k[b] += turned
 
     _blocks.each(decide, _blocks.blocks(0, k.size))
     return out if out.ndim else out[()]

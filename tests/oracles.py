@@ -2,8 +2,8 @@
 
 Everything here is deliberately written without touching the package
 internals so that an implementation bug cannot hide in its own oracle. The
-one exception is reference_trial, which takes its random streams from the
-package (see there).
+one thing taken from the package is the numbering of the per-seed random
+streams, which both sides must share.
 """
 
 import math
@@ -12,7 +12,13 @@ import numpy as np
 
 from duolink import Case
 from duolink.alignment import CONFIDENCE_THRESHOLD, TIE_TOL
-from duolink.channel import STREAM_BITS1, STREAM_BITS2, apply_channel, stream_rng
+from duolink.channel import (
+    STREAM_BITS1,
+    STREAM_BITS2,
+    STREAM_NOISE1,
+    STREAM_NOISE2,
+    STREAM_PHASE,
+)
 
 # Hand-written truth table for the four compensation-outcome cases, keyed by
 # (rx1 correct, rx2 correct, post1 correct, post2 correct). Derived from the
@@ -153,13 +159,59 @@ def wrap_reference(x):
     return x - np.pi / 2 * np.ceil((x - np.pi / 4) / (np.pi / 2))
 
 
+def generator(seed: int, stream: int) -> np.random.Generator:
+    """The generator of random stream `stream` of a channel seed."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
+
+
+def common_phase_reference(n: int, ch) -> np.ndarray:
+    """The shared phase trace of duolink.channel's docstring: iid
+    Gaussian(0, sigma_common^2) per symbol, or white Gaussian noise filtered
+    by the efficiency sqrt(alpha_np^2 + (dbeta*omega)^2) times a first-order
+    high-pass at cpe_cutoff, on the rfft grid of the symbol rate, then
+    scaled to the sample std sigma_common. All zeros when sigma_common is 0
+    or the filtered trace is constant."""
+    if ch.sigma_common == 0:
+        return np.zeros(n)
+    rng = generator(ch.seed, STREAM_PHASE)
+    if ch.phase_model == "iid":
+        return rng.normal(0.0, ch.sigma_common, n)
+    white = rng.standard_normal(n)
+    freq = np.fft.rfftfreq(n, d=1.0 / ch.symbol_rate)
+    alpha_np = math.log(10) / 10 * ch.alpha_dB
+    efficiency = np.hypot(alpha_np, ch.dbeta * 2 * np.pi * freq)
+    x = freq / ch.cpe_cutoff
+    trace = np.fft.irfft(np.fft.rfft(white) * efficiency * x / np.hypot(1.0, x), n)
+    std = trace.std()
+    return np.zeros(n) if std == 0 else trace * (ch.sigma_common / std)
+
+
+def channel_reference(k_tx1, k_tx2, ch) -> tuple[np.ndarray, np.ndarray]:
+    """(rx1, rx2) of duolink.channel's model: each quadrant center rotated
+    by exp(1j*phi), plus sigma_additive times each noise generator's
+    in-phase draws, then its quadrature draws; channel 2 then rolled so
+    that slot n holds symbol n + delay_offset."""
+    n = k_tx1.size
+    rotation = np.exp(1j * common_phase_reference(n, ch))
+    rx = []
+    for k, stream in ((k_tx1, STREAM_NOISE1), (k_tx2, STREAM_NOISE2)):
+        z = QPSK_SYMBOLS[k] * rotation
+        if ch.sigma_additive > 0:
+            rng = generator(ch.seed, stream)
+            in_phase = rng.standard_normal(n)
+            quadrature = rng.standard_normal(n)
+            z = z + ch.sigma_additive * (in_phase + 1j * quadrature)
+        rx.append(z)
+    return rx[0], np.roll(rx[1], -ch.delay_offset)
+
+
 def reference_trial(cfg) -> dict:
     """Every BERReport field of run_trial(cfg) except `config`, computed
     plainly from the package's documented behaviour.
 
-    The payload bits (stream_rng) and the channel (apply_channel) come from
-    the package: their stream layout is what both sides must share. The
-    rest is written here: Gray mapping, the delay search by direct Pearson
+    Only the numbering of the random streams comes from the package. The
+    rest is written here: the payload bits (each stream's 2*n draws), Gray
+    mapping, the channel (channel_reference), the delay search by direct Pearson
     correlation of the per-symbol traces (taken only when the traces are
     longer than 2*max_lag, applied only when confident), explicit window
     sums, per-channel mean removal, the weights exp(-kappa*|phi|) of
@@ -168,10 +220,10 @@ def reference_trial(cfg) -> dict:
     truth table and the Wilson interval.
     """
     n, ch = cfg.n_symbols, cfg.channel
-    bits = [stream_rng(ch.seed, stream).integers(0, 2, size=2 * n)
+    bits = [generator(ch.seed, stream).integers(0, 2, size=2 * n)
             for stream in (STREAM_BITS1, STREAM_BITS2)]
     k_tx = [GRAY_INDEX[b[0::2], b[1::2]] for b in bits]
-    rx1, rx2 = apply_channel(k_tx[0], k_tx[1], ch)
+    rx1, rx2 = channel_reference(k_tx[0], k_tx[1], ch)
 
     lag, confident = 0, False
     if cfg.max_lag > 0 and n > 2 * cfg.max_lag:

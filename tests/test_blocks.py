@@ -1,6 +1,6 @@
 """The blocked trial kernel: no result depends on the block size or on the
-number of threads, the blocked detection equals the whole-array one, and a
-trial's memory stays bounded.
+number of threads, the settle pass and the blocked detection count what the
+whole arrays give, and a trial's memory stays bounded.
 
 The block size is monkeypatched down to 1, 7 and 64 symbols so that short
 trials span several blocks plus a remainder, and the thread count to 1, 2
@@ -32,11 +32,13 @@ from duolink import (
     compensate_traces,
     count_quadrant_errors,
     extract_phase,
+    gray_indices,
     quadrant_indices,
     run_trial,
 )
 import duolink
 from duolink import _blocks, harness, run_sweep
+from duolink.channel import STREAM_BITS1, STREAM_BITS2, stream_rng
 from oracles import QPSK_SYMBOLS
 
 BLOCKS = (1, 7, 64)
@@ -217,21 +219,31 @@ def test_noiseless_channel_gives_the_quadrant_centers(n, seed, block):
 @settings(max_examples=40, deadline=None)
 @given(trial_configs())
 def test_blocked_detection_equals_whole_arrays(cfg):
-    r = harness._receive(cfg)
-    valid = r.valid
-    t1, t2 = extract_phase(r.rx1, cfg.vv), extract_phase(r.rx2, cfg.vv)
+    """At every block size, the settle pass and the detection of the open
+    symbols count what a full evaluation counts: every valid symbol
+    compensated, rotated and decided on the whole arrays."""
+    n, ch = cfg.n_symbols, cfg.channel
+    k_tx1, k_tx2 = (gray_indices(stream_rng(ch.seed, stream).integers(0, 2, 2 * n))
+                    for stream in (STREAM_BITS1, STREAM_BITS2))
+    rx1, rx2 = apply_channel(k_tx1, k_tx2, ch)
+    lag = run_trial(cfg).estimated_lag
+    valid = harness._shift(rx2, lag)
+    t1, t2 = extract_phase(rx1, cfg.vv), extract_phase(rx2, cfg.vv)
     means = (t1.mean(), t2.mean()) if cfg.vv.remove_mean else None
-    comp1, comp2 = compensate_traces(r.rx1, r.rx2, t1, t2, means, cfg.estimator)
+    comp1, comp2 = compensate_traces(rx1, rx2, t1, t2, means, cfg.estimator)
+    k_tx1, k_tx2 = k_tx1[valid], k_tx2[valid]
     k_comp1, k_comp2 = quadrant_indices(comp1[valid]), quadrant_indices(comp2[valid])
-    cases = np.bincount(
-        classify_cases(r.k_tx1, r.k_tx2, r.k_rx1, r.k_rx2, k_comp1, k_comp2), minlength=4)
+    k_rx1, k_rx2 = quadrant_indices(rx1[valid]), quadrant_indices(rx2[valid])
+    cases = np.bincount(classify_cases(k_tx1, k_tx2, k_rx1, k_rx2, k_comp1, k_comp2),
+                        minlength=4)
     errors_base = tuple(
         count_quadrant_errors(k_tx, quadrant_indices(apply_compensation(rx, trace)[valid]))
-        for k_tx, rx, trace in ((r.k_tx1, r.rx1, r.trace1), (r.k_tx2, r.rx2, r.trace2)))
+        for k_tx, rx, trace in ((k_tx1, rx1, t1), (k_tx2, rx2, t2)))
     for block in BLOCKS:
-        report = with_block(block, harness._detect, r, cfg)
+        report = with_block(block, lambda: harness._detect(harness._receive(cfg), cfg))
+        assert report.estimated_lag == lag
         assert report.errors_compensated == (
-            count_quadrant_errors(r.k_tx1, k_comp1), count_quadrant_errors(r.k_tx2, k_comp2))
+            count_quadrant_errors(k_tx1, k_comp1), count_quadrant_errors(k_tx2, k_comp2))
         assert report.errors_uncompensated == (errors_base if cfg.compare_baseline else None)
         assert report.case_counts == tuple(int(c) for c in cases)
 
@@ -265,7 +277,8 @@ def test_compensated_samples_independent_of_block_size(block):
 ])
 def test_trial_peak_memory_per_symbol(phase_model, window, remove_mean):
     """A trial holds two complex streams, two phase traces and the uint8
-    decisions whole; the per-block temporaries add a few B/sym at 2^19."""
+    transmitted indices whole; the open symbols and the per-block
+    temporaries add a few B/sym at 2^19."""
     n = 2**19
     cfg = TrialConfig(
         n_symbols=n,
@@ -293,10 +306,11 @@ def test_trial_peak_memory_without_spare_copies(monkeypatch, phase_model, window
     """With two threads, no complex transmit stream exists whole (the channel
     reads the quadrant indices), no payload bits (they are drawn block by
     block), no centered copy of the delay search's traces (it centers block
-    by block) and no shifted copy of channel 2 (it is rotated in place).
-    Whole arrays at the peak, in the detection: the two streams, the two
-    traces and the four uint8 index arrays (52 B/sym); the blocks in flight
-    add the rest."""
+    by block), no shifted copy of channel 2 (it is rotated in place) and no
+    array of received decisions (the settle pass decides block by block).
+    Whole arrays at the peak, in the settle pass: the two streams, the two
+    traces and the two uint8 transmitted index arrays (50 B/sym); the open
+    symbols gathered so far and the blocks in flight add the rest."""
     monkeypatch.setattr(_blocks, "THREADS", 2)
     n = 2**20
     cfg = TrialConfig(

@@ -188,6 +188,15 @@ class TestApplyChannel:
         with pytest.raises(ValueError, match=f"{name} must be an array of integers"):
             apply_channel(streams["tx1"], streams["tx2"], ChannelParams())
 
+    @pytest.mark.parametrize("phase", [None, np.zeros(0)], ids=["generated", "given"])
+    @pytest.mark.parametrize("phase_model", ["iid", "shaped"])
+    def test_empty_streams_rejected_on_both_paths(self, phase, phase_model):
+        """One length rule, naming tx1, whether the phase is generated or given."""
+        tx = np.zeros(0, np.uint8)
+        params = ChannelParams(sigma_common=0.1, phase_model=phase_model)
+        with pytest.raises(ValueError, match="tx1 length must be >= 1"):
+            apply_channel(tx, tx, params, phase=phase)
+
     def test_phase_override_length_checked(self):
         tx = np.zeros(8, np.uint8)
         with pytest.raises(ValueError, match="length"):

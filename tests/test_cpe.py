@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duolink import (
@@ -14,6 +14,11 @@ from duolink import (
 from oracles import phase_reference
 
 QUARTER_PI = np.pi / 4
+# the edges of wrap_quarter's branches and of its range, signed zeros,
+# subnormals and the largest floats
+EDGES = [s * e for s in (1.0, -1.0) for e in (
+    QUARTER_PI, 3 * QUARTER_PI, np.pi / 2, np.pi, 5 * QUARTER_PI, 0.0, 5e-324, 2.2250738585072014e-308,
+    1e300, np.finfo(float).max)]
 
 
 def random_qpsk(n, seed=0):
@@ -81,6 +86,15 @@ class TestExtractPhase:
         with pytest.raises(ValueError, match="empty"):
             extract_phase(np.array([], dtype=complex), VVConfig(window=1))
 
+    @pytest.mark.parametrize("window", [1, 33])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1, np.nan), complex(-np.inf, 0)])
+    def test_non_finite_samples_rejected(self, window, bad):
+        """A non-finite sample is named at extraction, not passed on as a
+        NaN phase for a later stage to report under another name."""
+        stream = np.array([bad] * 4 + [1 + 1j] * 4, dtype=complex)
+        with pytest.raises(ValueError, match="samples must be finite"):
+            extract_phase(stream, VVConfig(window=window))
+
     def test_zero_window_flagged(self):
         trace = extract_phase(np.zeros(8, complex), VVConfig(window=1, remove_mean=False))
         np.testing.assert_array_equal(trace, np.zeros(8))
@@ -110,12 +124,34 @@ class TestVVConfig:
             VVConfig(window=True)
 
 
+def beside(edge_and_direction):
+    """The float next to an edge, towards +-inf."""
+    with np.errstate(over="ignore"):
+        return float(np.nextafter(*edge_and_direction))
+
+
 class TestWrapQuarter:
     def test_anchor_points(self):
         assert wrap_quarter(QUARTER_PI) == pytest.approx(QUARTER_PI, abs=0)
         assert wrap_quarter(-QUARTER_PI) == pytest.approx(QUARTER_PI, abs=1e-15)
         assert wrap_quarter(0.3) == pytest.approx(0.3, abs=1e-15)
         assert wrap_quarter(1.0) == pytest.approx(1.0 - np.pi / 2, abs=1e-15)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.sampled_from(EDGES),
+        st.tuples(st.sampled_from(EDGES), st.sampled_from([np.inf, -np.inf])).map(beside),
+        st.floats(-3 * QUARTER_PI, 3 * QUARTER_PI)), max_size=20))
+    def test_bits_equal_np_mod_form(self, values):
+        """The bits of the np.mod expression, copied here from the former
+        implementation, on and beside the branch edges and off the range
+        where the branch is taken."""
+        x = np.array(values, dtype=float)
+        with np.errstate(invalid="ignore"):
+            expected = QUARTER_PI - np.mod(QUARTER_PI - x, np.pi / 2)
+            expected = np.where(expected <= -QUARTER_PI, expected + np.pi / 2, expected)
+            assert wrap_quarter(x).tobytes() == expected.tobytes()
 
     @given(st.floats(min_value=-50, max_value=50))
     def test_always_in_half_open_interval(self, x):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import duolink.harness
+from duolink import _blocks
 from duolink import (
     BERReport,
     Case,
@@ -304,9 +305,13 @@ def reference_configs(draw):
 
 class TestReferenceTrial:
     @settings(max_examples=40, deadline=None)
-    @given(reference_configs())
-    def test_every_report_field_equals_reference(self, cfg):
-        report = run_trial(cfg)
+    @given(reference_configs(), st.sampled_from([7, 64, 256]))
+    def test_every_report_field_equals_reference(self, cfg, block):
+        """Also with blocks small enough that the trial crosses their
+        boundaries in every blocked stage."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_blocks, "BLOCK", block)
+            report = run_trial(cfg)
         fields = {k: getattr(report, k) for k in report.__dataclass_fields__ if k != "config"}
         assert fields == reference_trial(cfg)
 

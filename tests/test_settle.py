@@ -1,0 +1,186 @@
+"""The settle pass against a full evaluation.
+
+A settled symbol's decisions are taken at reception from its own phase
+(see duolink.harness.MARGIN). Here small receptions are built whose samples
+and traces sit on each boundary of that rule, within rounding of it, and
+just inside and outside MARGIN from it. The boundaries are the axes (the
+sample's offset near +-pi/4), a decision boundary met at one end of the
+estimate's hull, and the wrap edges of the mean removal. Every settled
+decision, and every count, must equal the one that rotating and deciding
+every symbol gives, for each estimator setting and for the baseline.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from duolink import (
+    EstimatorConfig,
+    TrialConfig,
+    VVConfig,
+    apply_compensation,
+    classify_cases,
+    compensate_traces,
+    count_quadrant_errors,
+    extract_phase,
+    quadrant_indices,
+)
+from duolink import harness
+
+QUARTER_PI = np.pi / 4
+MARGIN = harness.MARGIN
+ESTIMATORS = [EstimatorConfig(kappa=k) for k in (0.0, 1e-3, 8.0, 20.0)] + [
+    EstimatorConfig(kappa_infinite=True)]
+
+angles = st.floats(-QUARTER_PI, QUARTER_PI)
+# how far from a boundary: on it, within rounding of it, or within a
+# thousandth of MARGIN of MARGIN on either side
+distances = st.one_of(
+    st.just(0.0),
+    st.floats(-1e-12, 1e-12),
+    st.sampled_from([s * MARGIN * f for s in (-1, 1) for f in (1 - 1e-3, 1 + 1e-3)]),
+)
+# sample magnitudes: ordinary, near the power below which the settle pass
+# leaves a sample open, and zero
+magnitudes = st.one_of(
+    st.just(1.0),
+    st.floats(0.1, 3.0),
+    st.sampled_from([2.0**-250 * f for f in (1 - 1e-9, 1 + 1e-9)] + [1e-160, 0.0]),
+)
+KINDS = ("free", "axis", "hull", "self", "wrap")
+
+
+def build(kinds, j, edges, o, t, mags, quadrants, k_tx, means, own):
+    """(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means, own) of n symbols.
+
+    Symbol c's quadrants, offsets o[:, c], traces t[:, c] and magnitudes
+    are the drawn ones, except that one boundary of channel a = j[c] (the
+    other is b) is placed at edges[c], which is +-pi/4 or near it:
+    - axis: a's offset at the edge;
+    - hull: a's decision boundary at b's observation;
+    - self: a's decision boundary at its own observation (and the
+      baseline's at its own trace);
+    - wrap: a's trace at a wrap edge of the mean removal.
+    With own (a window-1 receiver) the traces are the samples' window-1
+    extractions, so the boundaries are placed by moving the samples;
+    otherwise the traces are apart from the samples, as a wider window
+    gives them.
+    """
+    o = np.array(o, dtype=float)
+    t = o if own else np.array(t, dtype=float)
+    m = means or (0.0, 0.0)
+    for c, (kind, a, edge) in enumerate(zip(kinds, j, edges)):
+        b = 1 - a
+        if kind == "axis":
+            o[a, c] = edge
+        elif kind == "hull":
+            t[b, c] = o[a, c] - m[a] + m[b] - edge
+        elif kind == "self":
+            t[a, c] = o[a, c] - edge
+        elif kind == "wrap":
+            t[a, c] = m[a] + edge
+    rx = np.asarray(mags) * np.exp(1j * (QUARTER_PI + np.asarray(quadrants) * np.pi / 2 + o))
+    if own:
+        t = np.array([extract_phase(z, VVConfig(window=1)) for z in rx])
+    k_tx = np.asarray(k_tx, dtype=np.uint8)
+    return rx[0], rx[1], t[0], t[1], k_tx[0], k_tx[1], means, own
+
+
+@st.composite
+def receptions(draw):
+    """Small receptions from build, one boundary per symbol."""
+    n = draw(st.integers(1, 12))
+
+    def pairs(values):
+        return [[draw(values) for _ in range(n)] for _ in range(2)]
+
+    return build(
+        kinds=[draw(st.sampled_from(KINDS)) for _ in range(n)],
+        j=[draw(st.integers(0, 1)) for _ in range(n)],
+        edges=[draw(st.sampled_from([-QUARTER_PI, QUARTER_PI])) + draw(distances)
+               for _ in range(n)],
+        o=pairs(angles), t=pairs(angles), mags=pairs(magnitudes),
+        quadrants=pairs(st.integers(0, 3)), k_tx=pairs(st.integers(0, 3)),
+        means=draw(st.none() | st.tuples(angles, angles)), own=draw(st.booleans()))
+
+
+def full_evaluation(rx1, rx2, t1, t2, means, estimator):
+    """Every symbol's compensated decisions, rotated and decided."""
+    comp1, comp2 = compensate_traces(rx1, rx2, t1, t2, means, estimator)
+    return quadrant_indices(comp1), quadrant_indices(comp2)
+
+
+def baseline_evaluation(rx1, rx2, t1, t2):
+    return (quadrant_indices(apply_compensation(rx1, t1)),
+            quadrant_indices(apply_compensation(rx2, t2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(receptions())
+def test_settled_decisions_equal_full_evaluation(reception):
+    rx1, rx2, t1, t2, k_tx1, k_tx2, means, own = reception
+    full = [full_evaluation(rx1, rx2, t1, t2, means, est) for est in ESTIMATORS]
+    base1, base2 = baseline_evaluation(rx1, rx2, t1, t2)
+    k_rx1, k_rx2 = quadrant_indices(rx1), quadrant_indices(rx2)
+    for s in range(rx1.size):
+        one = slice(s, s + 1)
+        settled, baseline, opened = harness._settle(
+            rx1[one], rx2[one], t1[one], t2[one], k_tx1[one], k_tx2[one], means, own, True)
+        (code,) = np.flatnonzero(baseline)
+        assert (code >> 6, code >> 4 & 3) == (k_tx1[s], k_tx2[s])
+        assert (code >> 2 & 3, code & 3) == (base1[s], base2[s]), s
+        if opened[-1].size:
+            assert settled.sum() == 0
+            continue
+        (code,) = np.flatnonzero(settled)
+        assert (code >> 8, code >> 6 & 3) == (k_tx1[s], k_tx2[s])
+        assert (code >> 5 & 1, code >> 4 & 1) == (k_rx1[s] == k_tx1[s], k_rx2[s] == k_tx2[s])
+        for est, (post1, post2) in zip(ESTIMATORS, full):
+            assert (code >> 2 & 3, code & 3) == (post1[s], post2[s]), (s, est)
+
+
+@settings(max_examples=150, deadline=None)
+@given(receptions())
+def test_counts_equal_full_evaluation(reception):
+    check_counts(reception)
+
+
+def check_counts(reception):
+    """The reports of the settle pass and the detection of the open symbols
+    count what the full evaluation counts, for each estimator setting."""
+    rx1, rx2, t1, t2, k_tx1, k_tx2, means, own = reception
+    n = rx1.size
+    settled, baseline, opened = harness._settle(
+        rx1, rx2, t1, t2, k_tx1, k_tx2, means, own, True)
+    r = harness._Reception(*opened, settled=settled, baseline=baseline, means=means,
+                           valid_symbols=n, estimated_lag=0, lag_confident=False)
+    k_rx1, k_rx2 = quadrant_indices(rx1), quadrant_indices(rx2)
+    base1, base2 = baseline_evaluation(rx1, rx2, t1, t2)
+    for est in ESTIMATORS:
+        report = harness._detect(r, TrialConfig(n_symbols=n, estimator=est))
+        post1, post2 = full_evaluation(rx1, rx2, t1, t2, means, est)
+        assert report.errors_compensated == (
+            count_quadrant_errors(k_tx1, post1), count_quadrant_errors(k_tx2, post2))
+        assert report.errors_uncompensated == (
+            count_quadrant_errors(k_tx1, base1), count_quadrant_errors(k_tx2, base2))
+        cases = classify_cases(k_tx1, k_tx2, k_rx1, k_rx2, post1, post2)
+        assert report.case_counts == tuple(np.bincount(cases, minlength=4).tolist())
+
+
+def test_counts_at_scale_equal_full_evaluation():
+    """Twenty thousand symbols, one boundary each, drawn from one seed, so
+    that the hull's exact ends and ties within rounding are met many times."""
+    rng = np.random.default_rng(16)
+    n = 20_000
+    distance = np.choose(rng.integers(0, 4, n), [
+        0.0, rng.uniform(-1e-12, 1e-12, n), MARGIN * (1 - 1e-3), MARGIN * (1 + 1e-3)])
+    parts = dict(
+        kinds=rng.choice(KINDS, n), j=rng.integers(0, 2, n),
+        edges=rng.choice([-QUARTER_PI, QUARTER_PI], n) + distance * rng.choice([-1, 1], n),
+        o=rng.uniform(-QUARTER_PI, QUARTER_PI, (2, n)),
+        t=rng.uniform(-QUARTER_PI, QUARTER_PI, (2, n)),
+        mags=rng.choice([1.0, 0.5, 2.0**-250, 0.0], (2, n), p=[0.7, 0.2, 0.05, 0.05]),
+        quadrants=rng.integers(0, 4, (2, n)), k_tx=rng.integers(0, 4, (2, n)))
+    for means in (None, (0.3, -0.6)):
+        for own in (True, False):
+            check_counts(build(**parts, means=means, own=own))
