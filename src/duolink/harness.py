@@ -395,8 +395,15 @@ def _settle(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means, own_offsets: bool,
     parts = _blocks.each(settle, _blocks.blocks(0, k_tx1.size))
     settled = sum((p[0] for p in parts), np.zeros(_CODES, dtype=np.int64))
     base = sum((p[1] for p in parts), np.zeros(_BASE_CODES, dtype=np.int64)) if baseline else None
-    opened = tuple(np.concatenate(arrays) for arrays in zip(*(p[2] for p in parts)))
-    return settled, base, opened
+    # join the open symbols one array at a time, freeing its pieces once
+    # joined: a heavy noise leaves a fifth of the symbols open
+    columns = [list(pieces) for pieces in zip(*(p[2] for p in parts))]
+    del parts
+    opened = []
+    for pieces in columns:
+        opened.append(np.concatenate(pieces))
+        pieces.clear()
+    return settled, base, tuple(opened)
 
 
 def _offset(z: np.ndarray) -> np.ndarray:
