@@ -200,7 +200,8 @@ def kappa_objective(cfg: TrialConfig):
 # - |o| < pi/4 - MARGIN: the sample lies off the axes, so k_rx and o
 #   describe one angle;
 # - the sample's power is at least NORMAL_POWER: its fourth power is a
-#   normal float, so o is accurate;
+#   normal float (channel.MAX_SIGMA keeps it below overflow), so o is
+#   accurate;
 # - s is one integer over all of [lo - MARGIN, hi + MARGIN].
 # Extraction, wrap, estimate and rotation each err by about 1e-15 rad, far
 # below MARGIN. So the float pipeline's compensated sample lies inside the
