@@ -52,7 +52,6 @@ from .qpsk import (
     SYMBOLS,
     count_quadrant_errors,
     gray_indices,
-    map_symbols,
     quadrant_indices,
 )
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from .cpe import wrap_quarter
 
 
 @dataclass
@@ -87,32 +86,21 @@ def apply_compensation(rx: np.ndarray, estimates: np.ndarray) -> np.ndarray:
 def compensate_traces(
     rx1: np.ndarray,
     rx2: np.ndarray,
-    trace1: np.ndarray,
-    trace2: np.ndarray,
-    means: tuple[float, float] | None,
+    phi1: np.ndarray,
+    phi2: np.ndarray,
     cfg: EstimatorConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jointly compensate two streams observed at the same symbol index, given
-    the phase traces cpe.extract_phase extracted from them.
-
-    means, the two traces' block-mean phases, selects the per-channel mean
-    removal that precedes the joint estimate (None skips it). They are the
-    means of the whole traces, also when the streams passed in are a part of
-    them, so compensating a trace in parts gives the same samples as
-    compensating it whole. The traces are not modified.
+    each stream's per-symbol phase observations (cpe.extract_phase's traces,
+    or, with the receiver's mean removal, the traces less their means,
+    wrapped, and the streams rotated by minus those means). Both streams are
+    rotated by minus the joint estimate; the inputs are not modified.
     """
     rx1 = np.asarray(rx1)
     rx2 = np.asarray(rx2)
-    t1 = np.asarray(trace1, dtype=float)
-    t2 = np.asarray(trace2, dtype=float)
-    _checks.same_shape(rx1=rx1, rx2=rx2, trace1=t1, trace2=t2)
-    if means is not None:
-        mean1, mean2 = means
-        rx1 = rx1 * np.exp(-1j * mean1)
-        rx2 = rx2 * np.exp(-1j * mean2)
-        t1 = wrap_quarter(t1 - mean1)
-        t2 = wrap_quarter(t2 - mean2)
-    est = estimate_common_phase(t1, t2, cfg)
+    p1 = np.asarray(phi1, dtype=float)
+    p2 = np.asarray(phi2, dtype=float)
+    _checks.same_shape(rx1=rx1, rx2=rx2, phi1=p1, phi2=p2)
     # the common rotation is the same for both channels: compute it once
-    rotation = _derotation(est)
+    rotation = _derotation(estimate_common_phase(p1, p2, cfg))
     return rx1 * rotation, rx2 * rotation

@@ -22,8 +22,9 @@ HALF_PI = np.pi / 2
 
 @dataclass
 class VVConfig:
-    """Window length (odd) of the complex moving average, and whether pair
-    compensation removes each channel's block-mean phase first."""
+    """Window length (odd) of the complex moving average, and whether the
+    receiver removes each channel's mean phase (over its whole trace) from
+    its samples and observations before the joint estimate."""
 
     window: int = 33
     remove_mean: bool = True
@@ -82,7 +83,12 @@ def extract_phase(samples: np.ndarray, cfg: VVConfig) -> np.ndarray:
         if hi - lo < cfg.window:
             hi = min(lo + cfg.window, n)
             lo = max(hi - cfg.window, 0)
-        quartic = s[lo:hi] ** 4
+        # two squarings (numpy's general complex power is several times
+        # slower), each out of place, as numpy rounds a one-element in-place
+        # product differently from the same product in a longer array; one
+        # name is rebound, so the first square is freed once the second exists
+        quartic = s[lo:hi] * s[lo:hi]
+        quartic = quartic * quartic
         if cfg.window > 1:
             # centered slice of the full convolution: works also for streams
             # shorter than the window (np.convolve 'same' would return the

@@ -188,13 +188,13 @@ def kappa_objective(cfg: TrialConfig):
 #
 # Channel j's sample has the angle c(k_rx) + o. Here k_rx is its quadrant,
 # c(k) = pi/4 + k*pi/2 that quadrant's center, and o the sample's own
-# window-1 offset (cpe.extract_phase at window 1). Compensation rotates the
-# sample by m + theta. m is the mean that the mean removal takes off (0
-# without it). theta is the joint estimate: a weighted mean of the two
-# wrapped, mean-removed observations for a finite kappa, and one of them for
-# kappa_infinite, so it lies in their hull [lo, hi] up to rounding. The
-# compensated decision is (k_rx + s) mod 4, s = floor((o - m - theta + pi/4)
-# / (pi/2)).
+# window-1 offset: extract_phase(z, _PER_SYMBOL), at every receiver window.
+# Compensation rotates the sample by m + theta. m is the mean that the mean
+# removal takes off (0 without it). theta is the joint estimate: a weighted
+# mean of the two wrapped, mean-removed observations for a finite kappa, and
+# one of them for kappa_infinite, so it lies in their hull [lo, hi] up to
+# rounding. The compensated decision is (k_rx + s) mod 4,
+# s = floor((o - m - theta + pi/4) / (pi/2)).
 #
 # A symbol is settled when both channels meet three conditions:
 # - |o| < pi/4 - MARGIN: the sample lies off the axes, so k_rx and o
@@ -210,6 +210,10 @@ def kappa_objective(cfg: TrialConfig):
 # m = 0 and the hull [t_j, t_j].
 MARGIN = 1e-9
 NORMAL_POWER = 2.0**-500
+
+# the per-symbol extraction: of the delay search, and of the settle pass's
+# offsets o
+_PER_SYMBOL = VVConfig(window=1, remove_mean=False)
 
 _QUARTER_TURNS = 1 / HALF_PI  # per radian
 
@@ -248,21 +252,20 @@ _COUNTS, _BASE_ERRORS = _count_tables()
 class _Reception:
     """What a trial computes before the joint estimate, on the valid region.
 
-    The open symbols' samples (channel 2 aligned), phase traces and keys,
-    gathered in symbol order; the histogram of the settled symbols' codes;
-    the histogram of the baseline codes (None without the baseline); the
-    traces' means for the mean removal (None when it is off); the number of
-    valid symbols and the recovered delay.
+    The open symbols' samples (channel 2 aligned), their observations for the
+    joint estimate and their keys, gathered in symbol order, with the mean
+    removal already applied when it is on; the histogram of the settled
+    symbols' codes; the histogram of the baseline codes (None without the
+    baseline); the number of valid symbols and the recovered delay.
     """
 
     rx1: np.ndarray
     rx2: np.ndarray
-    trace1: np.ndarray
-    trace2: np.ndarray
+    obs1: np.ndarray
+    obs2: np.ndarray
     key: np.ndarray
     settled: np.ndarray
     baseline: np.ndarray | None
-    means: tuple[float, float] | None
     valid_symbols: int
     estimated_lag: int
     lag_confident: bool
@@ -292,18 +295,17 @@ def _receive(cfg: TrialConfig) -> _Reception:
     # stream's trace is the per-symbol trace shifted the same way, and the
     # same two traces also serve compensation and the baseline. For a wider
     # window they serve only the search and are freed before alignment.
-    per_symbol = VVConfig(window=1, remove_mean=False)
     search = cfg.max_lag > 0 and n > 2 * cfg.max_lag
     share = cfg.vv.window == 1
     delay = AlignmentResult(lag=0, peak_correlation=0.0, confident=False)
     if share:
-        trace1 = extract_phase(rx1, per_symbol)
-        trace2 = extract_phase(rx2, per_symbol)
+        trace1 = extract_phase(rx1, _PER_SYMBOL)
+        trace2 = extract_phase(rx2, _PER_SYMBOL)
         if search:
             delay = estimate_delay(trace1, trace2, cfg.max_lag)
     elif search:
-        delay = estimate_delay(extract_phase(rx1, per_symbol), extract_phase(rx2, per_symbol),
-                               cfg.max_lag)
+        delay = estimate_delay(extract_phase(rx1, _PER_SYMBOL),
+                               extract_phase(rx2, _PER_SYMBOL), cfg.max_lag)
     # only buffer on a confident estimate; an unconfident peak is noise
     applied_lag = delay.lag if delay.confident else 0
     valid = _shift(rx2, applied_lag)
@@ -317,7 +319,7 @@ def _receive(cfg: TrialConfig) -> _Reception:
     settled, baseline, opened = _settle(
         rx1[valid], rx2[valid], trace1[valid], trace2[valid], k_tx1[valid], k_tx2[valid],
         means, share, cfg.compare_baseline)
-    return _Reception(*opened, settled=settled, baseline=baseline, means=means,
+    return _Reception(*opened, settled=settled, baseline=baseline,
                       valid_symbols=valid.stop - valid.start, estimated_lag=applied_lag,
                       lag_confident=delay.confident)
 
@@ -331,10 +333,12 @@ def _settle(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means, own_offsets: bool,
 
     Returns the histogram of the settled symbols' codes, the histogram of
     every symbol's baseline code (None unless baseline) and the open
-    symbols' (rx1, rx2, trace1, trace2, key), gathered in order. Runs block
-    by block: the received decisions and the offsets exist one block at a
-    time, and a baseline decision that its own phase does not fix is taken
-    from the rotated sample.
+    symbols' (rx1, rx2, obs1, obs2, key), gathered in order. This is where
+    the mean removal is applied, once: the gathered samples are rotated by
+    minus their channel's mean, and the observations are the traces less the
+    mean, wrapped. Runs block by block: the received decisions and the
+    offsets exist one block at a time, and a baseline decision that its own
+    phase does not fix is taken from the rotated sample.
     """
     removed = (0.0, 0.0) if means is None else means
     margin = MARGIN * _QUARTER_TURNS
@@ -358,7 +362,7 @@ def _settle(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means, own_offsets: bool,
         for j, (z, t) in enumerate(zip(rx, traces)):
             k_rx = quadrant_indices(z)
             key |= (k_rx == k_tx[j]).view(np.uint8) << (1 - j)
-            o = t if own_offsets else _offset(z)
+            o = t if own_offsets else extract_phase(z, _PER_SYMBOL)
             exact = np.abs(o) < QUARTER_PI - MARGIN
             power = z.real * z.real
             power += z.imag * z.imag
@@ -382,7 +386,13 @@ def _settle(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means, own_offsets: bool,
         code |= posts[1]
         hist = np.bincount(code[settled], minlength=_CODES)
         at = np.flatnonzero(~settled)
-        opened = (rx[0][at], rx[1][at], traces[0][at], traces[1][at], key[at])
+        if means is None:
+            opened = (rx[0][at], rx[1][at], traces[0][at], traces[1][at], key[at])
+        else:
+            # obs was freed early; wrap_quarter is elementwise, so wrapping
+            # the gathered traces again gives the open symbols' bits of obs
+            opened = (*(z[at] * np.exp(-1j * m) for z, m in zip(rx, means)),
+                      *(wrap_quarter(t[at] - m) for t, m in zip(traces, means)), key[at])
         if not baseline:
             return hist, None, opened
         at = np.flatnonzero(~base_settled)
@@ -407,20 +417,6 @@ def _settle(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means, own_offsets: bool,
     return settled, base, tuple(opened)
 
 
-def _offset(z: np.ndarray) -> np.ndarray:
-    """Each sample's window-1 offset angle(-z**4) / 4, within a few rounding
-    errors of extract_phase's, as the settle rule allows. The fourth power
-    is taken by two squarings; extract_phase's rules for the +-pi/4
-    endpoint and for a zero sample are left out, as such a sample is open
-    anyway."""
-    q = z * z
-    q *= q
-    np.negative(q, out=q)
-    o = np.arctan2(q.imag, q.real)
-    o /= 4
-    return o
-
-
 def _decision(a: np.ndarray, lo, hi, settled: np.ndarray, k_rx: np.ndarray) -> np.ndarray:
     """(k_rx + floor(a - theta)) mod 4 as uint8, for theta at lo; clears
     `settled` where floor(a - theta) is not one integer on [lo, hi]. All
@@ -438,17 +434,17 @@ def _decision(a: np.ndarray, lo, hi, settled: np.ndarray, k_rx: np.ndarray) -> n
 
 def _detect(r: _Reception, cfg: TrialConfig) -> BERReport:
     """The part of run_trial that depends on the estimator: the joint
-    compensation and decisions of the open symbols, whose codes join the
-    settled histogram, and the counts read from it. Reads the reception
-    without modifying it.
+    estimate from the open symbols' observations, the rotation and the
+    decisions of their samples (both already mean-removed at reception),
+    whose codes join the settled histogram, and the counts read from it.
+    Reads the reception without modifying it.
 
     Runs block by block over the open symbols; the compensated streams and
     their decisions never exist whole.
     """
 
     def decide(b: slice) -> np.ndarray:
-        comp1, comp2 = compensate_traces(
-            r.rx1[b], r.rx2[b], r.trace1[b], r.trace2[b], r.means, cfg.estimator)
+        comp1, comp2 = compensate_traces(r.rx1[b], r.rx2[b], r.obs1[b], r.obs2[b], cfg.estimator)
         code = r.key[b].astype(np.uint16) << 4
         code |= quadrant_indices(comp1) << 2
         code |= quadrant_indices(comp2)

@@ -12,7 +12,8 @@ import numpy as np
 
 from . import _blocks, _checks
 
-# Quadrant centers, index = Gray symbol index k.
+# Quadrant centers, index = Gray symbol index k: a bit stream's symbols are
+# SYMBOLS[gray_indices(bits)].
 SYMBOLS = np.exp(1j * (np.pi / 4 + np.arange(4) * np.pi / 2))
 
 # Number of bits in which the Gray labels of quadrants k_tx (row) and k_rx
@@ -34,12 +35,6 @@ def gray_indices(bits: np.ndarray) -> np.ndarray:
     b0 = bits[0::2].astype(np.uint8)
     b1 = bits[1::2].astype(np.uint8)
     return 2 * b0 + (b0 ^ b1)
-
-
-def map_symbols(bits: np.ndarray) -> np.ndarray:
-    """Map a {0,1} bit stream (even length) to unit-energy QPSK symbols
-    (see gray_indices for the bit-pair convention)."""
-    return SYMBOLS[gray_indices(bits)]
 
 
 def quadrant_indices(samples: np.ndarray) -> np.ndarray:

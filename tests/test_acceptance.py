@@ -28,7 +28,6 @@ from duolink import (
     extract_phase,
     gen_common_phase,
     gray_indices,
-    map_symbols,
     run_trial,
     shaped_filter_gain,
     adapt_kappa,
@@ -108,7 +107,7 @@ def test_criterion_03_exact_cancellation():
     rx1, rx2 = apply_channel(k1, k2, ChannelParams(seed=0), phase=phi)
     vv = VVConfig(window=1, remove_mean=False)
     out1, out2 = compensate_traces(
-        rx1, rx2, extract_phase(rx1, vv), extract_phase(rx2, vv), None,
+        rx1, rx2, extract_phase(rx1, vv), extract_phase(rx2, vv),
         EstimatorConfig(kappa_infinite=True))
     dev = max(np.abs(out1 - SYMBOLS[k1]).max(), np.abs(out2 - SYMBOLS[k2]).max())
     errors = (count_errors(bits1, demap_symbols(out1))[0]
@@ -179,7 +178,7 @@ def test_criterion_07_viterbi_identity():
         traces = []
         for k in range(4):
             bits = {0: [0, 0], 1: [0, 1], 2: [1, 1], 3: [1, 0]}[k] * 64
-            stream = map_symbols(bits) * np.exp(1j * theta)
+            stream = SYMBOLS[gray_indices(bits)] * np.exp(1j * theta)
             for window in (1, 33):
                 trace = extract_phase(
                     stream, VVConfig(window=window, remove_mean=False))

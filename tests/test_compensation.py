@@ -16,7 +16,7 @@ from duolink import (
     estimate_common_phase,
     extract_phase,
     gray_indices,
-    map_symbols,
+    wrap_quarter,
 )
 from oracles import count_errors, demap_symbols, weighted_phase_reference
 
@@ -122,12 +122,12 @@ class TestEstimatorConfig:
 
 class TestApplyCompensation:
     def test_zero_estimates_identity(self):
-        rx = map_symbols([0, 1, 1, 0, 0, 0])
+        rx = SYMBOLS[gray_indices([0, 1, 1, 0, 0, 0])]
         np.testing.assert_array_equal(apply_compensation(rx, np.zeros(3)), rx)
 
     def test_exact_cancellation(self):
         """Removing the true common phase recovers the transmit stream."""
-        tx = map_symbols(np.tile([0, 1], 32))
+        tx = SYMBOLS[gray_indices(np.tile([0, 1], 32))]
         phi = np.linspace(-0.6, 0.6, 32)
         rx = tx * np.exp(1j * phi)
         np.testing.assert_allclose(apply_compensation(rx, phi), tx, atol=1e-12)
@@ -145,19 +145,23 @@ class TestApplyCompensation:
 
 def compensate_streams(rx1, rx2, vv, cfg):
     """Joint compensation of two received streams from the traces
-    extract_phase takes of them, with each trace's mean removed first when
-    vv.remove_mean is set."""
+    extract_phase takes of them. When vv.remove_mean is set, each stream is
+    first rotated by minus its trace's mean, and the trace less the mean is
+    wrapped, as the reception does."""
     t1, t2 = extract_phase(rx1, vv), extract_phase(rx2, vv)
-    means = (t1.mean(), t2.mean()) if vv.remove_mean else None
-    return compensate_traces(rx1, rx2, t1, t2, means, cfg)
+    if vv.remove_mean:
+        m1, m2 = t1.mean(), t2.mean()
+        rx1, rx2 = rx1 * np.exp(-1j * m1), rx2 * np.exp(-1j * m2)
+        t1, t2 = wrap_quarter(t1 - m1), wrap_quarter(t2 - m2)
+    return compensate_traces(rx1, rx2, t1, t2, cfg)
 
 
 class TestCompensatePair:
     """A received pair compensated from its extracted traces."""
 
     def test_zero_noise_identity(self):
-        tx1 = map_symbols(np.tile([0, 1], 64))
-        tx2 = map_symbols(np.tile([1, 1], 64))
+        tx1 = SYMBOLS[gray_indices(np.tile([0, 1], 64))]
+        tx2 = SYMBOLS[gray_indices(np.tile([1, 1], 64))]
         out1, out2 = compensate_streams(
             tx1, tx2, VVConfig(window=1, remove_mean=False),
             EstimatorConfig(kappa_infinite=True))
@@ -184,7 +188,7 @@ class TestCompensatePair:
 
     def test_cascaded_removes_block_mean(self):
         """A constant carrier offset disappears with remove_mean."""
-        tx = map_symbols(np.tile([0, 1, 1, 0], 64))
+        tx = SYMBOLS[gray_indices(np.tile([0, 1, 1, 0], 64))]
         rx = tx * np.exp(0.2j)
         out1, out2 = compensate_streams(
             rx, rx, VVConfig(window=1, remove_mean=True),
@@ -196,20 +200,22 @@ class TestCompensatePair:
         rx1, rx2 = np.ones(4, complex), np.ones(6, complex)
         t1, t2 = extract_phase(rx1, VVConfig()), extract_phase(rx2, VVConfig())
         with pytest.raises(ValueError, match="differ"):
-            compensate_traces(rx1, rx2, t1, t2, None, EstimatorConfig())
+            compensate_traces(rx1, rx2, t1, t2, EstimatorConfig())
 
 
 class TestCompensateTraces:
     def test_result_rewrapped(self):
         """A trace's deviation beyond pi/4 from its mean wraps back into
-        (-pi/4, pi/4] before the joint estimate."""
+        (-pi/4, pi/4] before the joint estimate, and the estimate is taken
+        from the wrapped observations."""
         trace = np.array([0.78, 0.78, 0.78, -0.78])
         mean = trace.mean()
-        rx = np.ones(4, dtype=complex)
-        out1, out2 = compensate_traces(rx, rx, trace, trace, (mean, mean),
-                                       EstimatorConfig(kappa_infinite=True))
+        rx = np.ones(4, dtype=complex) * np.exp(-1j * mean)
+        obs = wrap_quarter(trace - mean)
+        out1, out2 = compensate_traces(rx, rx, obs, obs, EstimatorConfig(kappa_infinite=True))
         residual = trace - mean
         residual[3] += np.pi / 2
         assert np.all((-np.pi / 4 < residual) & (residual <= np.pi / 4))
+        np.testing.assert_allclose(obs, residual, atol=1e-15)
         np.testing.assert_allclose(out1, np.exp(-1j * (mean + residual)), atol=1e-12)
         np.testing.assert_array_equal(out2, out1)

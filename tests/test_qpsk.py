@@ -10,7 +10,6 @@ from duolink import (
     _blocks,
     count_quadrant_errors,
     gray_indices,
-    map_symbols,
     quadrant_indices,
 )
 from oracles import count_errors, demap_symbols, quadrant_reference
@@ -30,39 +29,41 @@ def per_sample_quadrant(z: complex) -> int:
 
 
 class TestMapSymbols:
+    """Bits map to symbols in one way, SYMBOLS[gray_indices(bits)]."""
+
     def test_convention_anchor_quadrant_one(self):
         """Bits 00 map to the quadrant-I center (1+i)/sqrt(2)."""
-        np.testing.assert_allclose(map_symbols([0, 0]), [ISQ2 + 1j * ISQ2], atol=1e-12)
+        np.testing.assert_allclose(SYMBOLS[gray_indices([0, 0])], [ISQ2 + 1j * ISQ2], atol=1e-12)
 
     def test_gray_neighbor_quadrant_two(self):
         """Bits 01 map to the quadrant-II center (-1+i)/sqrt(2)."""
-        np.testing.assert_allclose(map_symbols([0, 1]), [-ISQ2 + 1j * ISQ2], atol=1e-12)
+        np.testing.assert_allclose(SYMBOLS[gray_indices([0, 1])], [-ISQ2 + 1j * ISQ2], atol=1e-12)
 
     def test_gray_mapping_quadrant_three(self):
         """Bits 11 map to the quadrant-III center (-1-i)/sqrt(2)."""
-        np.testing.assert_allclose(map_symbols([1, 1]), [-ISQ2 - 1j * ISQ2], atol=1e-12)
+        np.testing.assert_allclose(SYMBOLS[gray_indices([1, 1])], [-ISQ2 - 1j * ISQ2], atol=1e-12)
 
     def test_unit_magnitude(self):
-        symbols = map_symbols([0, 0, 0, 1, 1, 1, 1, 0])
+        symbols = SYMBOLS[gray_indices([0, 0, 0, 1, 1, 1, 1, 0])]
         np.testing.assert_allclose(np.abs(symbols), 1.0, atol=1e-12)
 
     def test_phases_are_odd_quarter_pi_multiples(self):
-        symbols = map_symbols([0, 0, 0, 1, 1, 1, 1, 0])
+        symbols = SYMBOLS[gray_indices([0, 0, 0, 1, 1, 1, 1, 0])]
         ratio = np.angle(symbols) / (np.pi / 4)
         np.testing.assert_allclose(ratio, np.round(ratio), atol=1e-12)
         assert np.all(np.round(ratio).astype(int) % 2 == 1)
 
     def test_odd_bit_count_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            map_symbols([0, 1, 0])
+            gray_indices([0, 1, 0])
 
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
-            map_symbols([0, 2])
+            gray_indices([0, 2])
 
     def test_bijection_on_bit_pairs(self):
         """The four bit pairs map onto the four distinct quadrant centers."""
-        symbols = map_symbols([0, 0, 0, 1, 1, 1, 1, 0])
+        symbols = SYMBOLS[gray_indices([0, 0, 0, 1, 1, 1, 1, 0])]
         assert len(np.unique(np.round(symbols, 9))) == 4
         np.testing.assert_allclose(sorted(np.angle(symbols)),
                                    sorted(np.angle(SYMBOLS)), atol=1e-12)
@@ -72,7 +73,7 @@ class TestMapSymbols:
         pair_for_k = {}
         for b0 in (0, 1):
             for b1 in (0, 1):
-                k = int(quadrant_indices(map_symbols([b0, b1]))[0])
+                k = int(quadrant_indices(SYMBOLS[gray_indices([b0, b1])])[0])
                 pair_for_k[k] = (b0, b1)
         for k in range(4):
             a = pair_for_k[k]
@@ -92,15 +93,17 @@ class TestDemapSymbols:
 
     def test_round_trip_all_symbols(self):
         bits = np.array([0, 0, 0, 1, 1, 1, 1, 0])
-        np.testing.assert_array_equal(demap_symbols(map_symbols(bits)), bits)
-        np.testing.assert_array_equal(quadrant_indices(map_symbols(bits)), gray_indices(bits))
+        k = gray_indices(bits)
+        np.testing.assert_array_equal(demap_symbols(SYMBOLS[k]), bits)
+        np.testing.assert_array_equal(quadrant_indices(SYMBOLS[k]), k)
 
     @given(st.lists(st.integers(0, 1), min_size=2, max_size=200).filter(
         lambda b: len(b) % 2 == 0))
     def test_round_trip_random_streams(self, bits):
         bits = np.array(bits)
-        np.testing.assert_array_equal(demap_symbols(map_symbols(bits)), bits)
-        np.testing.assert_array_equal(quadrant_indices(map_symbols(bits)), gray_indices(bits))
+        k = gray_indices(bits)
+        np.testing.assert_array_equal(demap_symbols(SYMBOLS[k]), bits)
+        np.testing.assert_array_equal(quadrant_indices(SYMBOLS[k]), k)
 
     def test_axis_ties_toward_smaller_k(self):
         """Boundary samples decide for the adjacent quadrant with smaller k."""
@@ -181,7 +184,7 @@ class TestCountQuadrantErrors:
     def test_matches_bit_level_count(self, seed, n):
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, size=2 * n)
-        z = map_symbols(bits) * np.exp(1j * rng.normal(0, 0.8, n))
+        z = SYMBOLS[gray_indices(bits)] * np.exp(1j * rng.normal(0, 0.8, n))
         errors = count_quadrant_errors(gray_indices(bits), quadrant_indices(z))
         assert errors == count_errors(bits, demap_symbols(z))[0]
 

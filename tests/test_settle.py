@@ -24,6 +24,7 @@ from duolink import (
     count_quadrant_errors,
     extract_phase,
     quadrant_indices,
+    wrap_quarter,
 )
 from duolink import harness
 
@@ -105,8 +106,14 @@ def receptions(draw):
 
 
 def full_evaluation(rx1, rx2, t1, t2, means, estimator):
-    """Every symbol's compensated decisions, rotated and decided."""
-    comp1, comp2 = compensate_traces(rx1, rx2, t1, t2, means, estimator)
+    """Every symbol's compensated decisions, rotated and decided. The mean
+    removal, when means are given, rotates each stream by minus its mean and
+    wraps each trace less its mean."""
+    if means is not None:
+        m1, m2 = means
+        rx1, rx2 = rx1 * np.exp(-1j * m1), rx2 * np.exp(-1j * m2)
+        t1, t2 = wrap_quarter(t1 - m1), wrap_quarter(t2 - m2)
+    comp1, comp2 = compensate_traces(rx1, rx2, t1, t2, estimator)
     return quadrant_indices(comp1), quadrant_indices(comp2)
 
 
@@ -152,8 +159,8 @@ def check_counts(reception):
     n = rx1.size
     settled, baseline, opened = harness._settle(
         rx1, rx2, t1, t2, k_tx1, k_tx2, means, own, True)
-    r = harness._Reception(*opened, settled=settled, baseline=baseline, means=means,
-                           valid_symbols=n, estimated_lag=0, lag_confident=False)
+    r = harness._Reception(*opened, settled=settled, baseline=baseline, valid_symbols=n,
+                           estimated_lag=0, lag_confident=False)
     k_rx1, k_rx2 = quadrant_indices(rx1), quadrant_indices(rx2)
     base1, base2 = baseline_evaluation(rx1, rx2, t1, t2)
     for est in ESTIMATORS:
