@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -118,6 +119,12 @@ def _highpass_gain(freq: np.ndarray, cutoff: float) -> np.ndarray:
     return x / np.hypot(1.0, x)
 
 
+def _filter_gain(freq: np.ndarray, params: ChannelParams) -> np.ndarray:
+    """Magnitude of the shaped model's filter at frequencies `freq` [Hz]."""
+    gain = conversion_efficiency(2 * np.pi * freq, params.alpha_dB, params.dbeta)
+    return gain * _highpass_gain(freq, params.cpe_cutoff)
+
+
 def shaped_filter_gain(n: int, params: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
     """(frequency grid, filter magnitude) used by the shaped phase model.
 
@@ -126,9 +133,7 @@ def shaped_filter_gain(n: int, params: ChannelParams) -> tuple[np.ndarray, np.nd
     _checks.integer("n", n)
     _checks.at_least("n", n, 1)
     freq = np.fft.rfftfreq(n, d=1.0 / params.symbol_rate)
-    gain = conversion_efficiency(2 * np.pi * freq, params.alpha_dB, params.dbeta)
-    gain = gain * _highpass_gain(freq, params.cpe_cutoff)
-    return freq, gain
+    return freq, _filter_gain(freq, params)
 
 
 def gen_common_phase(n: int, params: ChannelParams) -> np.ndarray:
@@ -136,7 +141,12 @@ def gen_common_phase(n: int, params: ChannelParams) -> np.ndarray:
 
     iid model: independent Gaussian(0, sigma_common^2) per symbol.
     shaped model: white Gaussian noise filtered by `shaped_filter_gain`, then
-    rescaled so the sample std equals sigma_common exactly.
+    rescaled so the sample std equals sigma_common exactly. Its bits are those
+    of irfft(rfft(white) * gain, n) * (sigma_common / std), but it holds at
+    most two n-sample float arrays at a time: the white noise is freed once
+    its spectrum exists, the gain is applied to blocks of bins on the
+    threads, the spectrum is freed once the trace exists, and the trace is
+    scaled in place.
     """
     _checks.integer("n", n)
     _checks.at_least("n", n, 1)
@@ -145,12 +155,22 @@ def gen_common_phase(n: int, params: ChannelParams) -> np.ndarray:
     rng = stream_rng(params.seed, STREAM_PHASE)
     if params.phase_model == "iid":
         return rng.normal(0.0, params.sigma_common, n)
-    white = rng.standard_normal(n)
-    # extreme filter parameters overflow the trace or its scale factor:
-    # that is reported below, by name, in place of numpy's warnings
+    spectrum = np.fft.rfft(rng.standard_normal(n))
+    freq = np.fft.rfftfreq(n, d=1.0 / params.symbol_rate)
+
+    def filter_bins(b: slice) -> None:
+        # extreme filter parameters overflow the trace or its scale factor:
+        # that is reported below, by name, in place of numpy's warnings (the
+        # error state is per thread, so it is set in each task). Out of
+        # place, as numpy may round a one-element in-place product otherwise
+        with np.errstate(over="ignore", invalid="ignore"):
+            spectrum[b] = spectrum[b] * _filter_gain(freq[b], params)
+
+    _blocks.each(filter_bins, _blocks.blocks(0, spectrum.size))
+    del freq
     with np.errstate(over="ignore", invalid="ignore"):
-        _, gain = shaped_filter_gain(n, params)
-        trace = np.fft.irfft(np.fft.rfft(white) * gain, n)
+        trace = np.fft.irfft(spectrum, n)
+        del spectrum
         std = trace.std()
         if std == 0:
             return np.zeros(n)
@@ -160,7 +180,8 @@ def gen_common_phase(n: int, params: ChannelParams) -> np.ndarray:
             f"the shaped phase model overflows with alpha_dB={params.alpha_dB!r}, "
             f"dbeta={params.dbeta!r}, cpe_cutoff={params.cpe_cutoff!r} and "
             f"symbol_rate={params.symbol_rate!r}")
-    return trace * scale
+    trace *= scale
+    return trace
 
 
 def apply_channel(
@@ -175,6 +196,12 @@ def apply_channel(
     dtype, values 0..3, at least one symbol long), which stand for their
     symbols qpsk.SYMBOLS[k]: the channel looks the symbols up block by
     block, so the complex transmit stream never exists whole.
+
+    The phase trace is synthesized on one thread while the two noise
+    generators, one task each, write sigma_additive times their draws into
+    their streams; the rotated symbols are then added onto the noise block
+    by block (without noise they are written straight in). Addition
+    commutes exactly, so every sample has the bits of rotation plus noise.
 
     Returns (rx1, rx2). Channel 2 is circularly shifted by
     params.delay_offset, so rx2[n] carries the symbol, phase imprint and
@@ -191,9 +218,7 @@ def apply_channel(
     _checks.quadrants(tx1=tx1, tx2=tx2)
     n = tx1.size
     _checks.at_least("tx1 length", n, 1)
-    if phase is None:
-        phi = gen_common_phase(n, params)
-    else:
+    if phase is not None:
         phi = np.asarray(phase, dtype=float)
         _checks.one_d(phase=phi)
         _checks.same_shape(tx1=tx1, phase=phi)
@@ -209,33 +234,41 @@ def apply_channel(
             dst.append(slice(b.start + to, b.stop + to))
     y1 = np.empty(n, dtype=complex)
     y2 = np.empty(n, dtype=complex)
+    noisy = params.sigma_additive > 0
+
+    def add_noise(y: np.ndarray, stream: int, where: list[slice]) -> None:
+        # the generator's in-phase draws, then its quadrature draws,
+        # taken in symbol order as one whole-length draw would take them
+        g = stream_rng(params.seed, stream)
+        buf = np.empty(min(n, _blocks.BLOCK))
+        for part in (y.real, y.imag):
+            for w in where:
+                draw = buf[: w.stop - w.start]
+                g.standard_normal(out=draw)
+                np.multiply(draw, params.sigma_additive, out=part[w])
+
+    # the longest task first, so that the noise runs beside it
+    tasks = [] if phase is not None else [partial(gen_common_phase, n, params)]
+    if noisy:
+        tasks += [partial(add_noise, y1, STREAM_NOISE1, src),
+                  partial(add_noise, y2, STREAM_NOISE2, dst)]
+    done = _blocks.each(lambda task: task(), tasks)
+    if phase is None:
+        phi = done[0]
 
     def rotate(b: slice, d: slice) -> None:
         # equal to np.exp(1j * phi), without its complex temporaries
         r = np.empty(b.stop - b.start, dtype=complex)
         np.cos(phi[b], out=r.real)
         np.sin(phi[b], out=r.imag)
-        np.multiply(SYMBOLS[tx1[b]], r, out=y1[b])
-        np.multiply(SYMBOLS[tx2[b]], r, out=y2[d])
+        if noisy:
+            np.add(y1[b], SYMBOLS[tx1[b]] * r, out=y1[b])
+            np.add(y2[d], SYMBOLS[tx2[b]] * r, out=y2[d])
+        else:
+            np.multiply(SYMBOLS[tx1[b]], r, out=y1[b])
+            np.multiply(SYMBOLS[tx2[b]], r, out=y2[d])
 
     _blocks.each(lambda bd: rotate(*bd), zip(src, dst))
-    if params.sigma_additive > 0:
-        s = params.sigma_additive
-
-        def add_noise(y: np.ndarray, stream: int, where: list[slice]) -> None:
-            # the generator's in-phase draws, then its quadrature draws,
-            # taken in symbol order as one whole-length draw would take them
-            g = stream_rng(params.seed, stream)
-            buf = np.empty(min(n, _blocks.BLOCK))
-            for part in (y.real, y.imag):
-                for w in where:
-                    draw = buf[: w.stop - w.start]
-                    g.standard_normal(out=draw)
-                    draw *= s
-                    part[w] += draw
-
-        _blocks.each(lambda task: add_noise(*task),
-                     ((y1, STREAM_NOISE1, src), (y2, STREAM_NOISE2, dst)))
     return y1, y2
 
 

@@ -97,9 +97,11 @@ def extract_phase(samples: np.ndarray, cfg: VVConfig) -> np.ndarray:
             avg = full[b.start - lo + half : b.stop - lo + half]
         else:
             avg = quartic
-        # -avg == avg * e^{-i pi}: removes the constellation's pi offset
+        # -avg == avg * e^{-i pi}: removes the constellation's pi offset.
+        # np.angle(-avg) / 4, written straight into the output block
         p = phase[b]
-        p[:] = np.angle(-avg) / 4
+        np.arctan2(-avg.imag, -avg.real, out=p)
+        p /= 4
         # a positive real avg negates to an imaginary part of -0, whose
         # angle is -pi: the boundary maps to +pi/4
         p[p == -QUARTER_PI] = QUARTER_PI

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import duolink.channel
+from duolink import _blocks
 from duolink import (
     SYMBOLS,
     ChannelParams,
@@ -19,6 +20,8 @@ from duolink import (
     run_trial,
     shaped_filter_gain,
 )
+from duolink.channel import STREAM_PHASE, stream_rng
+from oracles import channel_reference
 
 # ln(10)/10 * 0.2 dB/km, evaluated by hand
 ETA_AT_DC_02DB = 0.04605170185988092
@@ -107,6 +110,49 @@ class TestGenCommonPhase:
         """The filter takes gen_common_phase's rules for n."""
         with pytest.raises(ValueError, match=message):
             shaped_filter_gain(n, ChannelParams(sigma_common=0.1, phase_model="shaped"))
+
+
+class TestShapedPhaseBits:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("block", [7, 64, None], ids=["7", "64", "default"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 2**15, 2**15 + 1, 99991])
+    def test_bits_equal_whole_array_expression(self, monkeypatch, n, block, threads):
+        """The synthesis, which filters blocks of bins and scales in place,
+        gives the bits of the whole-array expression written out here, at
+        every length (99991 is prime) and block size."""
+        if block is not None:
+            monkeypatch.setattr(_blocks, "BLOCK", block)
+        monkeypatch.setattr(_blocks, "THREADS", threads)
+        params = ChannelParams(sigma_common=0.3, phase_model="shaped", seed=n)
+        white = stream_rng(params.seed, STREAM_PHASE).standard_normal(n)
+        trace = np.fft.irfft(np.fft.rfft(white) * shaped_filter_gain(n, params)[1], n)
+        std = trace.std()
+        expected = np.zeros(n) if std == 0 else trace * (params.sigma_common / std)
+        assert gen_common_phase(n, params).tobytes() == expected.tobytes()
+
+
+class TestChannelMatchesReference:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("block", [7, 64, None], ids=["7", "64", "default"])
+    @pytest.mark.parametrize("sigma_additive", [0.0, 0.4])
+    @pytest.mark.parametrize("delay_offset", [0, 11, -3])
+    def test_iid_bits_equal_reference(self, monkeypatch, delay_offset, sigma_additive, block,
+                                      threads):
+        """The channel draws the noise beside the phase and then adds the
+        rotated symbols onto it block by block; oracles.channel_reference
+        rotates whole arrays and adds the noise after. Addition commutes, so
+        the bytes agree, at every block size and thread count."""
+        n = 500 if block is not None else 2**15 + 77
+        if block is not None:
+            monkeypatch.setattr(_blocks, "BLOCK", block)
+        monkeypatch.setattr(_blocks, "THREADS", threads)
+        rng = np.random.default_rng(n + delay_offset)
+        k1, k2 = rng.integers(0, 4, n), rng.integers(0, 4, n)
+        params = ChannelParams(sigma_common=0.3, sigma_additive=sigma_additive,
+                               delay_offset=delay_offset, seed=7)
+        got = apply_channel(k1.astype(np.uint8), k2.astype(np.uint8), params)
+        expected = channel_reference(k1, k2, params)
+        assert [r.tobytes() for r in got] == [r.tobytes() for r in expected]
 
 
 class TestApplyChannel:

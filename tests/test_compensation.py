@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duolink import (
@@ -24,7 +24,23 @@ from oracles import count_errors, demap_symbols, weighted_phase_reference
 KAPPA1_EXPECTED = 0.2900332005375044
 
 phases = st.floats(min_value=-0.785, max_value=0.785)
+finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
 kappas = st.floats(min_value=0.0, max_value=50.0)
+
+
+@st.composite
+def observation_pairs(draw):
+    """Two observation arrays, 0-d, 1-d or strided, whose second mixes ties
+    (the first's value or its negation) and signed zeros into free values."""
+    p1 = draw(st.lists(finite, min_size=1, max_size=24))
+    p2 = [draw(st.one_of(finite, st.sampled_from([x, -x, 0.0, -0.0]))) for x in p1]
+    p1, p2 = np.array(p1), np.array(p2)
+    layout = draw(st.sampled_from(["0-d", "1-d", "strided"]))
+    if layout == "0-d":
+        return p1[0].reshape(()), p2[0].reshape(())
+    if layout == "strided":
+        return p1[::2], p2[::2]
+    return p1, p2
 
 
 class TestEstimateCommonPhase:
@@ -40,6 +56,18 @@ class TestEstimateCommonPhase:
     def test_border_case_tie_returns_channel_one(self):
         est = estimate_common_phase(0.3, -0.3, EstimatorConfig(kappa_infinite=True))
         assert est == 0.3
+
+    @settings(max_examples=300)
+    @given(observation_pairs())
+    def test_border_case_bits_equal_np_where_form(self, pair):
+        """The bits and shape of the former np.where expression, copied here,
+        with ties and signed zeros; the inputs are left as they were."""
+        p1, p2 = pair
+        before = p1.tobytes(), p2.tobytes()
+        expected = np.where(np.abs(p2) < np.abs(p1), p2, p1)
+        est = estimate_common_phase(p1, p2, EstimatorConfig(kappa_infinite=True))
+        assert est.shape == expected.shape and est.tobytes() == expected.tobytes()
+        assert (p1.tobytes(), p2.tobytes()) == before
 
     def test_kappa_one_hand_value(self):
         est = estimate_common_phase(0.2, 0.4, EstimatorConfig(kappa=1.0))
