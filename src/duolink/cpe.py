@@ -56,12 +56,40 @@ def wrap_quarter(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _window_sums(quartic: np.ndarray, window: int, m: int) -> np.ndarray:
+    """The m sums of `window` consecutive values of quartic (of length
+    m + window - 1), each taken by the same fixed tree: spans of 1, 2, 4, ...
+    values, each the out-of-place pairwise sum of two of the last, then the
+    spans that window's binary digits name, added largest first at their
+    offsets (33 = span 32 + span 1 at offset 32). Only those spans are kept."""
+    spans, span, width = [], quartic, 1
+    while True:
+        if window & width:
+            spans.append((width, span))
+        if 2 * width > window:
+            break
+        span = span[:-width] + span[width:]
+        width *= 2
+    width, total = spans.pop()
+    total = total[:m]
+    while spans:
+        w, span = spans.pop()
+        total = total + span[width : width + m]
+        width += w
+    return total
+
+
 def extract_phase(samples: np.ndarray, cfg: VVConfig) -> np.ndarray:
     """Per-symbol phase offset from the quadrant centers, in (-pi/4, pi/4].
 
-    The 4th-power values are averaged as complex numbers over a centered
+    The 4th-power values are summed as complex numbers over a centered
     window (shrunken at the edges) before the angle is taken, which avoids
-    wrap artifacts that averaging angles directly would produce.
+    wrap artifacts that averaging angles directly would produce. Every
+    window is summed by the same fixed tree of pairwise sums over the
+    fourth powers zero-padded past the stream's ends (adding +0 changes no
+    sum's value), so a trace's bytes depend neither on the block size nor on
+    the thread count, and no sum goes through BLAS. At window 1 the sum is
+    the fourth power itself.
     """
     s = np.asarray(samples, dtype=complex)
     _checks.one_d(samples=s)
@@ -69,34 +97,26 @@ def extract_phase(samples: np.ndarray, cfg: VVConfig) -> np.ndarray:
         raise ValueError("sample stream is empty")
     n = s.size
     half = cfg.window // 2
-    ones = np.ones(cfg.window)
     phase = np.empty(n)
 
     def extract(b: slice) -> None:
         if not np.isfinite(s[b]).all():
             raise ValueError("samples must be finite")
-        # the windows of a block reach `half` samples past its ends; a
-        # segment shorter than the window is widened to it (or to the whole
-        # stream), because np.convolve swaps its arguments when the kernel
-        # is the longer one, which changes its summation order
+        # the windows of a block reach `half` samples past its ends
         lo, hi = max(b.start - half, 0), min(b.stop + half, n)
-        if hi - lo < cfg.window:
-            hi = min(lo + cfg.window, n)
-            lo = max(hi - cfg.window, 0)
         # two squarings (numpy's general complex power is several times
         # slower), each out of place, as numpy rounds a one-element in-place
         # product differently from the same product in a longer array; one
         # name is rebound, so the first square is freed once the second exists
         quartic = s[lo:hi] * s[lo:hi]
         quartic = quartic * quartic
-        if cfg.window > 1:
-            # centered slice of the full convolution: works also for streams
-            # shorter than the window (np.convolve 'same' would return the
-            # window length there)
-            full = np.convolve(quartic, ones, mode="full")
-            avg = full[b.start - lo + half : b.stop - lo + half]
-        else:
-            avg = quartic
+        m = b.stop - b.start
+        if hi - lo < m + 2 * half:  # zeros past the stream's ends
+            padded = np.zeros(m + 2 * half, dtype=complex)
+            ahead = lo - (b.start - half)
+            padded[ahead : ahead + hi - lo] = quartic
+            quartic = padded
+        avg = _window_sums(quartic, cfg.window, m)
         # -avg == avg * e^{-i pi}: removes the constellation's pi offset.
         # np.angle(-avg) / 4, written straight into the output block
         p = phase[b]

@@ -143,20 +143,49 @@ for seed in (1, 2, 3):
 """
 
 
+def script_output(script, **env):
+    """The words that script prints when run by a fresh interpreter that
+    imports this duolink, with env added to the environment."""
+    src = str(Path(duolink.__file__).resolve().parents[1])
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 def test_delay_search_independent_of_blas_threads():
     """The delay search's peak correlation is bit-equal whether OpenBLAS runs
     one thread or two: no reduction in it goes through threaded BLAS."""
-    src = str(Path(duolink.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", DELAY_SCRIPT], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout.split())
+    outputs = [script_output(DELAY_SCRIPT, OPENBLAS_NUM_THREADS=threads)
+               for threads in ("1", "2")]
     assert len(outputs[0]) == 3
     assert outputs[0] == outputs[1]
+
+
+WINDOW_SCRIPT = """
+import hashlib
+import numpy as np
+from duolink import SYMBOLS, VVConfig, extract_phase
+rng = np.random.default_rng(19)
+n = 100_000
+stream = SYMBOLS[rng.integers(0, 4, n)] * np.exp(1j * rng.normal(0, 0.3, n))
+stream += 0.15 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+print(hashlib.sha256(extract_phase(stream, VVConfig(window=33)).tobytes()).hexdigest())
+"""
+
+
+def test_window_sums_independent_of_blas_kernel(capsys):
+    """The window-33 traces have the same bytes when OpenBLAS runs another
+    CPU kernel (Prescott): no window sum goes through BLAS."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS")
+    exec(WINDOW_SCRIPT, {})
+    here = capsys.readouterr().out.split()
+    assert len(here) == 1
+    assert script_output(WINDOW_SCRIPT, OPENBLAS_CORETYPE="Prescott") == here
 
 
 def test_no_thread_outlives_a_trial_and_forked_sweep_matches_serial(monkeypatch):
@@ -186,7 +215,7 @@ def test_channel_and_extraction_independent_of_block_size(cfg):
     tx1, tx2 = rng.integers(0, 4, n), rng.integers(0, 4, n)
     rx = apply_channel(tx1, tx2, cfg.channel)
     phases = {(i, w): extract_phase(r, VVConfig(window=w)) for i, r in enumerate(rx)
-              for w in (1, 33)}
+              for w in (1, 7, 33)}
     for block in BLOCKS:
         blocked = with_block(block, apply_channel, tx1, tx2, cfg.channel)
         assert [r.tobytes() for r in blocked] == [r.tobytes() for r in rx], block

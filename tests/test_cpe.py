@@ -12,7 +12,8 @@ from duolink import (
     gray_indices,
     wrap_quarter,
 )
-from oracles import phase_reference
+from duolink import _blocks
+from oracles import phase_reference, wrap_reference
 
 QUARTER_PI = np.pi / 4
 # the edges of wrap_quarter's branches and of its range, signed zeros,
@@ -112,6 +113,28 @@ class TestExtractPhase:
         trace = extract_phase(stream, VVConfig(window=33, remove_mean=False))
         assert trace.shape == (5,)
         np.testing.assert_allclose(trace, 0.25, atol=1e-9)
+
+
+class TestWindowSums:
+    @pytest.mark.parametrize("block", [7, 64])
+    @pytest.mark.parametrize("window", [1, 3, 5, 7, 33, 35])
+    def test_equal_explicit_sums_to_1e_15_rad(self, monkeypatch, window, block):
+        """extract_phase sums each window by a fixed tree of pairwise sums;
+        the oracle adds the window's fourth powers one by one. On rotated
+        QPSK with noise of the benchmark's size the sums are far from
+        cancelling, so the two phases agree to 1e-15 rad (on the circle of
+        period pi/2 the phases live on), at the stream's ends, for streams
+        shorter than the window and across block edges."""
+        monkeypatch.setattr(_blocks, "BLOCK", block)
+        rng = np.random.default_rng(100 * window + block)
+        lengths = {1, 2, window - 1, window, window + 1, block + 1, 2 * block + window // 2,
+                   3 * block + window} - {0}
+        for n in sorted(lengths):
+            stream = random_qpsk(n, seed=n) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+            stream += 0.15 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            got = extract_phase(stream, VVConfig(window=window, remove_mean=False))
+            apart = wrap_reference(got - phase_reference(stream, window))
+            assert np.abs(apart).max() <= 1e-15, n
 
 
 class TestVVConfig:
