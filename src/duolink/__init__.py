@@ -20,7 +20,6 @@ from .channel import (
     gen_common_phase,
     shaped_filter_gain,
     stream_rng,
-    transmit,
 )
 from .compensation import (
     EstimatorConfig,

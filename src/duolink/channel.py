@@ -31,12 +31,11 @@ from functools import partial
 import numpy as np
 
 from . import _blocks, _checks, _files
-from .qpsk import SYMBOLS, gray_indices
+from .qpsk import SYMBOLS
 
-# Substream identifiers for the per-seed random streams: the phase, each
-# channel's noise and each channel's payload bits (drawn by `transmit`).
-# Numbering them in one place keeps every draw from a ChannelParams seed on
-# a stream of its own.
+# Substream identifiers for the per-seed random streams. Payload streams are
+# consumed by the Monte Carlo harness; keeping them here ensures every
+# consumer of a ChannelParams seed draws from disjoint streams.
 STREAM_PHASE = 0
 STREAM_NOISE1 = 1
 STREAM_NOISE2 = 2
@@ -185,35 +184,6 @@ def gen_common_phase(n: int, params: ChannelParams) -> np.ndarray:
     return trace
 
 
-def transmit(n: int, params: ChannelParams) -> tuple[np.ndarray, ...]:
-    """Draw both payloads and run them through the shared-phase channel.
-
-    Each channel's 2*n payload bits come from its own stream of params.seed
-    (STREAM_BITS1, STREAM_BITS2), block by block from one generator, which
-    gives the bits of one whole draw; their Gray quadrant indices are the
-    transmitted symbols. The two draws run on the threads beside the phase
-    synthesis and the two noise generators, so the result has the bytes of
-    drawing the payloads first and then calling apply_channel on them.
-
-    Returns (k_tx1, k_tx2, rx1, rx2): the transmitted quadrant indices (uint8)
-    and the received streams, as apply_channel returns them.
-    """
-    _checks.integer("n", n)
-    _checks.at_least("n", n, 1)
-    k_tx1 = np.empty(n, dtype=np.uint8)
-    k_tx2 = np.empty(n, dtype=np.uint8)
-
-    def payload(k: np.ndarray, stream: int) -> None:
-        rng = stream_rng(params.seed, stream)
-        for b in _blocks.blocks(0, n):
-            k[b] = gray_indices(rng.integers(0, 2, size=2 * (b.stop - b.start)))
-
-    rx1, rx2 = _channel(k_tx1, k_tx2, params, None,
-                        [partial(payload, k_tx1, STREAM_BITS1),
-                         partial(payload, k_tx2, STREAM_BITS2)])
-    return k_tx1, k_tx2, rx1, rx2
-
-
 def apply_channel(
     tx1: np.ndarray,
     tx2: np.ndarray,
@@ -246,22 +216,13 @@ def apply_channel(
     _checks.one_d(tx1=tx1, tx2=tx2)
     _checks.same_shape(tx1=tx1, tx2=tx2)
     _checks.quadrants(tx1=tx1, tx2=tx2)
-    _checks.at_least("tx1 length", tx1.size, 1)
-    phi = None
+    n = tx1.size
+    _checks.at_least("tx1 length", n, 1)
     if phase is not None:
         phi = np.asarray(phase, dtype=float)
         _checks.one_d(phase=phi)
         _checks.same_shape(tx1=tx1, phase=phi)
         _checks.finite(phase=phi)
-    return _channel(tx1, tx2, params, phi, [])
-
-
-def _channel(tx1: np.ndarray, tx2: np.ndarray, params: ChannelParams,
-             phi: np.ndarray | None, draws: list) -> tuple[np.ndarray, np.ndarray]:
-    """apply_channel on checked arguments (phi None: synthesized). The tasks
-    of `draws`, which write tx1 and tx2, run on the threads beside the phase
-    synthesis and the noise, before the rotation reads the indices."""
-    n = tx1.size
     # channel 2 is written straight into its shifted layout: symbol j lands
     # in slot (j - shift) mod n, a contiguous run for each block of
     # [0, shift) and of [shift, n)
@@ -286,14 +247,13 @@ def _channel(tx1: np.ndarray, tx2: np.ndarray, params: ChannelParams,
                 g.standard_normal(out=draw)
                 np.multiply(draw, params.sigma_additive, out=part[w])
 
-    # the longest task first, so that the others run beside it
-    tasks = [] if phi is not None else [partial(gen_common_phase, n, params)]
-    tasks += draws
+    # the longest task first, so that the noise runs beside it
+    tasks = [] if phase is not None else [partial(gen_common_phase, n, params)]
     if noisy:
         tasks += [partial(add_noise, y1, STREAM_NOISE1, src),
                   partial(add_noise, y2, STREAM_NOISE2, dst)]
     done = _blocks.each(lambda task: task(), tasks)
-    if phi is None:
+    if phase is None:
         phi = done[0]
 
     def rotate(b: slice, d: slice) -> None:

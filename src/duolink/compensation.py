@@ -46,35 +46,27 @@ def estimate_common_phase(phi1, phi2, cfg: EstimatorConfig) -> np.ndarray:
     p2 = np.asarray(phi2, dtype=float)
     _checks.same_shape(phi1=p1, phi2=p2)
     _checks.finite(phi1=p1, phi2=p2)
-    a1 = np.abs(p1, out=np.empty(p1.shape))
-    a2 = np.abs(p2, out=np.empty(p2.shape))
+    a1 = np.abs(p1)
+    a2 = np.abs(p2)
     if cfg.kappa_infinite:
         # p2 where a2 < a1, else p1 (tie -> channel 1), selected on the bits
         # by AND and XOR in the buffers of a1 and a2: np.where, or a fresh
         # temporary per step, took about three times as long per block
+        a1, a2 = np.atleast_1d(a1, a2)  # 0-d input gives numpy scalars
         # all ones where p2 is taken; then p1 ^ ((p1 ^ p2) & pick)
         pick = np.subtract(0, a2 < a1, out=a1.view(np.int64), dtype=np.int64)
         pick &= np.bitwise_xor(p1.view(np.int64), p2.view(np.int64), out=a2.view(np.int64))
         pick ^= p1.view(np.int64)
-        return a1
+        return a1.reshape(p1.shape)
     # weights normalized so the larger one is exactly 1: the same estimate
     # as exp(-kappa*|phi|), but immune to underflow. The observation of
     # smaller magnitude weighs 1 (w <= 1 is raised to it), the other w, so
-    # one exp per symbol serves both weights. The estimate is
-    # (w1*p1 + w2*p2) / (w1 + w2) with w = exp(-kappa*|a1 - a2|),
-    # w1 = max(w, a1 <= a2) and w2 = max(w, a2 <= a1), taken step by step in
-    # that order into four buffers, each step written where no later step reads
-    w = np.subtract(a1, a2, out=np.empty(p1.shape))
-    np.abs(w, out=w)
-    np.multiply(-cfg.kappa, w, out=w)
-    np.exp(w, out=w)
-    take1, take2 = a1 <= a2, a2 <= a1
-    w1 = np.maximum(w, take1, out=a1)
-    w2 = np.maximum(w, take2, out=a2)
-    estimate = np.multiply(w1, p1, out=w)
-    estimate += np.multiply(w2, p2, out=np.empty(p2.shape))
-    estimate /= np.add(w1, w2, out=w1)
-    return estimate
+    # one exp per symbol serves both weights.
+    w = np.exp(-cfg.kappa * np.abs(a1 - a2))
+    w1 = np.maximum(w, a1 <= a2)
+    w2 = np.maximum(w, a2 <= a1)
+    # 0-d operands give a numpy scalar, which asarray makes a 0-d array
+    return np.asarray((w1 * p1 + w2 * p2) / (w1 + w2))
 
 
 def _derotation(phase: np.ndarray) -> np.ndarray:

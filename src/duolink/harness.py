@@ -34,10 +34,10 @@ import numpy as np
 
 from . import _blocks, _checks, _files
 from .alignment import AlignmentResult, _shift, estimate_delay
-from .channel import ChannelParams, transmit
+from .channel import STREAM_BITS1, STREAM_BITS2, ChannelParams, apply_channel, stream_rng
 from .compensation import EstimatorConfig, apply_compensation, compensate_traces
 from .cpe import HALF_PI, QUARTER_PI, VVConfig, extract_phase, wrap_quarter
-from .qpsk import GRAY_DISTANCE, quadrant_indices
+from .qpsk import GRAY_DISTANCE, gray_indices, quadrant_indices
 
 WILSON_Z95 = 1.959963984540054
 
@@ -273,14 +273,22 @@ class _Reception:
 
 def _receive(cfg: TrialConfig) -> _Reception:
     """The part of run_trial that kappa, the estimator mode and
-    compare_baseline do not change: the payloads and the channel (one
-    transmit call, which draws the payloads beside the phase synthesis and
-    the noise), the delay recovery, the alignment and the phase traces,
-    whose window sums extract_phase takes by its fixed tree, ending in the
-    settle pass (see MARGIN). Only what _Reception holds outlives it: the
-    whole streams and traces are freed when it returns."""
+    compare_baseline do not change, ending in the settle pass (see MARGIN).
+    Only what _Reception holds outlives it: the whole streams and traces
+    are freed when it returns."""
     n = cfg.n_symbols
-    k_tx1, k_tx2, rx1, rx2 = transmit(n, cfg.channel)
+    ch = cfg.channel
+
+    def payload(stream: int) -> np.ndarray:
+        # block by block from one generator: the bits of the whole draw
+        rng = stream_rng(ch.seed, stream)
+        k = np.empty(n, dtype=np.uint8)
+        for b in _blocks.blocks(0, n):
+            k[b] = gray_indices(rng.integers(0, 2, size=2 * (b.stop - b.start)))
+        return k
+
+    k_tx1, k_tx2 = _blocks.each(payload, (STREAM_BITS1, STREAM_BITS2))
+    rx1, rx2 = apply_channel(k_tx1, k_tx2, ch)
 
     # Delay recovery runs on per-symbol (window=1) traces. Extraction is
     # elementwise at window=1, so for a window=1 receiver the aligned

