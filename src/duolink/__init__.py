@@ -16,10 +16,10 @@ from .channel import (
     ChannelParams,
     apply_channel,
     conversion_efficiency,
+    draw_payload,
     export_efficiency_csv,
     gen_common_phase,
     shaped_filter_gain,
-    stream_rng,
 )
 from .compensation import (
     EstimatorConfig,

@@ -4,12 +4,13 @@ A trial holds whole only the arrays that a whole-trace step needs: the two
 received streams, the two phase traces and the uint8 transmitted quadrant
 indices. Every stage in between runs over blocks of BLOCK symbols, so its
 temporaries stay the size of one block per thread however long the trial
-is: the payload draws, the channel, the fourth-power extraction, the delay
-search (each block with max_lag samples of margin), the shift of channel 2,
-the settle pass, which gathers the open symbols block by block, and the
-detection, over blocks of those. No report depends on BLOCK; it can move
-the delay search's peak_correlation only by rounding, as it sets the order
-in which the search's sums are added.
+is: the fourth-power extraction, the delay search (each block with max_lag
+samples of margin), the shift of channel 2, the settle pass, which gathers
+the open symbols block by block, and the detection, over blocks of those.
+The payload draws and the channel run over their random chunks
+(channel.CHUNK) instead, and the shaped phase's filter over its FFT blocks.
+No report depends on BLOCK; it can move the delay search's peak_correlation
+only by rounding, as it sets the order in which the search's sums are added.
 
 The blocks of a stage run on a thread per CPU this process may run on: the
 calling thread and helper threads that `each` starts for the call and joins

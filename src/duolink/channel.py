@@ -19,14 +19,37 @@ the pump-power-to-phase conversion efficiency
 
 (a relative curve; the proportionality constant is fixed to 1) cascaded with
 a first-order high-pass standing in for the slow-phase removal a coherent
-receiver's carrier phase estimation already performs.
+receiver's carrier phase estimation already performs. The shaped trace is
+white Gaussian noise circularly convolved with 2*HALF_TAPS + 1 = 513 FIR
+taps: the centered samples of that filter's zero-phase impulse response on
+a TAP_GRID = 2^20-point grid at the symbol rate (the energy beyond them is
+about 2e-9 of the total at cpe_cutoff 1e6, 1.2e-9 at 1e8). The whole
+trace's mean is then subtracted and the trace scaled to the sample std
+sigma_common, so its values depend on its length through the wrap, the
+mean and the std.
+
+Every random number comes from one of five streams of the seed
+(STREAM_PHASE, STREAM_NOISE1, STREAM_NOISE2, STREAM_BITS1, STREAM_BITS2),
+drawn in chunks of CHUNK symbols: chunk c, the symbols [c*CHUNK,
+(c+1)*CHUNK), of stream s comes from its own generator,
+SeedSequence(seed, spawn_key=(s, c)), and takes m = its length draws:
+
+    payload (draw_payload)   integers(0, 4, m, dtype=uint8), quadrant indices
+    iid phase                normal(0, sigma_common, m)
+    shaped white noise       standard_normal(m)
+    noise of channel i       standard_normal(m) in-phase, then
+                             standard_normal(m) quadrature
+
+The noise is keyed by symbol index j, before channel 2's shift. No draw
+depends on the block size or the thread count, and only the last chunk's
+length depends on the stream's length.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,11 +77,19 @@ MAX_SEED = 2**64
 MAX_SIGMA = 1e70
 
 
-def stream_rng(seed: int, stream: int) -> np.random.Generator:
-    """Deterministic generator for substream `stream` of a 64-bit seed."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
-    )
+# Symbols per random chunk (see the module docstring); the chunks of every
+# stream can be drawn on any thread, in any order.
+CHUNK = 1 << 15
+
+
+def _rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
+    """The generator of chunk `chunk` of random stream `stream` of a seed."""
+    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(stream, chunk)))
+
+
+def _chunks(n: int) -> list[tuple[int, slice]]:
+    """(c, the symbols of chunk c) for each chunk of an n-symbol stream."""
+    return [(c, slice(a, min(a + CHUNK, n))) for c, a in enumerate(range(0, n, CHUNK))]
 
 
 @dataclass
@@ -119,69 +150,142 @@ def _highpass_gain(freq: np.ndarray, cutoff: float) -> np.ndarray:
     return x / np.hypot(1.0, x)
 
 
-def _filter_gain(freq: np.ndarray, params: ChannelParams) -> np.ndarray:
+def _filter_gain(freq: np.ndarray, alpha_dB: float, dbeta: float,
+                 cpe_cutoff: float) -> np.ndarray:
     """Magnitude of the shaped model's filter at frequencies `freq` [Hz]."""
-    gain = conversion_efficiency(2 * np.pi * freq, params.alpha_dB, params.dbeta)
-    return gain * _highpass_gain(freq, params.cpe_cutoff)
+    gain = conversion_efficiency(2 * np.pi * freq, alpha_dB, dbeta)
+    return gain * _highpass_gain(freq, cpe_cutoff)
 
 
 def shaped_filter_gain(n: int, params: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
-    """(frequency grid, filter magnitude) used by the shaped phase model.
+    """(frequency grid, filter magnitude) of the shaped phase model.
 
     One gain per rfft bin of an n-sample trace at params.symbol_rate.
     """
     _checks.integer("n", n)
     _checks.at_least("n", n, 1)
     freq = np.fft.rfftfreq(n, d=1.0 / params.symbol_rate)
-    return freq, _filter_gain(freq, params)
+    return freq, _filter_gain(freq, params.alpha_dB, params.dbeta, params.cpe_cutoff)
+
+
+# The shaped model's FIR filter (see the module docstring), applied by
+# circular overlap-save with FIR_FFT-point FFTs.
+TAP_GRID = 1 << 20
+HALF_TAPS = 256
+FIR_FFT = 1 << 16
+
+
+@lru_cache(maxsize=8)
+def _tap_spectrum(alpha_dB: float, dbeta: float, cpe_cutoff: float,
+                  symbol_rate: float) -> np.ndarray:
+    """The FIR_FFT-point rfft of the taps, tap k (|k| <= HALF_TAPS) at index
+    k + HALF_TAPS. Computed on first use and cached per filter."""
+    # the gain is filled in pieces, so that only the spectrum and the
+    # response exist whole
+    gain = np.zeros(TAP_GRID // 2 + 1, dtype=complex)
+    step = symbol_rate / TAP_GRID
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, gain.size, FIR_FFT):
+            freq = np.arange(a, min(a + FIR_FFT, gain.size)) * step
+            gain.real[a:a + freq.size] = _filter_gain(freq, alpha_dB, dbeta, cpe_cutoff)
+        response = np.fft.irfft(gain, TAP_GRID)
+        del gain
+        taps = np.zeros(FIR_FFT)
+        taps[:HALF_TAPS] = response[-HALF_TAPS:]
+        taps[HALF_TAPS:2 * HALF_TAPS + 1] = response[:HALF_TAPS + 1]
+        return np.fft.rfft(taps)
 
 
 def gen_common_phase(n: int, params: ChannelParams) -> np.ndarray:
     """Generate the shared per-symbol phase trace [rad], deterministic per seed.
 
-    iid model: independent Gaussian(0, sigma_common^2) per symbol.
-    shaped model: white Gaussian noise filtered by `shaped_filter_gain`, then
-    rescaled so the sample std equals sigma_common exactly. Its bits are those
-    of irfft(rfft(white) * gain, n) * (sigma_common / std), but it holds at
-    most two n-sample float arrays at a time: the white noise is freed once
-    its spectrum exists, the gain is applied to blocks of bins on the
-    threads, the spectrum is freed once the trace exists, and the trace is
-    scaled in place.
+    iid model: Gaussian(0, sigma_common^2) per symbol, drawn chunk by chunk.
+    shaped model: white Gaussian noise, drawn chunk by chunk, circularly
+    convolved with the taps of `_tap_spectrum`; then the trace's mean is
+    subtracted and the trace is scaled to the sample std sigma_common.
+
+    The chunks are drawn and the filter's output blocks computed on the
+    threads. The shaped synthesis holds two n-sample float arrays (the
+    white noise and the trace) and takes the mean and the std from each
+    output block's sums, added in block order.
     """
     _checks.integer("n", n)
     _checks.at_least("n", n, 1)
     if params.sigma_common == 0:
         return np.zeros(n)
-    rng = stream_rng(params.seed, STREAM_PHASE)
     if params.phase_model == "iid":
-        return rng.normal(0.0, params.sigma_common, n)
-    spectrum = np.fft.rfft(rng.standard_normal(n))
-    freq = np.fft.rfftfreq(n, d=1.0 / params.symbol_rate)
+        trace = np.empty(n)
 
-    def filter_bins(b: slice) -> None:
-        # extreme filter parameters overflow the trace or its scale factor:
-        # that is reported below, by name, in place of numpy's warnings (the
-        # error state is per thread, so it is set in each task). Out of
-        # place, as numpy may round a one-element in-place product otherwise
+        def draw_iid(chunk: tuple[int, slice]) -> None:
+            c, b = chunk
+            rng = _rng(params.seed, STREAM_PHASE, c)
+            trace[b] = rng.normal(0.0, params.sigma_common, b.stop - b.start)
+
+        _blocks.each(draw_iid, _chunks(n))
+        return trace
+    spectrum = _tap_spectrum(params.alpha_dB, params.dbeta, params.cpe_cutoff,
+                             params.symbol_rate)
+    white = np.empty(n)
+    trace = np.empty(n)
+    _blocks.each(lambda chunk: _rng(params.seed, STREAM_PHASE, chunk[0]).standard_normal(
+        out=white[chunk[1]]), _chunks(n))
+    step = FIR_FFT - 2 * HALF_TAPS
+    parts = [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+    def filter_part(p: slice) -> float:
+        # output [a, a + step) from input [a - HALF_TAPS, a + step + HALF_TAPS),
+        # taken around the circle. Extreme filter parameters overflow the
+        # trace: that is reported below, by name, in place of numpy's
+        # warnings (the error state is per thread, so it is set in each task)
+        lo = p.start - HALF_TAPS
+        if 0 <= lo and lo + FIR_FFT <= n:
+            x = white[lo:lo + FIR_FFT]
+        else:
+            x = white[np.arange(lo, lo + FIR_FFT) % n]
         with np.errstate(over="ignore", invalid="ignore"):
-            spectrum[b] = spectrum[b] * _filter_gain(freq[b], params)
+            z = np.fft.rfft(x)
+            z *= spectrum
+            trace[p] = np.fft.irfft(z, FIR_FFT)[2 * HALF_TAPS:2 * HALF_TAPS + p.stop - p.start]
+            return float(trace[p].sum())
 
-    _blocks.each(filter_bins, _blocks.blocks(0, spectrum.size))
-    del freq
-    with np.errstate(over="ignore", invalid="ignore"):
-        trace = np.fft.irfft(spectrum, n)
-        del spectrum
-        std = trace.std()
-        if std == 0:
-            return np.zeros(n)
-        scale = params.sigma_common / std
-    if not (math.isfinite(std) and math.isfinite(scale)):
+    def center(p: slice) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(trace[p], mean, out=trace[p])
+            return float((trace[p] * trace[p]).sum())
+
+    # the two reductions add each part's sum in part order
+    mean = sum(_blocks.each(filter_part, parts)) / n
+    del white
+    var = sum(_blocks.each(center, parts)) / n
+    if var == 0:
+        return np.zeros(n)
+    scale = params.sigma_common / math.sqrt(var)
+    if not (math.isfinite(var) and math.isfinite(scale)):
         raise ValueError(
             f"the shaped phase model overflows with alpha_dB={params.alpha_dB!r}, "
             f"dbeta={params.dbeta!r}, cpe_cutoff={params.cpe_cutoff!r} and "
             f"symbol_rate={params.symbol_rate!r}")
-    trace *= scale
+    _blocks.each(lambda p: np.multiply(trace[p], scale, out=trace[p]), parts)
     return trace
+
+
+def draw_payload(n: int, params: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The two channels' transmitted quadrant indices (uint8, 0..3) of a
+    seed: chunk c of stream STREAM_BITS1 (STREAM_BITS2) draws its indices
+    with integers(0, 4, dtype=uint8). A quadrant index stands for its Gray
+    label (qpsk.gray_indices), so the payload bits are uniform and
+    independent. The chunks are drawn on the threads."""
+    _checks.integer("n", n)
+    _checks.at_least("n", n, 1)
+    k_tx = (np.empty(n, dtype=np.uint8), np.empty(n, dtype=np.uint8))
+
+    def draw(task: tuple[int, int, slice]) -> None:
+        i, c, b = task
+        rng = _rng(params.seed, (STREAM_BITS1, STREAM_BITS2)[i], c)
+        k_tx[i][b] = rng.integers(0, 4, b.stop - b.start, dtype=np.uint8)
+
+    _blocks.each(draw, [(i, c, b) for c, b in _chunks(n) for i in (0, 1)])
+    return k_tx
 
 
 def apply_channel(
@@ -194,14 +298,14 @@ def apply_channel(
 
     Each stream is given as quadrant indices (a 1-D array of an integer
     dtype, values 0..3, at least one symbol long), which stand for their
-    symbols qpsk.SYMBOLS[k]: the channel looks the symbols up block by
-    block, so the complex transmit stream never exists whole.
+    symbols qpsk.SYMBOLS[k]: the channel looks the symbols up chunk by
+    chunk, so the complex transmit stream never exists whole.
 
-    The phase trace is synthesized on one thread while the two noise
-    generators, one task each, write sigma_additive times their draws into
-    their streams; the rotated symbols are then added onto the noise block
-    by block (without noise they are written straight in). Addition
-    commutes exactly, so every sample has the bits of rotation plus noise.
+    Once the phase trace exists, each chunk is one task on the threads: it
+    writes both channels' symbols rotated by exp(1j*phi), then adds
+    sigma_additive times each channel's noise draws for the chunk, the
+    in-phase ones first, then the quadrature ones. Addition commutes
+    exactly, so every sample has the bits of rotation plus noise.
 
     Returns (rx1, rx2). Channel 2 is circularly shifted by
     params.delay_offset, so rx2[n] carries the symbol, phase imprint and
@@ -223,52 +327,43 @@ def apply_channel(
         _checks.one_d(phase=phi)
         _checks.same_shape(tx1=tx1, phase=phi)
         _checks.finite(phase=phi)
-    # channel 2 is written straight into its shifted layout: symbol j lands
-    # in slot (j - shift) mod n, a contiguous run for each block of
-    # [0, shift) and of [shift, n)
+    else:
+        phi = gen_common_phase(n, params)
     shift = params.delay_offset % n
-    src, dst = [], []
-    for lo, hi, to in ((0, shift, n - shift), (shift, n, -shift)):
-        for b in _blocks.blocks(lo, hi):
-            src.append(b)
-            dst.append(slice(b.start + to, b.stop + to))
     y1 = np.empty(n, dtype=complex)
     y2 = np.empty(n, dtype=complex)
-    noisy = params.sigma_additive > 0
 
-    def add_noise(y: np.ndarray, stream: int, where: list[slice]) -> None:
-        # the generator's in-phase draws, then its quadrature draws,
-        # taken in symbol order as one whole-length draw would take them
-        g = stream_rng(params.seed, stream)
-        buf = np.empty(min(n, _blocks.BLOCK))
-        for part in (y.real, y.imag):
-            for w in where:
-                draw = buf[: w.stop - w.start]
-                g.standard_normal(out=draw)
-                np.multiply(draw, params.sigma_additive, out=part[w])
+    channels = ((y1, tx1, STREAM_NOISE1, 0), (y2, tx2, STREAM_NOISE2, shift))
 
-    # the longest task first, so that the noise runs beside it
-    tasks = [] if phase is not None else [partial(gen_common_phase, n, params)]
-    if noisy:
-        tasks += [partial(add_noise, y1, STREAM_NOISE1, src),
-                  partial(add_noise, y2, STREAM_NOISE2, dst)]
-    done = _blocks.each(lambda task: task(), tasks)
-    if phase is None:
-        phi = done[0]
-
-    def rotate(b: slice, d: slice) -> None:
+    def fill(chunk: tuple[int, slice]) -> None:
+        c, b = chunk
+        # symbol j of a channel shifted by s lands in slot (j - s) mod n: one
+        # or two runs per chunk, as (symbols within the chunk, slots)
+        runs = [[(slice(lo - b.start, hi - b.start), slice(lo + to, hi + to))
+                 for lo, hi, to in ((b.start, min(b.stop, s), n - s),
+                                    (max(b.start, s), b.stop, -s)) if lo < hi]
+                for *_, s in channels]
         # equal to np.exp(1j * phi), without its complex temporaries
         r = np.empty(b.stop - b.start, dtype=complex)
         np.cos(phi[b], out=r.real)
         np.sin(phi[b], out=r.imag)
-        if noisy:
-            np.add(y1[b], SYMBOLS[tx1[b]] * r, out=y1[b])
-            np.add(y2[d], SYMBOLS[tx2[b]] * r, out=y2[d])
-        else:
-            np.multiply(SYMBOLS[tx1[b]], r, out=y1[b])
-            np.multiply(SYMBOLS[tx2[b]], r, out=y2[d])
+        for (y, tx, *_), where in zip(channels, runs):
+            symbols = tx[b]
+            for p, d in where:
+                np.multiply(SYMBOLS[symbols[p]], r[p], out=y[d])
+        del r
+        if params.sigma_additive == 0:
+            return
+        draw = np.empty(b.stop - b.start)
+        for (y, _, stream, _), where in zip(channels, runs):
+            rng = _rng(params.seed, stream, c)
+            for part in (y.real, y.imag):
+                rng.standard_normal(out=draw)
+                draw *= params.sigma_additive
+                for p, d in where:
+                    np.add(part[d], draw[p], out=part[d])
 
-    _blocks.each(lambda bd: rotate(*bd), zip(src, dst))
+    _blocks.each(fill, _chunks(n))
     return y1, y2
 
 

@@ -34,10 +34,10 @@ import numpy as np
 
 from . import _blocks, _checks, _files
 from .alignment import AlignmentResult, _shift, estimate_delay
-from .channel import STREAM_BITS1, STREAM_BITS2, ChannelParams, apply_channel, stream_rng
+from .channel import ChannelParams, apply_channel, draw_payload
 from .compensation import EstimatorConfig, apply_compensation, compensate_traces
 from .cpe import HALF_PI, QUARTER_PI, VVConfig, extract_phase, wrap_quarter
-from .qpsk import GRAY_DISTANCE, gray_indices, quadrant_indices
+from .qpsk import GRAY_DISTANCE, quadrant_indices
 
 WILSON_Z95 = 1.959963984540054
 
@@ -151,8 +151,8 @@ class BERReport:
 def run_trial(cfg: TrialConfig) -> BERReport:
     """Run one paired baseline/compensated trial.
 
-    Steps: random payloads -> Gray quadrant indices -> shared-phase channel
-    (on their QPSK symbols) -> delay recovery from per-symbol phase traces ->
+    Steps: random payloads, drawn as quadrant indices whose Gray labels are
+    the bits (draw_payload) -> shared-phase channel (on their QPSK symbols) -> delay recovery from per-symbol phase traces ->
     channel-2 alignment -> baseline (per-channel VV rotation) and compensated
     (joint) detection -> count and classify. Each phase trace is extracted
     once. A symbol whose decisions its own phase already fixes is decided
@@ -278,16 +278,7 @@ def _receive(cfg: TrialConfig) -> _Reception:
     are freed when it returns."""
     n = cfg.n_symbols
     ch = cfg.channel
-
-    def payload(stream: int) -> np.ndarray:
-        # block by block from one generator: the bits of the whole draw
-        rng = stream_rng(ch.seed, stream)
-        k = np.empty(n, dtype=np.uint8)
-        for b in _blocks.blocks(0, n):
-            k[b] = gray_indices(rng.integers(0, 2, size=2 * (b.stop - b.start)))
-        return k
-
-    k_tx1, k_tx2 = _blocks.each(payload, (STREAM_BITS1, STREAM_BITS2))
+    k_tx1, k_tx2 = draw_payload(n, ch)
     rx1, rx2 = apply_channel(k_tx1, k_tx2, ch)
 
     # Delay recovery runs on per-symbol (window=1) traces. Extraction is

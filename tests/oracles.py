@@ -2,17 +2,20 @@
 
 Everything here is deliberately written without touching the package
 internals so that an implementation bug cannot hide in its own oracle. The
-one thing taken from the package is the numbering of the per-seed random
-streams, which both sides must share.
+things taken from the package are the numbering of the per-seed random
+streams and the chunk size they are drawn in (the default of every `chunk`
+argument), which both sides must share.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from duolink import Case
 from duolink.alignment import CONFIDENCE_THRESHOLD, TIE_TOL
 from duolink.channel import (
+    CHUNK,
     STREAM_BITS1,
     STREAM_BITS2,
     STREAM_NOISE1,
@@ -82,10 +85,6 @@ def quadrant_reference(samples):
 # Gray labels (b0, b1) of quadrants k = 0..3, written from the convention in
 # duolink.qpsk's docstring: k=0 -> 00, k=1 -> 01, k=2 -> 11, k=3 -> 10.
 GRAY_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
-
-# The quadrant k of each label: GRAY_INDEX[b0, b1] == k.
-GRAY_INDEX = np.zeros((2, 2), dtype=int)
-GRAY_INDEX[GRAY_BITS[:, 0], GRAY_BITS[:, 1]] = np.arange(4)
 
 # Quadrant centers exp(i(pi/4 + k*pi/2)), from the same docstring.
 QPSK_SYMBOLS = np.exp(1j * (np.pi / 4 + np.arange(4) * np.pi / 2))
@@ -159,59 +158,92 @@ def wrap_reference(x):
     return x - np.pi / 2 * np.ceil((x - np.pi / 4) / (np.pi / 2))
 
 
-def generator(seed: int, stream: int) -> np.random.Generator:
-    """The generator of random stream `stream` of a channel seed."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
+def chunked(seed: int, stream: int, n: int, chunk: int, draw) -> np.ndarray:
+    """The n values of random stream `stream` of a channel seed: each chunk
+    of `chunk` symbols (the last one shorter) drawn as draw(generator, m) by
+    the chunk's own generator, SeedSequence(seed, spawn_key=(stream, c)),
+    the chunks concatenated."""
+    parts = []
+    for c, a in enumerate(range(0, n, chunk)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, c)))
+        parts.append(draw(rng, min(chunk, n - a)))
+    return np.concatenate(parts)
 
 
-def common_phase_reference(n: int, ch) -> np.ndarray:
+def payload_reference(n: int, ch, chunk: int = CHUNK) -> list[np.ndarray]:
+    """The two channels' transmitted quadrant indices: uniform integers
+    0..3, drawn as uint8 from the payload streams."""
+    return [chunked(ch.seed, stream, n, chunk,
+                    lambda rng, m: rng.integers(0, 4, m, dtype=np.uint8))
+            for stream in (STREAM_BITS1, STREAM_BITS2)]
+
+
+@lru_cache(maxsize=4)
+def shaped_taps(alpha_dB: float, dbeta: float, cpe_cutoff: float,
+                symbol_rate: float) -> np.ndarray:
+    """The shaped model's 513 FIR taps h[-256..256] (tap k at index k + 256):
+    the centered samples of the inverse rfft of the filter's gain on a
+    2^20-point grid at the symbol rate. The gain is the efficiency
+    sqrt(alpha_np^2 + (dbeta*omega)^2) times a first-order high-pass at
+    cpe_cutoff, x/sqrt(1 + x^2) with x = f/cpe_cutoff."""
+    grid = 2**20
+    freq = np.fft.rfftfreq(grid, d=1.0 / symbol_rate)
+    alpha_np = math.log(10) / 10 * alpha_dB
+    efficiency = np.hypot(alpha_np, dbeta * 2 * np.pi * freq)
+    x = freq / cpe_cutoff
+    response = np.fft.irfft(efficiency * x / np.hypot(1.0, x), grid)
+    return np.concatenate([response[-256:], response[:257]])
+
+
+def common_phase_reference(n: int, ch, chunk: int = CHUNK) -> np.ndarray:
     """The shared phase trace of duolink.channel's docstring: iid
-    Gaussian(0, sigma_common^2) per symbol, or white Gaussian noise filtered
-    by the efficiency sqrt(alpha_np^2 + (dbeta*omega)^2) times a first-order
-    high-pass at cpe_cutoff, on the rfft grid of the symbol rate, then
-    scaled to the sample std sigma_common. All zeros when sigma_common is 0
-    or the filtered trace is constant."""
+    Gaussian(0, sigma_common^2) per symbol, or white Gaussian noise
+    circularly convolved with the shaped_taps, less its mean, then scaled to
+    the sample std sigma_common. All zeros when sigma_common is 0 or the
+    filtered trace is constant."""
     if ch.sigma_common == 0:
         return np.zeros(n)
-    rng = generator(ch.seed, STREAM_PHASE)
     if ch.phase_model == "iid":
-        return rng.normal(0.0, ch.sigma_common, n)
-    white = rng.standard_normal(n)
-    freq = np.fft.rfftfreq(n, d=1.0 / ch.symbol_rate)
-    alpha_np = math.log(10) / 10 * ch.alpha_dB
-    efficiency = np.hypot(alpha_np, ch.dbeta * 2 * np.pi * freq)
-    x = freq / ch.cpe_cutoff
-    trace = np.fft.irfft(np.fft.rfft(white) * efficiency * x / np.hypot(1.0, x), n)
+        return chunked(ch.seed, STREAM_PHASE, n, chunk,
+                       lambda rng, m: rng.normal(0.0, ch.sigma_common, m))
+    white = chunked(ch.seed, STREAM_PHASE, n, chunk, lambda rng, m: rng.standard_normal(m))
+    taps = shaped_taps(ch.alpha_dB, ch.dbeta, ch.cpe_cutoff, ch.symbol_rate)
+    # trace[j] = sum over k of h[k] * white[(j - k) mod n]
+    trace = np.zeros(n)
+    for k in range(-256, 257):
+        trace += taps[k + 256] * np.roll(white, k)
+    trace -= trace.mean()
     std = trace.std()
     return np.zeros(n) if std == 0 else trace * (ch.sigma_common / std)
 
 
-def channel_reference(k_tx1, k_tx2, ch) -> tuple[np.ndarray, np.ndarray]:
+def channel_reference(k_tx1, k_tx2, ch, chunk: int = CHUNK) -> tuple[np.ndarray, np.ndarray]:
     """(rx1, rx2) of duolink.channel's model: each quadrant center rotated
-    by exp(1j*phi), plus sigma_additive times each noise generator's
-    in-phase draws, then its quadrature draws; channel 2 then rolled so
-    that slot n holds symbol n + delay_offset."""
+    by exp(1j*phi), plus sigma_additive times each noise stream's in-phase
+    draws, then its quadrature draws, chunk by chunk; channel 2 then rolled
+    so that slot n holds symbol n + delay_offset."""
     n = k_tx1.size
-    rotation = np.exp(1j * common_phase_reference(n, ch))
+    rotation = np.exp(1j * common_phase_reference(n, ch, chunk))
     rx = []
     for k, stream in ((k_tx1, STREAM_NOISE1), (k_tx2, STREAM_NOISE2)):
         z = QPSK_SYMBOLS[k] * rotation
         if ch.sigma_additive > 0:
-            rng = generator(ch.seed, stream)
-            in_phase = rng.standard_normal(n)
-            quadrature = rng.standard_normal(n)
-            z = z + ch.sigma_additive * (in_phase + 1j * quadrature)
+            pairs = chunked(ch.seed, stream, n, chunk,
+                            lambda rng, m: np.stack([rng.standard_normal(m),
+                                                     rng.standard_normal(m)], axis=1))
+            z = z + ch.sigma_additive * (pairs[:, 0] + 1j * pairs[:, 1])
         rx.append(z)
     return rx[0], np.roll(rx[1], -ch.delay_offset)
 
 
-def reference_trial(cfg) -> dict:
+def reference_trial(cfg, chunk: int = CHUNK) -> dict:
     """Every BERReport field of run_trial(cfg) except `config`, computed
-    plainly from the package's documented behaviour.
+    plainly from the package's documented behaviour, with the random
+    streams drawn in chunks of `chunk` symbols.
 
-    Only the numbering of the random streams comes from the package. The
-    rest is written here: the payload bits (each stream's 2*n draws), Gray
-    mapping, the channel (channel_reference), the delay search by direct Pearson
+    Only the numbering of the random streams and the chunk size come from
+    the package. The rest is written here: the payload (payload_reference)
+    and its Gray labels, the channel (channel_reference), the delay search by direct Pearson
     correlation of the per-symbol traces (taken only when the traces are
     longer than 2*max_lag, applied only when confident), explicit window
     sums, per-channel mean removal, the weights exp(-kappa*|phi|) of
@@ -220,10 +252,9 @@ def reference_trial(cfg) -> dict:
     truth table and the Wilson interval.
     """
     n, ch = cfg.n_symbols, cfg.channel
-    bits = [generator(ch.seed, stream).integers(0, 2, size=2 * n)
-            for stream in (STREAM_BITS1, STREAM_BITS2)]
-    k_tx = [GRAY_INDEX[b[0::2], b[1::2]] for b in bits]
-    rx1, rx2 = channel_reference(k_tx[0], k_tx[1], ch)
+    k_tx = payload_reference(n, ch, chunk)
+    bits = [GRAY_BITS[k].ravel() for k in k_tx]
+    rx1, rx2 = channel_reference(k_tx[0], k_tx[1], ch, chunk)
 
     lag, confident = 0, False
     if cfg.max_lag > 0 and n > 2 * cfg.max_lag:

@@ -31,16 +31,15 @@ from duolink import (
     classify_cases,
     compensate_traces,
     count_quadrant_errors,
+    draw_payload,
     extract_phase,
     gen_common_phase,
-    gray_indices,
     quadrant_indices,
     run_trial,
     wrap_quarter,
 )
 import duolink
 from duolink import _blocks, harness, run_sweep
-from duolink.channel import STREAM_BITS1, STREAM_BITS2, stream_rng
 from oracles import QPSK_SYMBOLS
 
 BLOCKS = (1, 7, 64)
@@ -257,8 +256,7 @@ def whole_array_counts(cfg):
     rotated and decided on the whole arrays. The mean removal rotates each
     whole stream by minus its trace's mean and wraps the trace less it."""
     n, ch = cfg.n_symbols, cfg.channel
-    k_tx1, k_tx2 = (gray_indices(stream_rng(ch.seed, stream).integers(0, 2, 2 * n))
-                    for stream in (STREAM_BITS1, STREAM_BITS2))
+    k_tx1, k_tx2 = draw_payload(n, ch)
     rx1, rx2 = apply_channel(k_tx1, k_tx2, ch)
     lag = run_trial(cfg).estimated_lag
     valid = harness._shift(rx2, lag)
@@ -384,8 +382,8 @@ def test_trial_peak_memory_per_symbol(phase_model, window, remove_mean):
 def test_trial_peak_memory_without_spare_copies(monkeypatch, phase_model, window, remove_mean,
                                                 bound):
     """With two threads, no complex transmit stream exists whole (the channel
-    reads the quadrant indices), no payload bits (they are drawn block by
-    block), no centered copy of the delay search's traces (it centers block
+    reads the quadrant indices), no payload bits (the payload is drawn as
+    quadrant indices), no centered copy of the delay search's traces (it centers block
     by block), no shifted copy of channel 2 (it is rotated in place) and no
     array of received decisions (the settle pass decides block by block).
     Whole arrays at the peak, in the settle pass: the two streams, the two
@@ -411,10 +409,11 @@ def test_trial_peak_memory_without_spare_copies(monkeypatch, phase_model, window
 
 
 def test_shaped_phase_peak_memory(monkeypatch):
-    """The shaped synthesis holds at most two n-sample float arrays (16
-    B/sym): the white noise and its spectrum, the spectrum and the trace, or
-    the trace and std's temporary. Measured at 2^20 with two threads: 16.9
-    B/sym, where filtering the whole spectrum out of place took 32.8."""
+    """The shaped synthesis holds two n-sample float arrays (16 B/sym), the
+    white noise and the trace, and each thread's FFT block; the first
+    computation of the filter's spectrum ends before the white noise is
+    drawn. Measured at 2^20 with two threads: 18.5 B/sym, 19.0 when the
+    spectrum is computed in the call."""
     monkeypatch.setattr(_blocks, "THREADS", 2)
     n = 2**20
     params = ChannelParams(sigma_common=0.3, phase_model="shaped", cpe_cutoff=1e8, seed=5)
@@ -429,11 +428,12 @@ def test_shaped_phase_peak_memory(monkeypatch):
 
 @pytest.mark.parametrize("phase_model, bound", [("iid", 44), ("shaped", 50)])
 def test_channel_peak_memory(monkeypatch, phase_model, bound):
-    """The two complex streams (32 B/sym) exist while the phase is
-    synthesized beside the noise, so the channel's peak is theirs plus the
-    synthesis's. Measured at 2^20 with two threads, the transmit indices
-    allocated before tracing: 42.2 B/sym (iid: the streams and the trace) and
-    48.3 (shaped: the streams and the synthesis's two arrays)."""
+    """The phase is synthesized before the two complex streams (32 B/sym)
+    exist, so the channel's peak is the streams, the phase trace and each
+    thread's chunk temporaries. Measured at 2^20 with two threads, the
+    transmit indices allocated before tracing: 42.15 B/sym (iid, and shaped
+    with the filter's spectrum cached) and 42.8 (shaped, the spectrum
+    computed in the call)."""
     monkeypatch.setattr(_blocks, "THREADS", 2)
     n = 2**20
     rng = np.random.default_rng(5)

@@ -14,14 +14,14 @@ from duolink import (
     VVConfig,
     apply_channel,
     conversion_efficiency,
+    draw_payload,
     export_efficiency_csv,
     gen_common_phase,
     gray_indices,
     run_trial,
     shaped_filter_gain,
 )
-from duolink.channel import STREAM_PHASE, stream_rng
-from oracles import channel_reference
+from oracles import channel_reference, common_phase_reference, payload_reference
 
 # ln(10)/10 * 0.2 dB/km, evaluated by hand
 ETA_AT_DC_02DB = 0.04605170185988092
@@ -112,23 +112,54 @@ class TestGenCommonPhase:
             shaped_filter_gain(n, ChannelParams(sigma_common=0.1, phase_model="shaped"))
 
 
+def with_chunk(monkeypatch, chunk):
+    """Patch the random chunk size and the block size to `chunk` (None
+    keeps both); return the chunk size the oracles are to take."""
+    if chunk is None:
+        return duolink.channel.CHUNK
+    monkeypatch.setattr(duolink.channel, "CHUNK", chunk)
+    monkeypatch.setattr(_blocks, "BLOCK", chunk)
+    return chunk
+
+
+# The shaped trace's filter runs through FFTs here and as a direct
+# convolution in the oracle: on sigma_common 0.3 the two traces, and the
+# samples rotated by them, were seen to differ by at most 3.1e-15.
+SHAPED_ATOL = 1e-13
+
+
 class TestShapedPhaseBits:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("block", [7, 64, None], ids=["7", "64", "default"])
     @pytest.mark.parametrize("n", [1, 2, 3, 2**15, 2**15 + 1, 99991])
     def test_bits_equal_whole_array_expression(self, monkeypatch, n, block, threads):
-        """The synthesis, which filters blocks of bins and scales in place,
-        gives the bits of the whole-array expression written out here, at
-        every length (99991 is prime) and block size."""
+        """The shaped trace has the bytes of the synthesis on one thread with
+        one block spanning the whole array, at every length (99991 is prime),
+        block size and thread count: its chunks, filter parts and the order
+        in which their sums are added are fixed by the model's constants."""
+        params = ChannelParams(sigma_common=0.3, phase_model="shaped", seed=n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_blocks, "BLOCK", n)
+            mp.setattr(_blocks, "THREADS", 1)
+            expected = gen_common_phase(n, params)
         if block is not None:
             monkeypatch.setattr(_blocks, "BLOCK", block)
         monkeypatch.setattr(_blocks, "THREADS", threads)
-        params = ChannelParams(sigma_common=0.3, phase_model="shaped", seed=n)
-        white = stream_rng(params.seed, STREAM_PHASE).standard_normal(n)
-        trace = np.fft.irfft(np.fft.rfft(white) * shaped_filter_gain(n, params)[1], n)
-        std = trace.std()
-        expected = np.zeros(n) if std == 0 else trace * (params.sigma_common / std)
         assert gen_common_phase(n, params).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("chunk", [7, 64, None], ids=["7", "64", "default"])
+    @pytest.mark.parametrize("cpe_cutoff", [1e6, 1e9])
+    @pytest.mark.parametrize("n", [1, 2, 3, 600, 2**15 + 1, 70001])
+    def test_agrees_with_reference(self, monkeypatch, n, cpe_cutoff, chunk):
+        """The blocked overlap-save FIR gives oracles.common_phase_reference's
+        direct circular convolution, within SHAPED_ATOL, also where the trace
+        is shorter than the taps and wraps around them."""
+        chunk = with_chunk(monkeypatch, chunk)
+        params = ChannelParams(sigma_common=0.3, phase_model="shaped", cpe_cutoff=cpe_cutoff,
+                               seed=n + 1)
+        np.testing.assert_allclose(gen_common_phase(n, params),
+                                   common_phase_reference(n, params, chunk),
+                                   rtol=0, atol=SHAPED_ATOL)
 
 
 class TestChannelMatchesReference:
@@ -138,21 +169,58 @@ class TestChannelMatchesReference:
     @pytest.mark.parametrize("delay_offset", [0, 11, -3])
     def test_iid_bits_equal_reference(self, monkeypatch, delay_offset, sigma_additive, block,
                                       threads):
-        """The channel draws the noise beside the phase and then adds the
-        rotated symbols onto it block by block; oracles.channel_reference
-        rotates whole arrays and adds the noise after. Addition commutes, so
-        the bytes agree, at every block size and thread count."""
+        """The channel rotates the symbols and then adds the noise chunk by
+        chunk into their slots; oracles.channel_reference draws each stream
+        chunk by chunk, rotates whole arrays and rolls channel 2. The bytes
+        agree at every chunk size, block size and thread count."""
         n = 500 if block is not None else 2**15 + 77
-        if block is not None:
-            monkeypatch.setattr(_blocks, "BLOCK", block)
+        chunk = with_chunk(monkeypatch, block)
         monkeypatch.setattr(_blocks, "THREADS", threads)
         rng = np.random.default_rng(n + delay_offset)
         k1, k2 = rng.integers(0, 4, n), rng.integers(0, 4, n)
         params = ChannelParams(sigma_common=0.3, sigma_additive=sigma_additive,
                                delay_offset=delay_offset, seed=7)
         got = apply_channel(k1.astype(np.uint8), k2.astype(np.uint8), params)
-        expected = channel_reference(k1, k2, params)
+        expected = channel_reference(k1, k2, params, chunk)
         assert [r.tobytes() for r in got] == [r.tobytes() for r in expected]
+
+    @pytest.mark.parametrize("chunk", [7, 64, None], ids=["7", "64", "default"])
+    @pytest.mark.parametrize("delay_offset", [0, 11, -3])
+    def test_shaped_close_to_reference(self, monkeypatch, delay_offset, chunk):
+        n = 500 if chunk is not None else 2**15 + 77
+        chunk = with_chunk(monkeypatch, chunk)
+        k1, k2 = payload_reference(n, ChannelParams(seed=3), chunk)
+        params = ChannelParams(sigma_common=0.3, sigma_additive=0.4, phase_model="shaped",
+                               delay_offset=delay_offset, seed=7)
+        got = apply_channel(k1, k2, params)
+        for r, expected in zip(got, channel_reference(k1, k2, params, chunk)):
+            np.testing.assert_allclose(r, expected, rtol=0, atol=SHAPED_ATOL)
+
+    @pytest.mark.parametrize("chunk", [7, 64, None], ids=["7", "64", "default"])
+    @pytest.mark.parametrize("n", [1, 6, 7, 8, 500, 2**15 + 1])
+    def test_payload_equals_reference(self, monkeypatch, n, chunk):
+        chunk = with_chunk(monkeypatch, chunk)
+        got = draw_payload(n, ChannelParams(seed=n))
+        assert [k.dtype for k in got] == [np.uint8, np.uint8]
+        assert [k.tobytes() for k in got] == [
+            k.tobytes() for k in payload_reference(n, ChannelParams(seed=n), chunk)]
+
+    @pytest.mark.parametrize("sigma_additive", [0.0, 0.4])
+    @pytest.mark.parametrize("n", [1, 2**15 - 1, 2**15, 2**15 + 1, 70001])
+    def test_iid_prefix_of_a_longer_run(self, n, sigma_additive):
+        """No draw depends on the stream's length: at delay_offset 0 the
+        payload and the iid channel of n symbols are the first n symbols of
+        a longer run's. The one exception is the quadrature noise of a last,
+        partial chunk, which follows the chunk's in-phase draws."""
+        params = ChannelParams(sigma_common=0.3, sigma_additive=sigma_additive, seed=5)
+        long1, long2 = draw_payload(n + 40000, params)
+        k1, k2 = draw_payload(n, params)
+        assert k1.tobytes() == long1[:n].tobytes() and k2.tobytes() == long2[:n].tobytes()
+        rx_long = apply_channel(long1, long2, params)
+        rx = apply_channel(k1, k2, params)
+        full = n if sigma_additive == 0 else n - n % duolink.channel.CHUNK
+        assert [r[:full].tobytes() for r in rx] == [r[:full].tobytes() for r in rx_long]
+        assert [r.real.tobytes() for r in rx] == [r[:n].real.tobytes() for r in rx_long]
 
 
 class TestApplyChannel:

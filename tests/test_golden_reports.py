@@ -1,14 +1,21 @@
 """Bit-identity of run_trial against recorded reports.
 
-golden_reports.json holds (config, report) pairs recorded before the trial
-kernel was restructured. The configs cover both phase models, window 1 and
-33, remove_mean on and off, delay offsets 0/7/-5, kappa 0/8/infinite, the
-baseline on and off, max_lag 16 and 0, zero additive noise, configs recorded
-with either value of the removed `pipeline` field, and four edge cases (a
-noiseless channel, an unconfident delay estimate, a stream too short for the
-delay search and a one-symbol trial). Every report must come back exactly,
-float for float, once its configs pass through _migrate. The file is a fixed
-record: do not regenerate it from the code under test.
+golden_reports.json holds (config, report) pairs. The configs cover both
+phase models, window 1 and 33, remove_mean on and off, delay offsets
+0/7/-5, kappa 0/8/infinite, the baseline on and off, max_lag 16 and 0, zero
+additive noise, configs recorded with either value of the removed `pipeline`
+field, four edge cases (a noiseless channel, an unconfident delay estimate,
+a stream too short for the delay search and a one-symbol trial) and two
+70 001-symbol trials (iid and shaped, window 33, delay offset -5) whose
+streams span three random chunks (channel.CHUNK).
+
+The reports were re-recorded once, when the random streams came to be drawn
+chunk by chunk and the shaped phase to be filtered by a FIR (the stream
+layout of channel's docstring): every report, the two long trials' included,
+was computed by oracles.reference_trial, not by run_trial, and each config
+kept as it was recorded. Every report must come back exactly, float for
+float, once its configs pass through _migrate. The file is a fixed record:
+do not regenerate it from the code under test.
 """
 
 import copy
