@@ -36,7 +36,7 @@ from . import _blocks, _checks, _files
 from .alignment import AlignmentResult, _shift, estimate_delay
 from .channel import ChannelParams, apply_channel, draw_payload
 from .compensation import EstimatorConfig, apply_compensation, compensate_traces
-from .cpe import HALF_PI, QUARTER_PI, VVConfig, extract_phase, wrap_quarter
+from .cpe import HALF_PI, VVConfig, extract_phase, wrap_quarter
 from .qpsk import GRAY_DISTANCE, quadrant_indices
 
 WILSON_Z95 = 1.959963984540054
@@ -152,13 +152,13 @@ def run_trial(cfg: TrialConfig) -> BERReport:
     """Run one paired baseline/compensated trial.
 
     Steps: random payloads, drawn as quadrant indices whose Gray labels are
-    the bits (draw_payload) -> shared-phase channel (on their QPSK symbols) -> delay recovery from per-symbol phase traces ->
-    channel-2 alignment -> baseline (per-channel VV rotation) and compensated
-    (joint) detection -> count and classify. Each phase trace is extracted
-    once. A symbol whose decisions its own phase already fixes is decided
-    from that phase, once; only the others are rotated and decided (see
-    MARGIN). Bit errors are counted from the decided quadrants.
-    Deterministic for a given config.
+    the bits (draw_payload) -> shared-phase channel (on their QPSK symbols)
+    -> delay recovery from per-symbol phase traces -> channel-2 alignment ->
+    baseline (per-channel VV rotation) and compensated (joint) detection ->
+    count and classify. Each phase trace is extracted once. A symbol whose
+    decisions no estimate can change is decided from its sample's angle,
+    once; only the others are rotated and decided (see MARGIN). Bit errors
+    are counted from the decided quadrants. Deterministic for a given config.
     """
     return _detect(_receive(cfg), cfg)
 
@@ -186,33 +186,33 @@ def kappa_objective(cfg: TrialConfig):
 # for every estimate the joint estimator can return. Only the other, open,
 # symbols are rotated and decided for each estimator setting.
 #
-# Channel j's sample has the angle c(k_rx) + o. Here k_rx is its quadrant,
-# c(k) = pi/4 + k*pi/2 that quadrant's center, and o the sample's own
-# window-1 offset: extract_phase(z, _PER_SYMBOL), at every receiver window.
+# Channel j's sample has the angle A, np.arctan2 of its components, and
+# quadrant k spans the angles [k, k + 1) in quarter turns (mod 4).
 # Compensation rotates the sample by m + theta. m is the mean that the mean
 # removal takes off (0 without it). theta is the joint estimate: a weighted
 # mean of the two wrapped, mean-removed observations for a finite kappa, and
 # one of them for kappa_infinite, so it lies in their hull [lo, hi] up to
-# rounding. The compensated decision is (k_rx + s) mod 4,
-# s = floor((o - m - theta + pi/4) / (pi/2)).
+# rounding. So the compensated decision is floor(A - m - theta) mod 4, with
+# all angles in quarter turns; arctan2's two answers on the negative real
+# axis, +pi and -pi, are four quarter turns apart and give one decision.
 #
-# A symbol is settled when both channels meet three conditions:
-# - |o| < pi/4 - MARGIN: the sample lies off the axes, so k_rx and o
-#   describe one angle;
-# - the sample's power is at least NORMAL_POWER: its fourth power is a
-#   normal float (channel.MAX_SIGMA keeps it below overflow), so o is
-#   accurate;
-# - s is one integer over all of [lo - MARGIN, hi + MARGIN].
-# Extraction, wrap, estimate and rotation each err by about 1e-15 rad, far
-# below MARGIN. So the float pipeline's compensated sample lies inside the
-# quadrant that s names, by about MARGIN, and is decided there. The baseline
-# rotates channel j by its trace t_j alone: the same rule holds for it with
-# m = 0 and the hull [t_j, t_j].
+# A symbol is settled when both channels meet two conditions:
+# - the sample's power is at least NORMAL_POWER. This keeps out the origin,
+#   whose arctan2 is 0 or +-pi by its zeros' signs but which quadrant_indices
+#   decides as quadrant 0 at every rotation, and keeps the rotation's products
+#   normal floats (channel.MAX_SIGMA keeps them below overflow), so the
+#   rotated sample's angle is accurate;
+# - floor(A - m - theta) is one integer over all of [lo - MARGIN, hi + MARGIN].
+# arctan2, wrap, estimate, rotation and the rule's own arithmetic each err by
+# about 1e-15 rad, far below MARGIN. So the float pipeline's compensated
+# sample lies inside the quadrant that the rule names, by about MARGIN, and
+# is decided there. The baseline rotates channel j by its trace t_j alone:
+# the same rule holds for it with m = 0 and the hull [t_j, t_j]. The key's
+# received-right bit takes quadrant_indices, whose ties on the axes are exact.
 MARGIN = 1e-9
 NORMAL_POWER = 2.0**-500
 
-# the per-symbol extraction: of the delay search, and of the settle pass's
-# offsets o
+# the per-symbol extraction: of the delay search, and of the window-1 receiver
 _PER_SYMBOL = VVConfig(window=1, remove_mean=False)
 
 _QUARTER_TURNS = 1 / HALF_PI  # per radian
@@ -309,18 +309,17 @@ def _receive(cfg: TrialConfig) -> _Reception:
     means = (trace1.mean(), trace2.mean()) if cfg.vv.remove_mean else None
     settled, baseline, opened = _settle(
         rx1[valid], rx2[valid], trace1[valid], trace2[valid], k_tx1[valid], k_tx2[valid],
-        means, share, cfg.compare_baseline)
+        means, cfg.compare_baseline)
     return _Reception(*opened, settled=settled, baseline=baseline,
                       valid_symbols=valid.stop - valid.start, estimated_lag=applied_lag,
                       lag_confident=delay.confident)
 
 
-def _settle(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means, own_offsets: bool,
+def _settle(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means,
             baseline: bool) -> tuple[np.ndarray, np.ndarray | None, tuple[np.ndarray, ...]]:
     """The settle pass (see MARGIN) over equal-length arrays: the received
     samples, the receiver's phase traces, the transmitted quadrants and the
-    traces' means (None: no mean removal). With own_offsets the traces are
-    the samples' own window-1 offsets; otherwise those are extracted here.
+    traces' means (None: no mean removal).
 
     Returns the histogram of the settled symbols' codes, the histogram of
     every symbol's baseline code (None unless baseline) and the open
@@ -328,22 +327,23 @@ def _settle(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means, own_offsets: bool,
     the mean removal is applied, once: the gathered samples are rotated by
     minus their channel's mean, and the observations are the traces less the
     mean, wrapped. Runs block by block: the received decisions and the
-    offsets exist one block at a time, and a baseline decision that its own
-    phase does not fix is taken from the rotated sample.
+    samples' angles exist one block at a time, and a baseline decision that
+    the rule does not settle is taken from the rotated sample.
     """
     removed = (0.0, 0.0) if means is None else means
     margin = MARGIN * _QUARTER_TURNS
 
     def settle(b: slice):
         rx, traces, k_tx = (rx1[b], rx2[b]), (trace1[b], trace2[b]), (k_tx1[b], k_tx2[b])
-        # the estimate's hull, widened by MARGIN, in quarter turns
+        # the estimate's hull, widened by MARGIN, in quarter turns: lo and hi - lo
         obs = traces if means is None else [wrap_quarter(t - m) for t, m in zip(traces, means)]
         lo = np.minimum(*obs)
         lo *= _QUARTER_TURNS
         lo -= margin
-        hi = np.maximum(*obs)
-        hi *= _QUARTER_TURNS
-        hi += margin
+        width = np.maximum(*obs)
+        width *= _QUARTER_TURNS
+        width += margin
+        width -= lo
         del obs
         key = k_tx[0] << 4
         key |= k_tx[1] << 2
@@ -351,27 +351,26 @@ def _settle(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means, own_offsets: bool,
         base_settled = np.ones(key.size, dtype=bool)
         posts, bases = [], []
         for j, (z, t) in enumerate(zip(rx, traces)):
-            k_rx = quadrant_indices(z)
-            key |= (k_rx == k_tx[j]).view(np.uint8) << (1 - j)
-            o = t if own_offsets else extract_phase(z, _PER_SYMBOL)
-            exact = np.abs(o) < QUARTER_PI - MARGIN
+            key |= (quadrant_indices(z) == k_tx[j]).view(np.uint8) << (1 - j)
             power = z.real * z.real
             power += z.imag * z.imag
-            exact &= power >= NORMAL_POWER
-            del power
-            settled &= exact
-            # the sample's angle less m, from the axis before quadrant
-            # k_rx, in quarter turns
-            a = o * _QUARTER_TURNS
-            a += 0.5 - removed[j] * _QUARTER_TURNS
-            posts.append(_decision(a, lo, hi, settled, k_rx))
+            normal = power >= NORMAL_POWER
+            settled &= normal
+            # the sample's angle, written over its power. arctan2 takes about
+            # twice as long on the strided views as on contiguous copies
+            np.copyto(power, z.real)
+            angle = np.arctan2(z.imag.copy(), power, out=power)
             if baseline:
-                base_settled &= exact
-                # the same less t, whose hull is [-margin, margin]
-                a = o - t
+                base_settled &= normal
+                # the angle less t in quarter turns, on the hull [-margin, margin]
+                a = angle - t
                 a *= _QUARTER_TURNS
-                a += 0.5
-                bases.append(_decision(a, -margin, margin, base_settled, k_rx))
+                bases.append(_decision(a, -margin, 2 * margin, base_settled))
+                del a  # before the next channel's power and its temporary
+            # the angle less m, in quarter turns
+            angle *= _QUARTER_TURNS
+            angle -= removed[j] * _QUARTER_TURNS
+            posts.append(_decision(angle, lo, width, settled))
         code = key.astype(np.uint16) << 4
         code |= posts[0] << 2
         code |= posts[1]
@@ -408,19 +407,19 @@ def _settle(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means, own_offsets: bool,
     return settled, base, tuple(opened)
 
 
-def _decision(a: np.ndarray, lo, hi, settled: np.ndarray, k_rx: np.ndarray) -> np.ndarray:
-    """(k_rx + floor(a - theta)) mod 4 as uint8, for theta at lo; clears
-    `settled` where floor(a - theta) is not one integer on [lo, hi]. All
-    angles are in quarter turns. Consumes a."""
-    s = a - lo
-    np.floor(s, out=s)
-    a -= hi
-    # floor(a - hi) <= s: they are equal where a - hi reaches s
+def _decision(a: np.ndarray, lo, width, settled: np.ndarray) -> np.ndarray:
+    """floor(a - theta) mod 4 as uint8, for theta at lo: the quadrant of an
+    angle a rotated by theta. Clears `settled` where floor(a - theta) is not
+    one integer on [lo, lo + width]. All angles are in quarter turns.
+    Consumes a, and allocates no float array."""
+    a -= lo
+    s = np.empty(a.shape, dtype=np.int8)
+    np.floor(a, out=s, casting="unsafe")
+    a -= width
+    # floor(a - lo - width) <= s: they are equal where a - lo - width reaches s
     settled &= a >= s
-    decided = s.astype(np.int8).view(np.uint8)
-    decided += k_rx
-    decided &= 3
-    return decided
+    s &= 3
+    return s.view(np.uint8)
 
 
 def _detect(r: _Reception, cfg: TrialConfig) -> BERReport:

@@ -1,11 +1,12 @@
 """The settle pass against a full evaluation.
 
-A settled symbol's decisions are taken at reception from its own phase
-(see duolink.harness.MARGIN). Here small receptions are built whose samples
-and traces sit on each boundary of that rule, within rounding of it, and
-just inside and outside MARGIN from it. The boundaries are the axes (the
-sample's offset near +-pi/4), a decision boundary met at one end of the
-estimate's hull, and the wrap edges of the mean removal. Every settled
+A settled symbol's decisions are taken at reception from its sample's own
+angle (see duolink.harness.MARGIN). Here small receptions are built whose
+samples and traces sit on each boundary of that rule, within rounding of it,
+and just inside and outside MARGIN from it. The boundaries are a decision
+boundary met at one end of the estimate's hull, and the wrap edges of the
+mean removal; samples also sit near the axes, the boundaries of the received
+decision, and exactly on them, with signed zero components. Every settled
 decision, and every count, must equal the one that rotating and deciding
 every symbol gives, for each estimator setting and for the baseline.
 """
@@ -48,24 +49,31 @@ magnitudes = st.one_of(
     st.floats(0.1, 3.0),
     st.sampled_from([2.0**-250 * f for f in (1 - 1e-9, 1 + 1e-9)] + [1e-160, 0.0]),
 )
-KINDS = ("free", "axis", "hull", "self", "wrap")
+KINDS = ("free", "axis", "zero", "hull", "self", "wrap")
 
 
 def build(kinds, j, edges, o, t, mags, quadrants, k_tx, means, own):
-    """(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means, own) of n symbols.
+    """(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means) of n symbols.
 
     Symbol c's quadrants, offsets o[:, c], traces t[:, c] and magnitudes
     are the drawn ones, except that one boundary of channel a = j[c] (the
     other is b) is placed at edges[c], which is +-pi/4 or near it:
-    - axis: a's offset at the edge;
+    - axis: a's offset at the edge, which puts the sample at the boundary
+      of its received decision (the key's received-right bit) only: the
+      settle rule takes the sample's angle and has no boundary there;
+    - zero: a's sample exactly on the axis that ends its quadrant
+      counterclockwise, its zero component signed as the edge (so -pi and
+      +pi both occur on the negative real axis), and both observations
+      (and a's trace for the baseline) as far from a's decision boundary as
+      the edge is from +-pi/4, on the side of that distance's sign;
     - hull: a's decision boundary at b's observation;
     - self: a's decision boundary at its own observation (and the
       baseline's at its own trace);
     - wrap: a's trace at a wrap edge of the mean removal.
-    With own (a window-1 receiver) the traces are the samples' window-1
-    extractions, so the boundaries are placed by moving the samples;
-    otherwise the traces are apart from the samples, as a wider window
-    gives them.
+    With own the traces are the samples' window-1 extractions, as a
+    window-1 receiver has them, so the boundaries are placed by moving the
+    samples; otherwise the traces are apart from the samples, as a wider
+    window gives them. Either way the settle pass sees only the traces.
     """
     o = np.array(o, dtype=float)
     t = o if own else np.array(t, dtype=float)
@@ -74,6 +82,12 @@ def build(kinds, j, edges, o, t, mags, quadrants, k_tx, means, own):
         b = 1 - a
         if kind == "axis":
             o[a, c] = edge
+        elif kind == "zero":
+            # a compensated decision boundary of a's sample is at a rotation
+            # of -m[a], and its baseline's at a trace of 0
+            distance = edge - np.copysign(QUARTER_PI, edge)
+            t[a, c] = distance
+            t[b, c] = m[b] - m[a] + distance
         elif kind == "hull":
             t[b, c] = o[a, c] - m[a] + m[b] - edge
         elif kind == "self":
@@ -81,10 +95,14 @@ def build(kinds, j, edges, o, t, mags, quadrants, k_tx, means, own):
         elif kind == "wrap":
             t[a, c] = m[a] + edge
     rx = np.asarray(mags) * np.exp(1j * (QUARTER_PI + np.asarray(quadrants) * np.pi / 2 + o))
+    for c in np.flatnonzero(np.asarray(kinds) == "zero"):
+        a, mag, zero = j[c], mags[j[c]][c], np.copysign(0.0, edges[c])
+        rx[a, c] = [complex(zero, mag), complex(-mag, zero), complex(zero, -mag),
+                    complex(mag, zero)][quadrants[a][c]]
     if own:
         t = np.array([extract_phase(z, VVConfig(window=1)) for z in rx])
     k_tx = np.asarray(k_tx, dtype=np.uint8)
-    return rx[0], rx[1], t[0], t[1], k_tx[0], k_tx[1], means, own
+    return rx[0], rx[1], t[0], t[1], k_tx[0], k_tx[1], means
 
 
 @st.composite
@@ -125,14 +143,14 @@ def baseline_evaluation(rx1, rx2, t1, t2):
 @settings(max_examples=300, deadline=None)
 @given(receptions())
 def test_settled_decisions_equal_full_evaluation(reception):
-    rx1, rx2, t1, t2, k_tx1, k_tx2, means, own = reception
+    rx1, rx2, t1, t2, k_tx1, k_tx2, means = reception
     full = [full_evaluation(rx1, rx2, t1, t2, means, est) for est in ESTIMATORS]
     base1, base2 = baseline_evaluation(rx1, rx2, t1, t2)
     k_rx1, k_rx2 = quadrant_indices(rx1), quadrant_indices(rx2)
     for s in range(rx1.size):
         one = slice(s, s + 1)
         settled, baseline, opened = harness._settle(
-            rx1[one], rx2[one], t1[one], t2[one], k_tx1[one], k_tx2[one], means, own, True)
+            rx1[one], rx2[one], t1[one], t2[one], k_tx1[one], k_tx2[one], means, True)
         (code,) = np.flatnonzero(baseline)
         assert (code >> 6, code >> 4 & 3) == (k_tx1[s], k_tx2[s])
         assert (code >> 2 & 3, code & 3) == (base1[s], base2[s]), s
@@ -155,10 +173,9 @@ def test_counts_equal_full_evaluation(reception):
 def check_counts(reception):
     """The reports of the settle pass and the detection of the open symbols
     count what the full evaluation counts, for each estimator setting."""
-    rx1, rx2, t1, t2, k_tx1, k_tx2, means, own = reception
+    rx1, rx2, t1, t2, k_tx1, k_tx2, means = reception
     n = rx1.size
-    settled, baseline, opened = harness._settle(
-        rx1, rx2, t1, t2, k_tx1, k_tx2, means, own, True)
+    settled, baseline, opened = harness._settle(rx1, rx2, t1, t2, k_tx1, k_tx2, means, True)
     r = harness._Reception(*opened, settled=settled, baseline=baseline, valid_symbols=n,
                            estimated_lag=0, lag_confident=False)
     k_rx1, k_rx2 = quadrant_indices(rx1), quadrant_indices(rx2)
@@ -175,10 +192,11 @@ def check_counts(reception):
 
 
 def test_counts_at_scale_equal_full_evaluation():
-    """Twenty thousand symbols, one boundary each, drawn from one seed, so
-    that the hull's exact ends and ties within rounding are met many times."""
+    """Twenty-four thousand symbols, one boundary each, drawn from one seed,
+    so that the hull's exact ends and ties within rounding are met many times
+    (about four thousand per kind)."""
     rng = np.random.default_rng(16)
-    n = 20_000
+    n = 24_000
     distance = np.choose(rng.integers(0, 4, n), [
         0.0, rng.uniform(-1e-12, 1e-12, n), MARGIN * (1 - 1e-3), MARGIN * (1 + 1e-3)])
     parts = dict(
