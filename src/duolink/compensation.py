@@ -41,7 +41,9 @@ class EstimatorConfig:
 
 def estimate_common_phase(phi1, phi2, cfg: EstimatorConfig) -> np.ndarray:
     """Per-symbol weighted joint estimate of the common phase from two
-    equal-shape arrays of observations; returns an array of their shape."""
+    equal-shape arrays of finite observations; returns an array of their
+    shape. With kappa_infinite it is the observation of smaller magnitude,
+    channel 1's on a tie."""
     p1 = np.asarray(phi1, dtype=float)
     p2 = np.asarray(phi2, dtype=float)
     _checks.same_shape(phi1=p1, phi2=p2)
@@ -49,15 +51,8 @@ def estimate_common_phase(phi1, phi2, cfg: EstimatorConfig) -> np.ndarray:
     a1 = np.abs(p1)
     a2 = np.abs(p2)
     if cfg.kappa_infinite:
-        # p2 where a2 < a1, else p1 (tie -> channel 1), selected on the bits
-        # by AND and XOR in the buffers of a1 and a2: np.where, or a fresh
-        # temporary per step, took about three times as long per block
-        a1, a2 = np.atleast_1d(a1, a2)  # 0-d input gives numpy scalars
-        # all ones where p2 is taken; then p1 ^ ((p1 ^ p2) & pick)
-        pick = np.subtract(0, a2 < a1, out=a1.view(np.int64), dtype=np.int64)
-        pick &= np.bitwise_xor(p1.view(np.int64), p2.view(np.int64), out=a2.view(np.int64))
-        pick ^= p1.view(np.int64)
-        return a1.reshape(p1.shape)
+        # the observation of smaller magnitude (tie -> channel 1)
+        return np.where(a2 < a1, p2, p1)
     # weights normalized so the larger one is exactly 1: the same estimate
     # as exp(-kappa*|phi|), but immune to underflow. The observation of
     # smaller magnitude weighs 1 (w <= 1 is raised to it), the other w, so
@@ -69,26 +64,18 @@ def estimate_common_phase(phi1, phi2, cfg: EstimatorConfig) -> np.ndarray:
     return np.asarray((w1 * p1 + w2 * p2) / (w1 + w2))
 
 
-def _derotation(phase: np.ndarray) -> np.ndarray:
-    """np.exp(-1j * phase), taken from cos and sin without complex temporaries."""
-    phase = np.asarray(phase, dtype=float)
-    out = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
-    np.negative(out.imag, out=out.imag)
-    return out
-
-
 def apply_compensation(rx: np.ndarray, estimates: np.ndarray) -> np.ndarray:
-    """Rotate each sample by minus its estimated common phase."""
+    """Rotate each sample by minus its estimated common phase; the estimates
+    must be finite."""
     rx = np.asarray(rx)
     est = np.asarray(estimates, dtype=float)
     _checks.same_shape(rx=rx, estimates=est)
+    _checks.finite(estimates=est)
     # the rotation is the product's first operand at every length: the
     # rounding of a complex product depends on the operand order. Nor is it
     # taken in place: numpy rounds an in-place product of one element
     # differently from the same product in a longer array
-    return _derotation(est) * rx
+    return np.exp(-1j * est) * rx
 
 
 def compensate_traces(
@@ -102,7 +89,8 @@ def compensate_traces(
     each stream's per-symbol phase observations (cpe.extract_phase's traces,
     or, with the receiver's mean removal, the traces less their means,
     wrapped, and the streams rotated by minus those means). Both streams are
-    rotated by minus the joint estimate; the inputs are not modified.
+    rotated by minus the joint estimate, by the product with
+    exp(-1j * estimate); the inputs are not modified.
     """
     rx1 = np.asarray(rx1)
     rx2 = np.asarray(rx2)
@@ -110,5 +98,5 @@ def compensate_traces(
     p2 = np.asarray(phi2, dtype=float)
     _checks.same_shape(rx1=rx1, rx2=rx2, phi1=p1, phi2=p2)
     # the common rotation is the same for both channels: compute it once
-    rotation = _derotation(estimate_common_phase(p1, p2, cfg))
+    rotation = np.exp(-1j * estimate_common_phase(p1, p2, cfg))
     return rx1 * rotation, rx2 * rotation

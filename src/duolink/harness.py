@@ -98,7 +98,9 @@ class TrialConfig:
     """One Monte Carlo trial: payload size, channel, receiver settings.
 
     n_symbols below ~1000 gives meaningless BER statistics; max_lag bounds
-    the inter-channel delay search (0 disables delay recovery).
+    the inter-channel delay search (0 disables delay recovery). A trial of
+    n_symbols <= 2 * max_lag also skips the search: its report has lag 0,
+    not confident.
     """
 
     n_symbols: int
@@ -429,18 +431,15 @@ def _detect(r: _Reception, cfg: TrialConfig) -> BERReport:
     whose codes join the settled histogram, and the counts read from it.
     Reads the reception without modifying it.
 
-    Runs block by block over the open symbols; the compensated streams and
-    their decisions never exist whole.
+    Runs on all the open symbols at once: they are a few percent of a
+    trial's symbols (16 to 24 % at sigma_common 0.5), so the compensated
+    streams and their decisions are small beside the reception.
     """
-
-    def decide(b: slice) -> np.ndarray:
-        comp1, comp2 = compensate_traces(r.rx1[b], r.rx2[b], r.obs1[b], r.obs2[b], cfg.estimator)
-        code = r.key[b].astype(np.uint16) << 4
-        code |= quadrant_indices(comp1) << 2
-        code |= quadrant_indices(comp2)
-        return np.bincount(code, minlength=_CODES)
-
-    hist = sum(_blocks.each(decide, _blocks.blocks(0, r.key.size)), r.settled)
+    comp1, comp2 = compensate_traces(r.rx1, r.rx2, r.obs1, r.obs2, cfg.estimator)
+    code = r.key.astype(np.uint16) << 4
+    code |= quadrant_indices(comp1) << 2
+    code |= quadrant_indices(comp2)
+    hist = np.bincount(code, minlength=_CODES) + r.settled
     ec1, ec2, *cases = (hist @ _COUNTS).tolist()
     n_valid = r.valid_symbols
     assert sum(cases) == n_valid

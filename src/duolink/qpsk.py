@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _blocks, _checks
+from . import _checks
 
 # Quadrant centers, index = Gray symbol index k: a bit stream's symbols are
 # SYMBOLS[gray_indices(bits)].
@@ -42,28 +42,21 @@ def quadrant_indices(samples: np.ndarray) -> np.ndarray:
 
     Ties on the axes go to the adjacent quadrant with the smaller k; the
     origin maps to k=0 (signed zeros count as zero). A NaN component fails
-    every comparison, so an all-NaN sample also maps to k=0.
-
-    Decides block by block on the threads of _blocks, writing into the
-    one output array.
+    every comparison, so an all-NaN sample also maps to k=0. Decides the
+    whole input in one vectorized pass; a 0-d input gives a numpy scalar.
     """
     z = np.asarray(samples)
-    out = np.empty(z.shape, dtype=np.uint8)
-    re, im, k = z.real.reshape(-1), z.imag.reshape(-1), out.reshape(-1)
-
-    def decide(b: slice) -> None:
-        lower = im[b] < 0
-        # im >= 0: k = 1 left of the imaginary axis, else 0;
-        # im < 0: k = 3 right of the imaginary axis, else 2. The turn to 1
-        # or 3 is taken in bool arithmetic (left and not lower, or right
-        # and lower): a select on the random pattern of `lower` costs more
-        turned = np.greater(re[b] < 0, lower)
-        turned |= (re[b] > 0) & lower
-        np.multiply(lower, np.uint8(2), out=k[b])
-        k[b] += turned
-
-    _blocks.each(decide, _blocks.blocks(0, k.size))
-    return out if out.ndim else out[()]
+    re, im = z.real, z.imag
+    lower = im < 0
+    # im >= 0: k = 1 left of the imaginary axis, else 0;
+    # im < 0: k = 3 right of the imaginary axis, else 2. The turn to 1 or 3
+    # is taken in bool arithmetic (left and not lower, or right and lower):
+    # a select on the random pattern of `lower` costs more
+    turned = np.greater(re < 0, lower)
+    turned |= (re > 0) & lower
+    k = np.multiply(lower, np.uint8(2))
+    k += turned
+    return k
 
 
 def count_quadrant_errors(k_tx: np.ndarray, k_rx: np.ndarray) -> int:

@@ -1,6 +1,6 @@
 """The blocked trial kernel: no result depends on the block size or on the
-number of threads, the settle pass and the blocked detection count what the
-whole arrays give, and a trial's memory stays bounded.
+number of threads, the settle pass and the detection of its open symbols
+count what the whole arrays give, and a trial's memory stays bounded.
 
 The block size is monkeypatched down to 1, 7 and 64 symbols so that short
 trials span several blocks plus a remainder, and the thread count to 1, 2
@@ -290,8 +290,9 @@ def assert_counts_equal(report, counts, cfg):
 @settings(max_examples=40, deadline=None)
 @given(trial_configs())
 def test_blocked_detection_equals_whole_arrays(cfg):
-    """At every block size, the settle pass and the detection of the open
-    symbols count what a full evaluation counts."""
+    """The block size reaches only the settle pass, as the detection runs on
+    the open symbols whole: at every block size, the settle pass and the
+    detection count what a full evaluation counts."""
     counts = whole_array_counts(cfg)
     for block in BLOCKS:
         report = with_block(block, lambda: harness._detect(harness._receive(cfg), cfg))
@@ -405,6 +406,38 @@ def test_trial_peak_memory_without_spare_copies(monkeypatch, phase_model, window
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak / n < bound
+
+
+@pytest.mark.parametrize("phase_model, window, remove_mean, bound", [
+    ("iid", 1, False, 12.5),
+    ("shaped", 33, True, 14.5),
+])
+def test_detection_peak_memory(phase_model, window, remove_mean, bound):
+    """The detection runs on the open symbols whole, so its peak grows with
+    their number: at sigma_common 0.5 a fifth to a quarter of the symbols
+    are open. Its own peak at kappa 8, the reception allocated before
+    tracing, measured at 2^19: 11.45 B/sym (iid, 20.5 % open) and 13.56
+    (shaped, 24.2 % open), both 56 B per open symbol, which the estimator's
+    seven float arrays reach. One more float array per open symbol would
+    add 1.6 and 1.9 B/sym and fail the bound."""
+    n = 2**19
+    cfg = TrialConfig(
+        n_symbols=n,
+        channel=ChannelParams(sigma_common=0.5, sigma_additive=0.15, phase_model=phase_model,
+                              cpe_cutoff=1e8, delay_offset=3, seed=5),
+        vv=VVConfig(window=window, remove_mean=remove_mean),
+        estimator=EstimatorConfig(kappa=8.0),
+        compare_baseline=True,
+    )
+    reception = harness._receive(cfg)
+    tracemalloc.start()
+    try:
+        harness._detect(reception, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reception.key.size > n // 6
     assert peak / n < bound
 
 

@@ -60,8 +60,10 @@ class TestEstimateCommonPhase:
     @settings(max_examples=300)
     @given(observation_pairs())
     def test_border_case_bits_equal_np_where_form(self, pair):
-        """The bits and shape of the former np.where expression, copied here,
-        with ties and signed zeros; the inputs are left as they were."""
+        """The border case is np.where(|p2| < |p1|, p2, p1), the
+        implementation's own form: its bits and shape on 0-d, 1-d and
+        strided input, with ties and signed zeros, and the inputs left as
+        they were."""
         p1, p2 = pair
         before = p1.tobytes(), p2.tobytes()
         expected = np.where(np.abs(p2) < np.abs(p1), p2, p1)
@@ -169,6 +171,15 @@ class TestApplyCompensation:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             apply_compensation(np.ones(4, complex), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_estimate_rejected(self, bad):
+        """A non-finite angle would rotate its sample to NaN, which
+        quadrant_indices decides as quadrant 0 without an error."""
+        with pytest.raises(ValueError, match="estimates must be finite"):
+            apply_compensation(np.ones(2, complex), np.array([bad, 0.0]))
+        with pytest.raises(ValueError, match="estimates must be finite"):
+            apply_compensation(1 + 0j, bad)
 
 
 def compensate_streams(rx1, rx2, vv, cfg):
