@@ -5,11 +5,11 @@ received streams, the two phase traces and the uint8 transmitted quadrant
 indices. Every stage in between runs over blocks of BLOCK symbols, so its
 temporaries stay the size of one block per thread however long the trial
 is: the fourth-power extraction, the delay search (each block with max_lag
-samples of margin), the shift of channel 2 and the settle pass, which
-gathers the open symbols block by block. The detection runs on those few
-open symbols whole, with no blocks or threads. The payload draws and the
-channel run over their random chunks (channel.CHUNK) instead, and the
-shaped phase's filter over its FFT blocks.
+samples of margin), the shift of channel 2 and the settle pass, whose
+blocks return the open symbols' keys and indices. The open symbols are
+gathered and detected whole, with no blocks or threads. The payload draws
+and the channel run over their random chunks (channel.CHUNK) instead, and
+the shaped phase's filter over its FFT blocks.
 No report depends on BLOCK; it can move the delay search's peak_correlation
 only by rounding, as it sets the order in which the search's sums are added.
 

@@ -67,6 +67,13 @@ STREAM_BITS2 = 4
 
 PHASE_MODELS = ("iid", "shaped")
 
+# The stream layout: how a seed's random streams are drawn and turned into a
+# trial's samples (the module docstring). Every change to it changes the
+# reports, and bumps this number. run_sweep records it beside its point
+# files and reuses them only under the same layout; the golden reports'
+# test pins it to the golden file.
+STREAM_LAYOUT = 1
+
 MAX_SEED = 2**64
 
 # Bound on sigma_common and sigma_additive. Below it neither a noise draw

@@ -89,7 +89,9 @@ def extract_phase(samples: np.ndarray, cfg: VVConfig) -> np.ndarray:
     fourth powers zero-padded past the stream's ends (adding +0 changes no
     sum's value), so a trace's bytes depend neither on the block size nor on
     the thread count, and no sum goes through BLAS. At window 1 the sum is
-    the fourth power itself.
+    the fourth power itself. A non-finite sample raises ValueError, and so do
+    samples whose fourth powers overflow a window's sum (the message names
+    the samples whose windows overflow).
     """
     s = np.asarray(samples, dtype=complex)
     _checks.one_d(samples=s)
@@ -100,23 +102,32 @@ def extract_phase(samples: np.ndarray, cfg: VVConfig) -> np.ndarray:
     phase = np.empty(n)
 
     def extract(b: slice) -> None:
-        if not np.isfinite(s[b]).all():
-            raise ValueError("samples must be finite")
         # the windows of a block reach `half` samples past its ends
         lo, hi = max(b.start - half, 0), min(b.stop + half, n)
-        # two squarings (numpy's general complex power is several times
-        # slower), each out of place, as numpy rounds a one-element in-place
-        # product differently from the same product in a longer array; one
-        # name is rebound, so the first square is freed once the second exists
-        quartic = s[lo:hi] * s[lo:hi]
-        quartic = quartic * quartic
         m = b.stop - b.start
-        if hi - lo < m + 2 * half:  # zeros past the stream's ends
-            padded = np.zeros(m + 2 * half, dtype=complex)
-            ahead = lo - (b.start - half)
-            padded[ahead : ahead + hi - lo] = quartic
-            quartic = padded
-        avg = _window_sums(quartic, cfg.window, m)
+        # a non-finite sample or an overflow makes a window sum non-finite:
+        # the sums are checked, not the samples, and raise below
+        with np.errstate(over="ignore", invalid="ignore"):
+            # two squarings (numpy's general complex power is several times
+            # slower), each out of place, as numpy rounds a one-element
+            # in-place product differently from the same product in a longer
+            # array; one name is rebound, so the first square is freed once
+            # the second exists
+            quartic = s[lo:hi] * s[lo:hi]
+            quartic = quartic * quartic
+            if hi - lo < m + 2 * half:  # zeros past the stream's ends
+                padded = np.zeros(m + 2 * half, dtype=complex)
+                ahead = lo - (b.start - half)
+                padded[ahead : ahead + hi - lo] = quartic
+                quartic = padded
+            avg = _window_sums(quartic, cfg.window, m)
+        if not np.isfinite(avg).all():
+            if not np.isfinite(s[lo:hi]).all():
+                raise ValueError("samples must be finite")
+            bad = (b.start + np.flatnonzero(~np.isfinite(avg))).tolist()
+            shown = ", ".join(map(str, bad[:5])) + (", ..." if len(bad) > 5 else "")
+            raise ValueError("sample magnitudes too large: the window sums of the fourth "
+                             f"powers overflow at samples {shown}")
         # -avg == avg * e^{-i pi}: removes the constellation's pi offset.
         # np.angle(-avg) / 4, written straight into the output block
         p = phase[b]

@@ -19,8 +19,10 @@ evaluated as a first-match decision list in that order.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -34,10 +36,10 @@ import numpy as np
 
 from . import _blocks, _checks, _files
 from .alignment import AlignmentResult, _shift, estimate_delay
-from .channel import ChannelParams, apply_channel, draw_payload
+from .channel import STREAM_LAYOUT, ChannelParams, apply_channel, draw_payload
 from .compensation import EstimatorConfig, apply_compensation, compensate_traces
 from .cpe import HALF_PI, VVConfig, extract_phase, wrap_quarter
-from .qpsk import GRAY_DISTANCE, quadrant_indices
+from .qpsk import GRAY_DISTANCE, _quadrants, quadrant_indices
 
 WILSON_Z95 = 1.959963984540054
 
@@ -192,13 +194,17 @@ def kappa_objective(cfg: TrialConfig):
 # quadrant k spans the angles [k, k + 1) in quarter turns (mod 4).
 # Compensation rotates the sample by m + theta. m is the mean that the mean
 # removal takes off (0 without it). theta is the joint estimate: a weighted
-# mean of the two wrapped, mean-removed observations for a finite kappa, and
-# one of them for kappa_infinite, so it lies in their hull [lo, hi] up to
-# rounding. So the compensated decision is floor(A - m - theta) mod 4, with
-# all angles in quarter turns; arctan2's two answers on the negative real
-# axis, +pi and -pi, are four quarter turns apart and give one decision.
+# mean of the two observations wrap_quarter(t - m), t the receiver's trace,
+# for a finite kappa, and one of them for kappa_infinite, so it lies in their
+# hull up to rounding. So the compensated decision is floor(A - m - theta)
+# mod 4, with all angles in quarter turns; arctan2's two answers on the
+# negative real axis, +pi and -pi, are four quarter turns apart and give one
+# decision.
 #
-# A symbol is settled when both channels meet two conditions:
+# A symbol is settled when both observations t - m, unwrapped, lie in
+# (-1/2 + MARGIN, 1/2 - MARGIN): there wrap_quarter moves them by rounding
+# only, so theta lies in the hull [lo, hi] of the unwrapped t - m, and no
+# settled symbol needs the wrap. Both channels must also meet two conditions:
 # - the sample's power is at least NORMAL_POWER. This keeps out the origin,
 #   whose arctan2 is 0 or +-pi by its zeros' signs but which quadrant_indices
 #   decides as quadrant 0 at every rotation, and keeps the rotation's products
@@ -208,9 +214,13 @@ def kappa_objective(cfg: TrialConfig):
 # arctan2, wrap, estimate, rotation and the rule's own arithmetic each err by
 # about 1e-15 rad, far below MARGIN. So the float pipeline's compensated
 # sample lies inside the quadrant that the rule names, by about MARGIN, and
-# is decided there. The baseline rotates channel j by its trace t_j alone:
-# the same rule holds for it with m = 0 and the hull [t_j, t_j]. The key's
-# received-right bit takes quadrant_indices, whose ties on the axes are exact.
+# is decided there. The baseline rotates channel j by its trace t_j alone,
+# to the angle A - t_j = A - m - (t_j - m), and t_j - m lies in the hull: a
+# settled symbol's baseline decision is its compensated one. So the settled
+# codes, less their received-right bits, count in the baseline histogram,
+# and only the open symbols' baseline decisions are taken, by the float
+# pipeline. The key's received-right bit takes quadrant_indices' comparisons
+# (qpsk._quadrants), whose ties on the axes are exact.
 MARGIN = 1e-9
 NORMAL_POWER = 2.0**-500
 
@@ -223,7 +233,8 @@ _QUARTER_TURNS = 1 / HALF_PI  # per radian
 # each channel was received in its transmitted quadrant (one bit each), and
 # the compensated decisions post1 and post2 (two bits each). Its top six bits
 # are the key that the reception keeps per open symbol. A baseline code packs
-# tx1, tx2, base1 and base2.
+# tx1, tx2, base1 and base2: a settled code's baseline code is
+# (code >> 6) << 4 | (code & 15).
 _CODES = 1 << 10
 _BASE_CODES = 1 << 8
 
@@ -257,8 +268,9 @@ class _Reception:
     The open symbols' samples (channel 2 aligned), their observations for the
     joint estimate and their keys, gathered in symbol order, with the mean
     removal already applied when it is on; the histogram of the settled
-    symbols' codes; the histogram of the baseline codes (None without the
-    baseline); the number of valid symbols and the recovered delay.
+    symbols' codes; the histogram of every symbol's baseline code (None
+    without the baseline), the settled symbols' read off their codes; the
+    number of valid symbols and the recovered delay.
     """
 
     rx1: np.ndarray
@@ -325,88 +337,90 @@ def _settle(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means,
 
     Returns the histogram of the settled symbols' codes, the histogram of
     every symbol's baseline code (None unless baseline) and the open
-    symbols' (rx1, rx2, obs1, obs2, key), gathered in order. This is where
-    the mean removal is applied, once: the gathered samples are rotated by
-    minus their channel's mean, and the observations are the traces less the
-    mean, wrapped. Runs block by block: the received decisions and the
-    samples' angles exist one block at a time, and a baseline decision that
-    the rule does not settle is taken from the rotated sample.
+    symbols' (rx1, rx2, obs1, obs2, key), gathered in order. The blocks do
+    only the per-symbol work: each returns its settled histogram and its
+    open symbols' keys and indices. The open symbols are then handled once,
+    all together: gathered, their baseline decided from the float pipeline,
+    and the mean removal applied, so the gathered samples are rotated by
+    minus their channel's mean and the observations are the traces less the
+    mean, wrapped. The settled symbols' baseline codes are read off their
+    codes (see MARGIN).
     """
     removed = (0.0, 0.0) if means is None else means
     margin = MARGIN * _QUARTER_TURNS
 
     def settle(b: slice):
-        rx, traces, k_tx = (rx1[b], rx2[b]), (trace1[b], trace2[b]), (k_tx1[b], k_tx2[b])
-        # the estimate's hull, widened by MARGIN, in quarter turns: lo and hi - lo
-        obs = traces if means is None else [wrap_quarter(t - m) for t, m in zip(traces, means)]
+        rx, k_tx = (rx1[b], rx2[b]), (k_tx1[b], k_tx2[b])
+        # the estimate's hull, widened by MARGIN, in quarter turns: lo and
+        # hi - lo, from the observations t - m unwrapped
+        obs = [t[b] - m for t, m in zip((trace1, trace2), removed)]
         lo = np.minimum(*obs)
         lo *= _QUARTER_TURNS
         lo -= margin
-        width = np.maximum(*obs)
+        width = np.maximum(*obs, out=obs[0])
+        del obs
         width *= _QUARTER_TURNS
         width += margin
+        # both observations inside (-1/2 + margin, 1/2 - margin), where
+        # wrapping leaves them (see MARGIN)
+        settled = lo > -0.5
+        settled &= width < 0.5
         width -= lo
-        del obs
         key = k_tx[0] << 4
         key |= k_tx[1] << 2
-        settled = np.ones(key.size, dtype=bool)
-        base_settled = np.ones(key.size, dtype=bool)
-        posts, bases = [], []
-        for j, (z, t) in enumerate(zip(rx, traces)):
-            key |= (quadrant_indices(z) == k_tx[j]).view(np.uint8) << (1 - j)
+        posts = []
+        for j, z in enumerate(rx):
             power = z.real * z.real
             power += z.imag * z.imag
-            normal = power >= NORMAL_POWER
-            settled &= normal
-            # the sample's angle, written over its power. arctan2 takes about
-            # twice as long on the strided views as on contiguous copies
+            settled &= power >= NORMAL_POWER
+            # the sample's components, the real part written over its power:
+            # arctan2 takes about twice as long on the strided views as on
+            # contiguous copies
             np.copyto(power, z.real)
-            angle = np.arctan2(z.imag.copy(), power, out=power)
-            if baseline:
-                base_settled &= normal
-                # the angle less t in quarter turns, on the hull [-margin, margin]
-                a = angle - t
-                a *= _QUARTER_TURNS
-                bases.append(_decision(a, -margin, 2 * margin, base_settled))
-                del a  # before the next channel's power and its temporary
+            im = z.imag.copy()
+            key |= (_quadrants(power, im) == k_tx[j]).view(np.uint8) << (1 - j)
+            angle = np.arctan2(im, power, out=power)
+            del im, power
             # the angle less m, in quarter turns
             angle *= _QUARTER_TURNS
             angle -= removed[j] * _QUARTER_TURNS
             posts.append(_decision(angle, lo, width, settled))
-        code = key.astype(np.uint16) << 4
+            del angle  # before the next channel's power and its temporary
+        code = key.astype(np.uint16)
+        code <<= 4
         code |= posts[0] << 2
         code |= posts[1]
-        hist = np.bincount(code[settled], minlength=_CODES)
         at = np.flatnonzero(~settled)
-        if means is None:
-            opened = (rx[0][at], rx[1][at], traces[0][at], traces[1][at], key[at])
-        else:
-            # obs was freed early; wrap_quarter is elementwise, so wrapping
-            # the gathered traces again gives the open symbols' bits of obs
-            opened = (*(z[at] * np.exp(-1j * m) for z, m in zip(rx, means)),
-                      *(wrap_quarter(t[at] - m) for t, m in zip(traces, means)), key[at])
-        if not baseline:
-            return hist, None, opened
-        at = np.flatnonzero(~base_settled)
-        for z, t, decided in zip(rx, traces, bases):
-            decided[at] = quadrant_indices(apply_compensation(z[at], t[at]))
-        code = (key >> 2) << 4
-        code |= bases[0] << 2
-        code |= bases[1]
-        return hist, np.bincount(code, minlength=_BASE_CODES), opened
+        # all codes less the open ones: faster than selecting the settled
+        hist = np.bincount(code, minlength=_CODES) - np.bincount(code[at], minlength=_CODES)
+        at_key = key[at]
+        at += b.start
+        return hist, at_key, at
 
     parts = _blocks.each(settle, _blocks.blocks(0, k_tx1.size))
     settled = sum((p[0] for p in parts), np.zeros(_CODES, dtype=np.int64))
-    base = sum((p[1] for p in parts), np.zeros(_BASE_CODES, dtype=np.int64)) if baseline else None
-    # join the open symbols one array at a time, freeing its pieces once
-    # joined: a heavy noise leaves a fifth of the symbols open
-    columns = [list(pieces) for pieces in zip(*(p[2] for p in parts))]
+    key = np.concatenate([p[1] for p in parts])
+    at = np.concatenate([p[2] for p in parts])
     del parts
-    opened = []
-    for pieces in columns:
-        opened.append(np.concatenate(pieces))
-        pieces.clear()
-    return settled, base, tuple(opened)
+    base = None
+    if baseline:
+        # the settled codes without their received-right bits, then the open
+        # symbols' codes with their baseline decisions
+        base = settled.reshape(16, 4, 16).sum(axis=1).ravel()
+        code = (key >> 2) << 4
+        for shift, z, t in ((2, rx1, trace1), (0, rx2, trace2)):
+            code |= quadrant_indices(apply_compensation(z[at], t[at])) << shift
+        base += np.bincount(code, minlength=_BASE_CODES)
+    opened = [rx1[at], rx2[at], trace1[at], trace2[at]]
+    del at
+    if means is not None:
+        # one channel at a time, the traces less m in place: the gathered
+        # arrays and one array's temporaries exist at a time
+        for j, m in enumerate(means):
+            opened[j] = opened[j] * np.exp(-1j * m)
+            opened[2 + j] -= m
+            opened[2 + j] = wrap_quarter(opened[2 + j])
+    return settled, base, (*opened, key)
 
 
 def _decision(a: np.ndarray, lo, width, settled: np.ndarray) -> np.ndarray:
@@ -582,6 +596,29 @@ def _point_path(out_dir, index: int) -> str:
     return os.path.join(out_dir, f"point_{index:04d}.json")
 
 
+_POINT_FILE = re.compile(r"point_\d{4,}\.json")
+_LAYOUT_FILE = "stream_layout.json"
+
+
+def _claim_layout(out_dir) -> None:
+    """Make every point file in out_dir one of this stream layout: unless
+    out_dir's layout file records channel.STREAM_LAYOUT, remove its point
+    files (those drawn under another layout, or under an unrecorded one),
+    then record the layout."""
+    layout = {"stream_layout": STREAM_LAYOUT}
+    path = os.path.join(out_dir, _LAYOUT_FILE)
+    with contextlib.suppress(ConfigError):
+        if read_config_file(path) == layout:
+            return
+    for name in os.listdir(out_dir):
+        if _POINT_FILE.fullmatch(name):
+            with contextlib.suppress(OSError):  # e.g. a directory of that name
+                os.remove(os.path.join(out_dir, name))
+    with _files.atomic_write(path) as fh:
+        json.dump(layout, fh)
+        fh.write("\n")
+
+
 def run_sweep(
     base: TrialConfig,
     axes: dict,
@@ -593,7 +630,10 @@ def run_sweep(
     With out_dir set, each completed point is written to point_NNNN.json and
     points whose file already exists and holds the same config are loaded
     instead of recomputed, so an interrupted sweep resumes where it stopped;
-    any other point file is recomputed and overwritten. Points are
+    any other point file is recomputed and overwritten. out_dir's
+    stream_layout.json records the stream layout (channel.STREAM_LAYOUT) of
+    its point files: in a directory that records another layout, or none,
+    the point files are removed and every point is recomputed. Points are
     independent and run in `workers` processes when workers > 1; results
     merge by index. A point lost because a worker died is run once more on
     its own, so a point that kills its worker fails and no other does.
@@ -604,6 +644,7 @@ def run_sweep(
     configs = sweep_configs(base, axes)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        _claim_layout(out_dir)
     points: list[SweepPoint | None] = [None] * len(configs)
 
     pending: list[int] = []

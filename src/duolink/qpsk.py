@@ -46,7 +46,11 @@ def quadrant_indices(samples: np.ndarray) -> np.ndarray:
     whole input in one vectorized pass; a 0-d input gives a numpy scalar.
     """
     z = np.asarray(samples)
-    re, im = z.real, z.imag
+    return _quadrants(z.real, z.imag)
+
+
+def _quadrants(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """quadrant_indices of the samples re + 1j*im, from their components."""
     lower = im < 0
     # im >= 0: k = 1 left of the imaginary axis, else 0;
     # im < 0: k = 3 right of the imaginary axis, else 2. The turn to 1 or 3

@@ -409,6 +409,40 @@ def test_trial_peak_memory_without_spare_copies(monkeypatch, phase_model, window
     assert peak / n < bound
 
 
+@pytest.mark.parametrize("window, remove_mean", [(1, False), (33, True)])
+def test_settle_peak_memory(monkeypatch, window, remove_mean):
+    """The settle pass's own peak over three calls with two threads, its
+    inputs allocated before tracing, at 2*10^5 symbols (the size of the
+    benchmark's sweep and kappa-search trials, where the blocks weigh most).
+    A block holds at most four float arrays at a time: the hull's two and,
+    per channel, the power and its square's temporary or the power's buffer,
+    reused for the real part, and the imaginary part; a channel's angle is
+    freed before the next channel's power exists. Measured on 2 vCPUs
+    (numpy 2.4.6): 12.4 to 13.1 B/sym (2.4 % open). One more block-size
+    float array per thread (2.6 B/sym) fails the bound: holding a copy of
+    the real part beside the power peaked at 15.1 to 15.7, and keeping the
+    first channel's angle while the second's power is taken at 14.5 to
+    15.7."""
+    monkeypatch.setattr(_blocks, "THREADS", 2)
+    n = 200_000
+    params = ChannelParams(sigma_common=0.3, sigma_additive=0.15, seed=5)
+    k_tx1, k_tx2 = draw_payload(n, params)
+    rx1, rx2 = apply_channel(k_tx1, k_tx2, params)
+    vv = VVConfig(window=window, remove_mean=remove_mean)
+    t1, t2 = extract_phase(rx1, vv), extract_phase(rx2, vv)
+    means = (t1.mean(), t2.mean()) if remove_mean else None
+    tracemalloc.start()
+    try:
+        # each call's result is freed before the next call
+        opened = [harness._settle(rx1, rx2, t1, t2, k_tx1, k_tx2, means, True)[2][-1].size
+                  for _ in range(3)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.01 < opened[0] / n < 0.04
+    assert peak / n < 14
+
+
 @pytest.mark.parametrize("phase_model, window, remove_mean, bound", [
     ("iid", 1, False, 12.5),
     ("shaped", 33, True, 14.5),

@@ -1,5 +1,7 @@
 """Tests for fourth-power phase extraction and phase wrapping."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,32 @@ class TestExtractPhase:
         stream = np.array([bad] * 4 + [1 + 1j] * 4, dtype=complex)
         with pytest.raises(ValueError, match="samples must be finite"):
             extract_phase(stream, VVConfig(window=window))
+
+    @pytest.mark.parametrize("sample, window, named", [
+        (1e100 + 1e100j, 1, "samples 0$"),
+        (3e80 + 1e80j, 1, "samples 0$"),
+        (1e100 + 1e100j, 3, "samples 0, 1$"),
+    ])
+    def test_overflowing_fourth_power_rejected(self, sample, window, named):
+        """A finite sample whose fourth power overflows fails, naming the
+        samples whose windows it reaches, with no numpy warning, instead of
+        giving them a wrong phase."""
+        stream = np.array([sample, 1 + 1j, 1 - 1j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=named):
+                extract_phase(stream, VVConfig(window=window, remove_mean=False))
+
+    def test_overflowing_window_sum_rejected(self):
+        """Fourth powers that are finite alone but overflow a window's sum
+        fail at that window, not at window 1."""
+        stream = np.full(40, 6e76 + 0j)
+        trace = extract_phase(stream, VVConfig(window=1, remove_mean=False))
+        np.testing.assert_array_equal(trace, np.full(40, QUARTER_PI))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow at samples 0, 1, 2, 3, 4, ...$"):
+                extract_phase(stream, VVConfig(window=33, remove_mean=False))
 
     def test_zero_window_flagged(self):
         trace = extract_phase(np.zeros(8, complex), VVConfig(window=1, remove_mean=False))

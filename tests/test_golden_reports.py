@@ -15,18 +15,29 @@ layout of channel's docstring): every report, the two long trials' included,
 was computed by oracles.reference_trial, not by run_trial, and each config
 kept as it was recorded. Every report must come back exactly, float for
 float, once its configs pass through _migrate. The file is a fixed record:
-do not regenerate it from the code under test.
+do not regenerate it from the code under test. Its sha256 is pinned to the
+stream layout it was recorded under (channel.STREAM_LAYOUT).
 """
 
 import copy
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from duolink import run_trial, trial_config_from_dict
+from duolink.channel import STREAM_LAYOUT
 
-CASES = json.loads(Path(__file__).with_name("golden_reports.json").read_text(encoding="utf-8"))
+GOLDEN = Path(__file__).with_name("golden_reports.json")
+CASES = json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+# The golden file recorded under each stream layout (channel.STREAM_LAYOUT),
+# by its sha256: a re-recorded file needs a new layout, which a sweep's
+# resume then tells from the old one.
+GOLDEN_SHA256 = {
+    1: "84eb9bcb05045fc832aa5e01aca8b9ef4a88351beb43adb4b1f5186e0e2734f0",
+}
 
 
 def _migrate(config: dict) -> dict:
@@ -49,3 +60,7 @@ def test_report_matches_golden(case):
     report = run_trial(trial_config_from_dict(_migrate(case["config"])))
     expected = dict(case["report"], config=_migrate(case["report"]["config"]))
     assert json.loads(json.dumps(report.to_dict())) == expected
+
+
+def test_golden_file_pinned_to_stream_layout():
+    assert hashlib.sha256(GOLDEN.read_bytes()).hexdigest() == GOLDEN_SHA256[STREAM_LAYOUT]

@@ -510,7 +510,39 @@ class TestSweep:
         assert [p.report for p in rerun] == [p.report for p in first]
         assert BERReport.from_dict(json.loads(path.read_text())) == first[1].report
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "point_0000.json", "point_0001.json"]
+            "point_0000.json", "point_0001.json", "stream_layout.json"]
+
+    @pytest.mark.parametrize("layout", [None, "{}", '{"stream_layout": 0}', "not json"],
+                             ids=["no-layout-file", "no-layout", "older-layout", "malformed"])
+    def test_resume_recomputes_points_of_another_layout(self, tmp_path, layout):
+        """Point files of a directory that records another stream layout, or
+        none, are never reused, whatever config they hold: all are removed
+        (also one beyond the grid), recomputed, and the layout recorded."""
+        base = replace(small_config(), n_symbols=2000)
+        axes = {"sigma_common": [0.2, 0.3]}
+        first = run_sweep(base, axes, out_dir=tmp_path)
+        assert json.loads((tmp_path / "stream_layout.json").read_text()) == {
+            "stream_layout": duolink.channel.STREAM_LAYOUT}
+        for name in ("point_0000.json", "point_0001.json"):
+            cached = json.loads((tmp_path / name).read_text())
+            cached["ber_compensated"] = 0.123456
+            (tmp_path / name).write_text(json.dumps(cached))
+        (tmp_path / "point_0007.json").write_text("{}")
+        if layout is None:
+            (tmp_path / "stream_layout.json").unlink()
+        else:
+            (tmp_path / "stream_layout.json").write_text(layout)
+        rerun = run_sweep(base, axes, out_dir=tmp_path)
+        assert [p.report for p in rerun] == [p.report for p in first]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "point_0000.json", "point_0001.json", "stream_layout.json"]
+        assert json.loads((tmp_path / "stream_layout.json").read_text()) == {
+            "stream_layout": duolink.channel.STREAM_LAYOUT}
+        # the layout is recorded now: the rerun's point files are reused
+        cached = json.loads((tmp_path / "point_0001.json").read_text())
+        cached["ber_compensated"] = 0.654321
+        (tmp_path / "point_0001.json").write_text(json.dumps(cached))
+        assert run_sweep(base, axes, out_dir=tmp_path)[1].report.ber_compensated == 0.654321
 
     def test_resume_recomputes_points_of_another_config(self, tmp_path):
         base = replace(small_config(), n_symbols=2000)

@@ -12,6 +12,7 @@ every symbol gives, for each estimator setting and for the baseline.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -209,3 +210,31 @@ def test_counts_at_scale_equal_full_evaluation():
     for means in (None, (0.3, -0.6)):
         for own in (True, False):
             check_counts(build(**parts, means=means, own=own))
+
+
+@pytest.mark.parametrize("means", [(0.3, -0.6), (-0.05, 0.7), (0.0, 0.0)])
+def test_mean_removed_observations_at_the_wrap_edges(means):
+    """Observations t - m at +-pi/4 +- MARGIN * (1 +- 1e-3), and at +-pi/4
+    within rounding, on traces apart from the samples, as a window above 1
+    gives them. The settle pass takes t - m unwrapped, so a symbol is open
+    unless both lie more than MARGIN inside (-pi/4, pi/4), where wrapping
+    leaves them; and the counts equal the full evaluation's."""
+    rng = np.random.default_rng(24)
+    n = 6000
+    inside = [s * (QUARTER_PI - MARGIN * (1 + 1e-3)) for s in (-1, 1)]
+    at_edge = [s * (QUARTER_PI + d) for s in (-1, 1)
+               for d in (0.0, -MARGIN * (1 - 1e-3), MARGIN * (1 - 1e-3), MARGIN * (1 + 1e-3))]
+
+    def reception(edges):
+        size = len(edges)
+        return build(kinds=["wrap"] * size, j=rng.integers(0, 2, size), edges=edges,
+                     o=rng.uniform(-QUARTER_PI, QUARTER_PI, (2, size)),
+                     t=rng.uniform(-QUARTER_PI, QUARTER_PI, (2, size)),
+                     mags=np.ones((2, size)), quadrants=rng.integers(0, 4, (2, size)),
+                     k_tx=rng.integers(0, 4, (2, size)), means=means, own=False)
+
+    rx1, rx2, t1, t2, k_tx1, k_tx2, _ = reception(rng.choice(at_edge, n // 2))
+    settled, _, opened = harness._settle(rx1, rx2, t1, t2, k_tx1, k_tx2, means, True)
+    assert settled.sum() == 0
+    assert opened[-1].size == n // 2
+    check_counts(reception(rng.choice(inside + at_edge, n)))
