@@ -38,18 +38,11 @@ class VVConfig:
 
 def wrap_quarter(values: np.ndarray) -> np.ndarray:
     """Wrap phases into (-pi/4, pi/4], boundary to +pi/4: the bits of
-    pi/4 - np.mod(pi/4 - x, pi/2), with the excluded endpoint moved to +pi/4."""
+    pi/4 - np.mod(pi/4 - x, pi/2), with the excluded endpoint moved to +pi/4.
+    NaN and infinities give NaN."""
     x = np.asarray(values, dtype=float)
     a = np.subtract(QUARTER_PI, x, out=np.empty(x.shape))
-    if a.size and -HALF_PI <= a.min() and a.max() < np.pi:
-        # np.mod(a, pi/2) by one branch: a - pi/2 on [pi/2, pi) is exact,
-        # as fmod is, and a + pi/2 on [-pi/2, 0) is the sum np.mod rounds.
-        # The branch is taken by adding 0 or pi/2, not by a mask, whose
-        # random pattern would cost more than the arithmetic.
-        a -= HALF_PI * (a >= HALF_PI)
-        a += HALF_PI * (a < 0)
-    else:  # also NaN and infinities
-        np.mod(a, HALF_PI, out=a)
+    np.mod(a, HALF_PI, out=a)
     out = np.subtract(QUARTER_PI, a, out=a)
     # float rounding can land exactly on the excluded endpoint
     out += HALF_PI * (out <= -QUARTER_PI)

@@ -217,10 +217,10 @@ def kappa_objective(cfg: TrialConfig):
 # is decided there. The baseline rotates channel j by its trace t_j alone,
 # to the angle A - t_j = A - m - (t_j - m), and t_j - m lies in the hull: a
 # settled symbol's baseline decision is its compensated one. So the settled
-# codes, less their received-right bits, count in the baseline histogram,
-# and only the open symbols' baseline decisions are taken, by the float
-# pipeline. The key's received-right bit takes quadrant_indices' comparisons
-# (qpsk._quadrants), whose ties on the axes are exact.
+# histogram counts the baseline too, and only the open symbols' baseline
+# decisions are taken, by the float pipeline. The key's received-right bit
+# takes quadrant_indices' comparisons (qpsk._quadrants), whose ties on the
+# axes are exact.
 MARGIN = 1e-9
 NORMAL_POWER = 2.0**-500
 
@@ -231,18 +231,25 @@ _QUARTER_TURNS = 1 / HALF_PI  # per radian
 
 # A symbol's code packs, from the top: tx1 and tx2 (two bits each), whether
 # each channel was received in its transmitted quadrant (one bit each), and
-# the compensated decisions post1 and post2 (two bits each). Its top six bits
-# are the key that the reception keeps per open symbol. A baseline code packs
-# tx1, tx2, base1 and base2: a settled code's baseline code is
-# (code >> 6) << 4 | (code & 15).
+# two decisions, of channel 1 and channel 2 (two bits each): the compensated
+# ones, or for the baseline's count the baseline's. Its top six bits are the
+# key that the reception keeps per open symbol.
 _CODES = 1 << 10
-_BASE_CODES = 1 << 8
 
 
-def _count_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Integer tables that turn a code histogram into counts: per code
-    [errors 1, errors 2, case 1, ..., case 4], per baseline code
-    [errors 1, errors 2]."""
+def _code(key: np.ndarray, post1: np.ndarray, post2: np.ndarray) -> np.ndarray:
+    """The uint16 codes of the keys `key` and the decisions post1, post2."""
+    code = key.astype(np.uint16)
+    code <<= 4
+    code |= post1 << 2
+    code |= post2
+    return code
+
+
+def _count_tables() -> np.ndarray:
+    """The integer table that turns a code histogram into counts: per code
+    [errors 1, errors 2, case 1, ..., case 4], the errors from the
+    transmitted quadrants and the decisions alone."""
     code = np.arange(_CODES)
     tx1, tx2, post1, post2 = code >> 8, code >> 6 & 3, code >> 2 & 3, code & 3
     # the cases depend only on whether each channel was received right, so
@@ -252,13 +259,10 @@ def _count_tables() -> tuple[np.ndarray, np.ndarray]:
     cases = classify_cases(tx1, tx2, rx1, rx2, post1, post2)
     counts = np.column_stack([GRAY_DISTANCE[tx1, post1], GRAY_DISTANCE[tx2, post2],
                               cases[:, None] == np.arange(len(Case))])
-    base = np.arange(_BASE_CODES)
-    base_errors = np.column_stack([GRAY_DISTANCE[base >> 6, base >> 2 & 3],
-                                   GRAY_DISTANCE[base >> 4 & 3, base & 3]])
-    return counts.astype(np.int64), base_errors.astype(np.int64)
+    return counts.astype(np.int64)
 
 
-_COUNTS, _BASE_ERRORS = _count_tables()
+_COUNTS = _count_tables()
 
 
 @dataclass(frozen=True)
@@ -268,9 +272,10 @@ class _Reception:
     The open symbols' samples (channel 2 aligned), their observations for the
     joint estimate and their keys, gathered in symbol order, with the mean
     removal already applied when it is on; the histogram of the settled
-    symbols' codes; the histogram of every symbol's baseline code (None
-    without the baseline), the settled symbols' read off their codes; the
-    number of valid symbols and the recovered delay.
+    symbols' codes, which counts both receivers (see MARGIN); the open
+    symbols' baseline decisions, two uint8 arrays in the same order (None
+    without the baseline); the number of valid symbols and the recovered
+    delay.
     """
 
     rx1: np.ndarray
@@ -279,7 +284,7 @@ class _Reception:
     obs2: np.ndarray
     key: np.ndarray
     settled: np.ndarray
-    baseline: np.ndarray | None
+    baseline: tuple[np.ndarray, np.ndarray] | None
     valid_symbols: int
     estimated_lag: int
     lag_confident: bool
@@ -330,21 +335,20 @@ def _receive(cfg: TrialConfig) -> _Reception:
 
 
 def _settle(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means,
-            baseline: bool) -> tuple[np.ndarray, np.ndarray | None, tuple[np.ndarray, ...]]:
+            baseline: bool) -> tuple[np.ndarray, tuple | None, tuple[np.ndarray, ...]]:
     """The settle pass (see MARGIN) over equal-length arrays: the received
     samples, the receiver's phase traces, the transmitted quadrants and the
     traces' means (None: no mean removal).
 
-    Returns the histogram of the settled symbols' codes, the histogram of
-    every symbol's baseline code (None unless baseline) and the open
-    symbols' (rx1, rx2, obs1, obs2, key), gathered in order. The blocks do
-    only the per-symbol work: each returns its settled histogram and its
-    open symbols' keys and indices. The open symbols are then handled once,
-    all together: gathered, their baseline decided from the float pipeline,
-    and the mean removal applied, so the gathered samples are rotated by
-    minus their channel's mean and the observations are the traces less the
-    mean, wrapped. The settled symbols' baseline codes are read off their
-    codes (see MARGIN).
+    Returns the histogram of the settled symbols' codes, which counts both
+    receivers, the open symbols' baseline decisions (two uint8 arrays; None
+    unless baseline) and their (rx1, rx2, obs1, obs2, key), all in symbol
+    order. The blocks do only the per-symbol work: each returns its settled
+    histogram and its open symbols' keys and indices. The open symbols are
+    then handled once, all together: their baseline decided from the float
+    pipeline, gathered, and the mean removal applied, so the gathered
+    samples are rotated by minus their channel's mean and the observations
+    are the traces less the mean, wrapped.
     """
     removed = (0.0, 0.0) if means is None else means
     margin = MARGIN * _QUARTER_TURNS
@@ -386,10 +390,7 @@ def _settle(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means,
             angle -= removed[j] * _QUARTER_TURNS
             posts.append(_decision(angle, lo, width, settled))
             del angle  # before the next channel's power and its temporary
-        code = key.astype(np.uint16)
-        code <<= 4
-        code |= posts[0] << 2
-        code |= posts[1]
+        code = _code(key, *posts)
         at = np.flatnonzero(~settled)
         # all codes less the open ones: faster than selecting the settled
         hist = np.bincount(code, minlength=_CODES) - np.bincount(code[at], minlength=_CODES)
@@ -404,13 +405,8 @@ def _settle(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means,
     del parts
     base = None
     if baseline:
-        # the settled codes without their received-right bits, then the open
-        # symbols' codes with their baseline decisions
-        base = settled.reshape(16, 4, 16).sum(axis=1).ravel()
-        code = (key >> 2) << 4
-        for shift, z, t in ((2, rx1, trace1), (0, rx2, trace2)):
-            code |= quadrant_indices(apply_compensation(z[at], t[at])) << shift
-        base += np.bincount(code, minlength=_BASE_CODES)
+        base = tuple(quadrant_indices(apply_compensation(z[at], t[at]))
+                     for z, t in ((rx1, trace1), (rx2, trace2)))
     opened = [rx1[at], rx2[at], trace1[at], trace2[at]]
     del at
     if means is not None:
@@ -442,19 +438,21 @@ def _detect(r: _Reception, cfg: TrialConfig) -> BERReport:
     """The part of run_trial that depends on the estimator: the joint
     estimate from the open symbols' observations, the rotation and the
     decisions of their samples (both already mean-removed at reception),
-    whose codes join the settled histogram, and the counts read from it.
-    Reads the reception without modifying it.
+    and the counts. Each receiver's histogram is the settled one plus the
+    open symbols' codes with its decisions; the baseline reads the errors
+    of _COUNTS. Reads the reception without modifying it.
 
     Runs on all the open symbols at once: they are a few percent of a
     trial's symbols (16 to 24 % at sigma_common 0.5), so the compensated
     streams and their decisions are small beside the reception.
     """
+
+    def counts(post1, post2) -> list[int]:
+        hist = np.bincount(_code(r.key, post1, post2), minlength=_CODES) + r.settled
+        return (hist @ _COUNTS).tolist()
+
     comp1, comp2 = compensate_traces(r.rx1, r.rx2, r.obs1, r.obs2, cfg.estimator)
-    code = r.key.astype(np.uint16) << 4
-    code |= quadrant_indices(comp1) << 2
-    code |= quadrant_indices(comp2)
-    hist = np.bincount(code, minlength=_CODES) + r.settled
-    ec1, ec2, *cases = (hist @ _COUNTS).tolist()
+    ec1, ec2, *cases = counts(quadrant_indices(comp1), quadrant_indices(comp2))
     n_valid = r.valid_symbols
     assert sum(cases) == n_valid
     bits_per_channel = 2 * n_valid
@@ -462,7 +460,7 @@ def _detect(r: _Reception, cfg: TrialConfig) -> BERReport:
     ber_comp = (ec1 + ec2) / (2 * bits_per_channel)
     ci_comp = wilson_interval(ec1 + ec2, 2 * bits_per_channel)
     if cfg.compare_baseline:
-        eb1, eb2 = (r.baseline @ _BASE_ERRORS).tolist()
+        eb1, eb2 = counts(*r.baseline)[:2]
         ber_base = (eb1 + eb2) / (2 * bits_per_channel)
         ci_base = wilson_interval(eb1 + eb2, 2 * bits_per_channel)
         errors_base = (eb1, eb2)
@@ -563,7 +561,9 @@ def sweep_configs(base: TrialConfig, axes: dict) -> list[TrialConfig]:
     keep the base value. Each point is the base config with its axis values
     put in, loaded by trial_config_from_dict, so the config-file field rules
     decide every value. A kappa of Infinity selects the minimum-magnitude
-    border mode. Each point's channel seed is base_seed XOR point_index.
+    border mode. Point i's channel seed is the first 64-bit word of
+    np.random.SeedSequence([base_seed, i]), so every base seed gives its
+    points their own realizations.
     """
     if not isinstance(axes, dict):
         raise ConfigError(f"sweep: expected an object, got {type(axes).__name__}")
@@ -577,7 +577,8 @@ def sweep_configs(base: TrialConfig, axes: dict) -> list[TrialConfig]:
     configs = []
     for index, values in enumerate(product(*(axes[name] for name in names))):
         data = asdict(base)
-        data["channel"]["seed"] ^= index
+        seed = np.random.SeedSequence([base.channel.seed, index]).generate_state(1, np.uint64)
+        data["channel"]["seed"] = int(seed[0])
         for name, value in zip(names, values):
             if name != "kappa":
                 data["channel"][name] = value

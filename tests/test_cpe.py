@@ -18,8 +18,8 @@ from duolink import _blocks
 from oracles import phase_reference, wrap_reference
 
 QUARTER_PI = np.pi / 4
-# the edges of wrap_quarter's branches and of its range, signed zeros,
-# subnormals and the largest floats
+# the edges of wrap_quarter's range and of the quarter turns np.mod meets,
+# signed zeros, subnormals and the largest floats
 EDGES = [s * e for s in (1.0, -1.0) for e in (
     QUARTER_PI, 3 * QUARTER_PI, np.pi / 2, np.pi, 5 * QUARTER_PI, 0.0, 5e-324, 2.2250738585072014e-308,
     1e300, np.finfo(float).max)]
@@ -196,9 +196,9 @@ class TestWrapQuarter:
         st.tuples(st.sampled_from(EDGES), st.sampled_from([np.inf, -np.inf])).map(beside),
         st.floats(-3 * QUARTER_PI, 3 * QUARTER_PI)), max_size=20))
     def test_bits_equal_np_mod_form(self, values):
-        """The bits of the np.mod expression, copied here from the former
-        implementation, on and beside the branch edges and off the range
-        where the branch is taken."""
+        """The bits of the np.mod expression, kept here apart from the
+        implementation, on and beside the edges, and over the whole float
+        range."""
         x = np.array(values, dtype=float)
         with np.errstate(invalid="ignore"):
             expected = QUARTER_PI - np.mod(QUARTER_PI - x, np.pi / 2)

@@ -452,17 +452,30 @@ class TestSweep:
         base = small_config()
         points = run_sweep(base, {})
         assert len(points) == 1
-        assert points[0].report == run_trial(base)
+        (cfg,) = sweep_configs(base, {})
+        assert cfg == replace(base, channel=replace(base.channel, seed=cfg.channel.seed))
+        assert points[0].report == run_trial(cfg)
 
     def test_grid_expansion_and_seeds(self):
         base = small_config()
         cfgs = sweep_configs(base, {"sigma_common": [0.1, 0.2],
                                     "kappa": [0.0, 1.0, float("inf")]})
         assert len(cfgs) == 6
-        assert [c.channel.seed for c in cfgs] == [42 ^ i for i in range(6)]
+        assert [c.channel.seed for c in cfgs] == [
+            int(np.random.SeedSequence([42, i]).generate_state(1, np.uint64)[0])
+            for i in range(6)]
         assert cfgs[2].estimator.kappa_infinite
         assert not cfgs[1].estimator.kappa_infinite
         assert cfgs[1].estimator.kappa == 1.0
+
+    def test_base_seeds_give_disjoint_point_seeds(self):
+        """A second base seed draws new realizations, not the first's
+        permuted."""
+        axes = {"sigma_common": [0.1, 0.2], "kappa": [0.0, 1.0, float("inf")]}
+        seeds = [{c.channel.seed for c in sweep_configs(small_config(seed=base), axes)}
+                 for base in (0, 1)]
+        assert len(seeds[0]) == len(seeds[1]) == 6
+        assert not seeds[0] & seeds[1]
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigError, match="axis"):

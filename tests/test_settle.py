@@ -152,15 +152,22 @@ def test_settled_decisions_equal_full_evaluation(reception):
         one = slice(s, s + 1)
         settled, baseline, opened = harness._settle(
             rx1[one], rx2[one], t1[one], t2[one], k_tx1[one], k_tx2[one], means, True)
-        (code,) = np.flatnonzero(baseline)
-        assert (code >> 6, code >> 4 & 3) == (k_tx1[s], k_tx2[s])
-        assert (code >> 2 & 3, code & 3) == (base1[s], base2[s]), s
+        received = (k_rx1[s] == k_tx1[s], k_rx2[s] == k_tx2[s])
         if opened[-1].size:
+            # an open symbol: its key, and its baseline decisions
             assert settled.sum() == 0
+            (key,) = opened[-1]
+            assert (key >> 4, key >> 2 & 3) == (k_tx1[s], k_tx2[s])
+            assert (key >> 1 & 1, key & 1) == received
+            assert (baseline[0][0], baseline[1][0]) == (base1[s], base2[s]), s
             continue
+        # a settled symbol: no baseline entry, and its code's decisions are
+        # the baseline's as well as every estimator's (see MARGIN)
+        assert baseline[0].size == baseline[1].size == 0
         (code,) = np.flatnonzero(settled)
         assert (code >> 8, code >> 6 & 3) == (k_tx1[s], k_tx2[s])
-        assert (code >> 5 & 1, code >> 4 & 1) == (k_rx1[s] == k_tx1[s], k_rx2[s] == k_tx2[s])
+        assert (code >> 5 & 1, code >> 4 & 1) == received
+        assert (code >> 2 & 3, code & 3) == (base1[s], base2[s]), s
         for est, (post1, post2) in zip(ESTIMATORS, full):
             assert (code >> 2 & 3, code & 3) == (post1[s], post2[s]), (s, est)
 
