@@ -5,11 +5,11 @@ received streams, the two phase traces and the uint8 transmitted quadrant
 indices. Every stage in between runs over blocks of BLOCK symbols, so its
 temporaries stay the size of one block per thread however long the trial
 is: the fourth-power extraction, the delay search (each block with max_lag
-samples of margin), the shift of channel 2 and the settle pass, whose
-blocks return the open symbols' keys and indices. The open symbols are
-gathered and detected whole, with no blocks or threads. The payload draws
-and the channel run over their random chunks (channel.CHUNK) instead, and
-the shaped phase's filter over its FFT blocks.
+samples of margin) and the settle pass, whose blocks return the open
+symbols' keys and indices. The open symbols are gathered and detected
+whole, with no blocks or threads. The payload draws and the channel run
+over their random chunks (channel.CHUNK) instead, and the shaped phase's
+filter over its FFT blocks.
 No report depends on BLOCK; it can move the delay search's peak_correlation
 only by rounding, as it sets the order in which the search's sums are added.
 
@@ -17,10 +17,9 @@ The blocks of a stage run on a thread per CPU this process may run on: the
 calling thread and helper threads that `each` starts for the call and joins
 before it returns or raises (numpy releases the interpreter lock inside the
 blocks). No duolink thread is alive between calls, so a process forked after
-a trial has none to miss. Only the shift moves its blocks in order on the
-calling thread, as each move frees the room of the next. Each task writes
-its own part of an output or returns partial results that are added in a
-fixed order, so no result depends on the number of threads.
+a trial has none to miss. Each task writes its own part of an output or
+returns partial results that are added in a fixed order, so no result
+depends on the number of threads.
 """
 
 import os

@@ -3,9 +3,10 @@
 The joint compensator needs both channels observed at the same symbol index.
 The integer clock offset between them shows up as a shift between their
 extracted phase traces and is recovered by normalized cross-correlation; the
-faster channel is then buffered (shifted) into alignment. The estimator's
-weighting factor kappa is tuned by a golden-section control loop on measured
-BER, assumed unimodal in kappa.
+faster channel is then buffered into alignment: a receiver reads the parts
+of the two streams that meet at the lag (_overlap), and nothing wraps. The
+estimator's weighting factor kappa is tuned by a golden-section control loop
+on measured BER, assumed unimodal in kappa.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 @dataclass
 class AlignmentResult:
     """lag > 0 means trace2 leads trace1 by `lag` symbols (trace2[n] matches
-    trace1[n + lag]); _shift(rx2, lag) buffers it back into alignment."""
+    trace1[n + lag]); _overlap(n, lag) gives the parts of the two streams
+    that meet once trace2 is buffered by lag symbols."""
 
     lag: int
     peak_correlation: float
@@ -147,19 +149,15 @@ def estimate_delay(
     head2, tail2 = _cuts(t2, mean2, k, (sum2, sq2))
 
     def correlation(lag: int) -> float:
-        # lag >= 0 overlaps trace1[lag:] with trace2[:n-lag], lag < 0
-        # overlaps trace1[:n+lag] with trace2[-lag:]
         j = abs(lag)
-        if lag >= 0:
-            x, y, ox, oy = head1, tail2, slice(j, n), slice(0, n - j)
-        else:
-            x, y, ox, oy = tail1, head2, slice(0, n - j), slice(j, n)
+        x, y = (head1, tail2) if lag >= 0 else (tail1, head2)
         m = n - j
         var_x = x.squares[j] - x.sums[j] ** 2 / m
         var_y = y.squares[j] - y.sums[j] ** 2 / m
         cov = cross[lag + k] - x.sums[j] * y.sums[j] / m
         if var_x < x.squares[j] / 2 or var_y < y.squares[j] / 2:
             # the sums above cancel: correlate the raw overlap directly
+            ox, oy = _overlap(n, lag)
             rx, ry = t1[ox], t2[oy]
             if rx.min() == rx.max() or ry.min() == ry.max():
                 return 0.0
@@ -177,31 +175,11 @@ def estimate_delay(
     return AlignmentResult(best_lag, best_corr, best_corr >= CONFIDENCE_THRESHOLD)
 
 
-def _shift(s: np.ndarray, lag: int) -> slice:
-    """Rotate the 1-D array s in place as np.roll(s, lag) would; returns the
-    slice of the symbols that did not wrap around, the valid region: the
-    |lag| wrapped-in overhang symbols must be excluded from error counting.
-
-    The samples move a block of _blocks at a time, so besides the |lag|
-    wrapped samples at most one block is copied (numpy may buffer the
-    source of an overlapping move).
-    """
-    _checks.one_d(s=s)
-    _checks.integer("lag", lag)
-    n = s.size
-    if abs(lag) >= n:
-        raise ValueError(f"|lag|={abs(lag)} must be smaller than length {n}")
-    if lag:
-        moved = list(_blocks.blocks(max(-lag, 0), n - max(lag, 0)))
-        if lag > 0:  # move right: the last block first
-            wrapped, home = s[n - lag:].copy(), slice(0, lag)
-            moved.reverse()
-        else:
-            wrapped, home = s[:-lag].copy(), slice(n + lag, n)
-        for b in moved:
-            s[b.start + lag:b.stop + lag] = s[b]
-        s[home] = wrapped
-    return slice(max(lag, 0), n + min(lag, 0))
+def _overlap(n: int, lag: int) -> tuple[slice, slice]:
+    """The parts of channel 1 and channel 2, streams of n samples, that meet
+    when channel 2 is buffered by lag symbols: channel 1's sample i meets
+    channel 2's sample i - lag. For |lag| < n both have n - |lag| samples."""
+    return slice(max(lag, 0), n + min(lag, 0)), slice(max(-lag, 0), n - max(lag, 0))
 
 
 def adapt_kappa(

@@ -67,12 +67,13 @@ STREAM_BITS2 = 4
 
 PHASE_MODELS = ("iid", "shaped")
 
-# The stream layout: how a seed's random streams are drawn and turned into a
-# trial's samples (the module docstring). Every change to it changes the
-# reports, and bumps this number. run_sweep records it beside its point
-# files and reuses them only under the same layout; the golden reports'
-# test pins it to the golden file.
-STREAM_LAYOUT = 1
+# The version of a trial's reports: the stream layout, how a seed's random
+# streams are drawn and turned into a trial's samples (the module
+# docstring), and the receiver that reads them. Every change to a trial's
+# reports, the receiver's included, bumps this number. run_sweep records it
+# beside its point files and reuses them only under the same number; the
+# golden reports' test pins it to the golden file.
+STREAM_LAYOUT = 2
 
 MAX_SEED = 2**64
 
@@ -316,8 +317,10 @@ def apply_channel(
 
     Returns (rx1, rx2). Channel 2 is circularly shifted by
     params.delay_offset, so rx2[n] carries the symbol, phase imprint and
-    noise of slot n + delay_offset; the first |delay_offset| symbols are
-    wrapped and should be excluded from error counting downstream.
+    noise of slot (n + delay_offset) mod N at stream length N. The wrapped
+    samples, the last delay_offset (offset > 0) or the first |delay_offset|
+    (offset < 0), are the samples of rx2 outside the second slice of
+    alignment._overlap(N, delay_offset), which a receiver never reads.
 
     `phase` overrides the generated per-symbol trace (testing and phase
     inspection hook); it must be finite and match the stream length.

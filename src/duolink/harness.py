@@ -35,7 +35,7 @@ from math import inf, sqrt
 import numpy as np
 
 from . import _blocks, _checks, _files
-from .alignment import AlignmentResult, _shift, estimate_delay
+from .alignment import AlignmentResult, _overlap, estimate_delay
 from .channel import STREAM_LAYOUT, ChannelParams, apply_channel, draw_payload
 from .compensation import EstimatorConfig, apply_compensation, compensate_traces
 from .cpe import HALF_PI, VVConfig, extract_phase, wrap_quarter
@@ -300,37 +300,35 @@ def _receive(cfg: TrialConfig) -> _Reception:
     k_tx1, k_tx2 = draw_payload(n, ch)
     rx1, rx2 = apply_channel(k_tx1, k_tx2, ch)
 
-    # Delay recovery runs on per-symbol (window=1) traces. Extraction is
-    # elementwise at window=1, so for a window=1 receiver the aligned
-    # stream's trace is the per-symbol trace shifted the same way, and the
-    # same two traces also serve compensation and the baseline. For a wider
-    # window they serve only the search and are freed before alignment.
+    # Delay recovery runs on per-symbol (window=1) traces. For a window=1
+    # receiver the same two traces also serve compensation and the baseline;
+    # for a wider window they serve only the search and are freed before
+    # the receiver's own extraction.
     search = cfg.max_lag > 0 and n > 2 * cfg.max_lag
-    share = cfg.vv.window == 1
     delay = AlignmentResult(lag=0, peak_correlation=0.0, confident=False)
-    if share:
+    if cfg.vv.window == 1:
         trace1 = extract_phase(rx1, _PER_SYMBOL)
         trace2 = extract_phase(rx2, _PER_SYMBOL)
         if search:
             delay = estimate_delay(trace1, trace2, cfg.max_lag)
-    elif search:
-        delay = estimate_delay(extract_phase(rx1, _PER_SYMBOL),
-                               extract_phase(rx2, _PER_SYMBOL), cfg.max_lag)
-    # only buffer on a confident estimate; an unconfident peak is noise
-    applied_lag = delay.lag if delay.confident else 0
-    valid = _shift(rx2, applied_lag)
-    if share:
-        _shift(trace2, applied_lag)
     else:
+        if search:
+            delay = estimate_delay(extract_phase(rx1, _PER_SYMBOL),
+                                   extract_phase(rx2, _PER_SYMBOL), cfg.max_lag)
         trace1 = extract_phase(rx1, cfg.vv)
         trace2 = extract_phase(rx2, cfg.vv)
+    # only buffer on a confident estimate; an unconfident peak is noise.
+    # Channel 2's received stream and trace are read through views; its
+    # payload is indexed as channel 1's, as the channel shifts only the
+    # received stream
+    applied_lag = delay.lag if delay.confident else 0
+    a, b = _overlap(n, applied_lag)
     # the mean removal takes the whole traces' means, not each block's
     means = (trace1.mean(), trace2.mean()) if cfg.vv.remove_mean else None
     settled, baseline, opened = _settle(
-        rx1[valid], rx2[valid], trace1[valid], trace2[valid], k_tx1[valid], k_tx2[valid],
-        means, cfg.compare_baseline)
+        rx1[a], rx2[b], trace1[a], trace2[b], k_tx1[a], k_tx2[a], means, cfg.compare_baseline)
     return _Reception(*opened, settled=settled, baseline=baseline,
-                      valid_symbols=valid.stop - valid.start, estimated_lag=applied_lag,
+                      valid_symbols=a.stop - a.start, estimated_lag=applied_lag,
                       lag_confident=delay.confident)
 
 

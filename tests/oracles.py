@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from duolink import Case
+from duolink import Case, ChannelParams, EstimatorConfig, TrialConfig, VVConfig
 from duolink.alignment import CONFIDENCE_THRESHOLD, TIE_TOL
 from duolink.channel import (
     CHUNK,
@@ -47,6 +47,14 @@ CASE_TRUTH_TABLE = {
     (False, False, False, True): Case.NO_CORRECTION_POSSIBLE,
     (False, False, False, False): Case.NO_CORRECTION_POSSIBLE,
 }
+
+# golden-00's config (golden_reports.json): shaped, window 33, channel 2
+# buffered by 7 symbols, where a window at the edge of the channels' overlap
+# changes a decision, as it reads channel 2's own neighbouring samples.
+LAGGED_WINDOW_33 = TrialConfig(
+    n_symbols=4000, vv=VVConfig(window=33), estimator=EstimatorConfig(kappa=8.0), max_lag=16,
+    channel=ChannelParams(sigma_common=0.3, sigma_additive=0.15, phase_model="shaped",
+                          cpe_cutoff=1e8, delay_offset=7, seed=1000))
 
 
 def weighted_phase_reference(phi1: float, phi2: float, kappa: float) -> float:
@@ -245,15 +253,16 @@ def reference_trial(cfg, chunk: int = CHUNK) -> dict:
     the package. The rest is written here: the payload (payload_reference)
     and its Gray labels, the channel (channel_reference), the delay search by direct Pearson
     correlation of the per-symbol traces (taken only when the traces are
-    longer than 2*max_lag, applied only when confident), explicit window
-    sums, per-channel mean removal, the weights exp(-kappa*|phi|) of
+    longer than 2*max_lag, applied only when confident, as a delay line on
+    channel 2 that pairs the symbols both channels hold), explicit window
+    sums over each whole received stream, per-channel mean removal, the
+    weights exp(-kappa*|phi|) of
     duolink.compensation's docstring (the minimum-magnitude observation,
     ties to channel 1, for kappa_infinite), bit-level error counts, the case
     truth table and the Wilson interval.
     """
     n, ch = cfg.n_symbols, cfg.channel
     k_tx = payload_reference(n, ch, chunk)
-    bits = [GRAY_BITS[k].ravel() for k in k_tx]
     rx1, rx2 = channel_reference(k_tx[0], k_tx[1], ch, chunk)
 
     lag, confident = 0, False
@@ -262,15 +271,20 @@ def reference_trial(cfg, chunk: int = CHUNK) -> dict:
                                     cfg.max_lag, TIE_TOL)
         confident = peak >= CONFIDENCE_THRESHOLD
     lag = lag if confident else 0
-    rx2 = np.roll(rx2, lag)
-    valid = slice(max(lag, 0), n + min(lag, 0))
-    n_valid = valid.stop - valid.start
 
-    rx = [rx1, rx2]
-    traces = [phase_reference(r, cfg.vv.window) for r in rx]
+    # each trace from its whole received stream, each mean of its whole trace
+    traces = [phase_reference(r, cfg.vv.window) for r in (rx1, rx2)]
+    means = [t.mean() for t in traces]
+    # a delay line holds channel 2 back by lag symbols: channel 1's symbol i
+    # meets channel 2's symbol i - lag, for every i where both exist. The
+    # channel moved only channel 2's received stream, so both payloads are
+    # read at channel 1's index
+    i1 = np.array([i for i in range(n) if 0 <= i - lag < n], dtype=int)
+    n_valid = i1.size
+    rx = [rx1[i1], rx2[i1 - lag]]
+    traces = [traces[0][i1], traces[1][i1 - lag]]
     comp_rx, comp_traces = rx, traces
     if cfg.vv.remove_mean:
-        means = [t.mean() for t in traces]
         comp_rx = [r * np.exp(-1j * m) for r, m in zip(rx, means)]
         comp_traces = [wrap_reference(t - m) for t, m in zip(traces, means)]
     phi1, phi2 = comp_traces
@@ -283,13 +297,13 @@ def reference_trial(cfg, chunk: int = CHUNK) -> dict:
     post = [r * np.exp(-1j * estimate) for r in comp_rx]
     baseline = [r * np.exp(-1j * t) for r, t in zip(rx, traces)]
 
-    sent = [b[2 * valid.start:2 * valid.stop] for b in bits]
+    sent = [GRAY_BITS[k[i1]].ravel() for k in k_tx]
 
     def errors(streams) -> tuple[int, int]:
-        return tuple(count_errors(s, demap_symbols(z[valid]))[0] for s, z in zip(sent, streams))
+        return tuple(count_errors(s, demap_symbols(z))[0] for s, z in zip(sent, streams))
 
     def correct(z, s) -> np.ndarray:
-        return (demap_symbols(z[valid]) == s).reshape(-1, 2).all(axis=1).tolist()
+        return (demap_symbols(z) == s).reshape(-1, 2).all(axis=1).tolist()
 
     flags = zip(*(correct(z, s) for z, s in zip(rx + post, sent + sent)))
     cases = [CASE_TRUTH_TABLE[key] for key in flags]

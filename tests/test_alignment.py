@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from duolink import KappaSearchResult, adapt_kappa, estimate_delay
 from duolink import _blocks
-from duolink.alignment import CONFIDENCE_THRESHOLD, TIE_TOL, _cuts, _dot, _shift
+from duolink.alignment import CONFIDENCE_THRESHOLD, TIE_TOL, _cuts, _dot, _overlap
 from oracles import delay_reference
 
 
@@ -275,59 +275,19 @@ class TestEstimateDelay:
             estimate_delay(np.zeros(64), np.zeros(64), True)
 
 
-def shifted(samples, lag):
-    """A copy of samples shifted by _shift, and the slice of its valid
-    symbols."""
-    s = np.array(samples)
-    return s, _shift(s, lag)
-
-
-class TestAlign:
-    def test_zero_lag_identity(self):
-        s = np.arange(10, dtype=complex)
-        out, valid = shifted(s, 0)
-        np.testing.assert_array_equal(out, s)
-        np.testing.assert_array_equal(np.arange(10)[valid], np.arange(10))
-
-    def test_inverse_shifts_recover_on_valid_region(self):
-        s = np.arange(32, dtype=complex)
-        fwd, fwd_valid = shifted(s, 3)
-        back, back_valid = shifted(fwd, -3)
-        idx = np.arange(32)
-        both = np.intersect1d(idx[fwd_valid], idx[back_valid])
-        np.testing.assert_array_equal(back[both], s[both])
-
-    @pytest.mark.parametrize("lag", [-5, -1, 0, 2, 7])
-    def test_valid_region_length(self, lag):
-        out, valid = shifted(np.ones(64, complex), lag)
-        assert out[valid].size == 64 - abs(lag)
-
-    def test_positive_lag_delays(self):
-        s = np.arange(8, dtype=complex)
-        out, valid = shifted(s, 2)
-        np.testing.assert_array_equal(out[2:], s[:-2])
-        np.testing.assert_array_equal(np.arange(8)[valid], np.arange(2, 8))
-
+class TestOverlap:
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 300).flatmap(lambda n: st.tuples(
-        st.just(n), st.integers(-(n - 1), n - 1), st.sampled_from([1, 7, 64]))))
-    def test_shift_equals_np_roll(self, case):
-        """The in-place block-wise rotation gives np.roll's bytes for any
-        length and lag."""
-        n, lag, block = case
+    @given(st.integers(1, 300).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(-(n - 1), n - 1))))
+    def test_overlap_equals_np_roll(self, case):
+        """Channel 2's part of the overlap holds the bytes that channel 1's
+        part reads of channel 2 rolled by lag, n - |lag| samples: a view of
+        the unrolled stream serves wherever the rolled one was read."""
+        n, lag = case
         s = np.random.default_rng(n).normal(size=n) + 1j * np.arange(n)
-        expected = np.roll(s, lag)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_blocks, "BLOCK", block)
-            valid = _shift(s, lag)
-        assert s.tobytes() == expected.tobytes()
-        assert valid == slice(max(lag, 0), n + min(lag, 0))
-
-    def test_excessive_lag_rejected(self):
-        with pytest.raises(ValueError, match="lag"):
-            shifted(np.ones(4, complex), 4)
-        with pytest.raises(ValueError, match="lag"):
-            shifted(np.ones(4, complex), True)
+        a, b = _overlap(n, lag)
+        assert s[b].size == n - abs(lag)
+        assert np.roll(s, lag)[a].tobytes() == s[b].tobytes()
 
 
 class TestAdaptKappa:

@@ -40,7 +40,7 @@ from duolink import (
 )
 import duolink
 from duolink import _blocks, harness, run_sweep
-from oracles import QPSK_SYMBOLS
+from oracles import LAGGED_WINDOW_33, QPSK_SYMBOLS
 
 BLOCKS = (1, 7, 64)
 THREADS = (1, 2, 3)
@@ -253,27 +253,32 @@ def test_noiseless_channel_gives_the_quadrant_centers(n, seed, block):
 def whole_array_counts(cfg):
     """(estimated lag, compensated errors, baseline errors, case counts) of
     cfg's trial from a full evaluation: every valid symbol compensated,
-    rotated and decided on the whole arrays. The mean removal rotates each
-    whole stream by minus its trace's mean and wraps the trace less it."""
+    rotated and decided on the whole arrays. Each trace is extracted from
+    its whole received stream, and the mean removal rotates each stream by
+    minus its whole trace's mean and wraps the trace less it. The lag holds
+    channel 2 back: channel 1's symbol i meets channel 2's i - lag, and both
+    payloads are read at i."""
     n, ch = cfg.n_symbols, cfg.channel
     k_tx1, k_tx2 = draw_payload(n, ch)
     rx1, rx2 = apply_channel(k_tx1, k_tx2, ch)
     lag = run_trial(cfg).estimated_lag
-    valid = harness._shift(rx2, lag)
     t1, t2 = extract_phase(rx1, cfg.vv), extract_phase(rx2, cfg.vv)
     z1, z2, o1, o2 = rx1, rx2, t1, t2
     if cfg.vv.remove_mean:
         m1, m2 = t1.mean(), t2.mean()
         z1, z2 = rx1 * np.exp(-1j * m1), rx2 * np.exp(-1j * m2)
         o1, o2 = wrap_quarter(t1 - m1), wrap_quarter(t2 - m2)
+    one = slice(max(lag, 0), n + min(lag, 0))
+    two = slice(one.start - lag, one.stop - lag)
+    rx1, t1, z1, o1, k_tx1, k_tx2 = rx1[one], t1[one], z1[one], o1[one], k_tx1[one], k_tx2[one]
+    rx2, t2, z2, o2 = rx2[two], t2[two], z2[two], o2[two]
     comp1, comp2 = compensate_traces(z1, z2, o1, o2, cfg.estimator)
-    k_tx1, k_tx2 = k_tx1[valid], k_tx2[valid]
-    k_comp1, k_comp2 = quadrant_indices(comp1[valid]), quadrant_indices(comp2[valid])
-    k_rx1, k_rx2 = quadrant_indices(rx1[valid]), quadrant_indices(rx2[valid])
+    k_comp1, k_comp2 = quadrant_indices(comp1), quadrant_indices(comp2)
+    k_rx1, k_rx2 = quadrant_indices(rx1), quadrant_indices(rx2)
     cases = np.bincount(classify_cases(k_tx1, k_tx2, k_rx1, k_rx2, k_comp1, k_comp2),
                         minlength=4)
     errors_base = tuple(
-        count_quadrant_errors(k_tx, quadrant_indices(apply_compensation(rx, trace)[valid]))
+        count_quadrant_errors(k_tx, quadrant_indices(apply_compensation(rx, trace)))
         for k_tx, rx, trace in ((k_tx1, rx1, t1), (k_tx2, rx2, t2)))
     errors = (count_quadrant_errors(k_tx1, k_comp1), count_quadrant_errors(k_tx2, k_comp2))
     return lag, errors, errors_base, tuple(int(c) for c in cases)
@@ -289,10 +294,13 @@ def assert_counts_equal(report, counts, cfg):
 
 @settings(max_examples=40, deadline=None)
 @given(trial_configs())
+@example(replace(LAGGED_WINDOW_33, compare_baseline=True))
 def test_blocked_detection_equals_whole_arrays(cfg):
     """The block size reaches only the settle pass, as the detection runs on
     the open symbols whole: at every block size, the settle pass and the
-    detection count what a full evaluation counts."""
+    detection count what a full evaluation counts. The example is a lagged
+    window-33 trial in which a window at the edge of the channels' overlap
+    changes a decision."""
     counts = whole_array_counts(cfg)
     for block in BLOCKS:
         report = with_block(block, lambda: harness._detect(harness._receive(cfg), cfg))
@@ -385,7 +393,7 @@ def test_trial_peak_memory_without_spare_copies(monkeypatch, phase_model, window
     """With two threads, no complex transmit stream exists whole (the channel
     reads the quadrant indices), no payload bits (the payload is drawn as
     quadrant indices), no centered copy of the delay search's traces (it centers block
-    by block), no shifted copy of channel 2 (it is rotated in place) and no
+    by block), no shifted copy of channel 2 (it is read through a view) and no
     array of received decisions (the settle pass decides block by block).
     Whole arrays at the peak, in the settle pass: the two streams, the two
     traces and the two uint8 transmitted index arrays (50 B/sym); the open

@@ -17,7 +17,6 @@ from duolink import (
     estimate_delay,
     extract_phase,
 )
-from duolink.alignment import _shift
 
 REQUIRED = {TrialConfig: {"n_symbols": 1000}}
 
@@ -101,7 +100,6 @@ STREAM_ARGUMENTS = {
     "samples": lambda a: extract_phase(a.astype(complex), VVConfig(window=1)),
     "trace1": lambda a: estimate_delay(a, a, 0),
     "trace2": lambda a: estimate_delay(np.zeros(a.size), a, 0),
-    "s": lambda a: _shift(a, 0),
 }
 
 

@@ -9,14 +9,18 @@ a stream too short for the delay search and a one-symbol trial) and two
 70 001-symbol trials (iid and shaped, window 33, delay offset -5) whose
 streams span three random chunks (channel.CHUNK).
 
-The reports were re-recorded once, when the random streams came to be drawn
-chunk by chunk and the shaped phase to be filtered by a FIR (the stream
-layout of channel's docstring): every report, the two long trials' included,
-was computed by oracles.reference_trial, not by run_trial, and each config
-kept as it was recorded. Every report must come back exactly, float for
-float, once its configs pass through _migrate. The file is a fixed record:
-do not regenerate it from the code under test. Its sha256 is pinned to the
-stream layout it was recorded under (channel.STREAM_LAYOUT).
+The reports were re-recorded twice, by oracles.reference_trial, not by
+run_trial, each config kept as it was recorded: all of them under layout 1,
+when the random streams came to be drawn chunk by chunk and the shaped phase
+to be filtered by a FIR (the stream layout of channel's docstring); then
+golden-00's and golden-14's under layout 2, when the receiver came to align
+channel 2 by views instead of rotating it, so that a window-33 receiver's
+window at the edge of the channels' overlap reads channel 2's own
+neighbours (or zeros past its ends) where it read wrapped samples. Every
+report must come back exactly, float for float, once its configs pass
+through _migrate. The file is a fixed record: do not regenerate it from the
+code under test. Its sha256 is pinned to the layout it was recorded under
+(channel.STREAM_LAYOUT).
 """
 
 import copy
@@ -32,11 +36,12 @@ from duolink.channel import STREAM_LAYOUT
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 CASES = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
-# The golden file recorded under each stream layout (channel.STREAM_LAYOUT),
-# by its sha256: a re-recorded file needs a new layout, which a sweep's
-# resume then tells from the old one.
+# The golden file recorded under each layout (channel.STREAM_LAYOUT), by its
+# sha256: a re-recorded file needs a new layout, which a sweep's resume then
+# tells from the old one.
 GOLDEN_SHA256 = {
     1: "84eb9bcb05045fc832aa5e01aca8b9ef4a88351beb43adb4b1f5186e0e2734f0",
+    2: "545121d4a9b2bdb56e6c1ba47966dd753f8b5dd27060590c5051166524b0a5c1",
 }
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import duolink.channel
@@ -33,7 +33,7 @@ from duolink import (
     trial_config_from_dict,
     wilson_interval,
 )
-from oracles import CASE_TRUTH_TABLE, reference_trial, wilson_reference
+from oracles import CASE_TRUTH_TABLE, LAGGED_WINDOW_33, reference_trial, wilson_reference
 
 
 _RUN_TRIAL = duolink.harness.run_trial
@@ -307,13 +307,16 @@ def reference_configs(draw):
 class TestReferenceTrial:
     @settings(max_examples=40, deadline=None)
     @given(reference_configs(), st.sampled_from([7, 64, 256]), st.sampled_from([7, 64]))
+    @example(LAGGED_WINDOW_33, 64, duolink.channel.CHUNK)
     def test_every_report_field_equals_reference(self, cfg, block, chunk):
         """Also with blocks and random chunks small enough that the trial
         crosses their boundaries in every blocked stage and every stream.
         The shaped phase is filtered by FFTs here and by direct convolution
         in the oracle, so its traces differ in the last bits (see
         test_channel.SHAPED_ATOL); no decision comes that close to a
-        boundary, so the reports are equal."""
+        boundary, so the reports are equal. The example is a lagged
+        window-33 trial in which a window at the edge of the channels'
+        overlap changes a decision."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_blocks, "BLOCK", block)
             mp.setattr(duolink.channel, "CHUNK", chunk)
