@@ -113,8 +113,13 @@ def _rule(annotation: str):
 
 
 def check_fields(obj) -> None:
-    """Apply the rule of each dataclass field whose annotation _rule reads."""
+    """Apply the rule of each dataclass field whose annotation _rule reads;
+    a checked numpy scalar is stored as the Python number it holds, so that
+    the field serializes as JSON."""
     for f in obj.__dataclass_fields__.values():
         rule = _rule(f.type)
         if rule is not None:
-            rule(f.name, getattr(obj, f.name))
+            value = getattr(obj, f.name)
+            rule(f.name, value)
+            if isinstance(value, np.generic):
+                setattr(obj, f.name, value.item())

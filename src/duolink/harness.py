@@ -162,7 +162,8 @@ def run_trial(cfg: TrialConfig) -> BERReport:
     count and classify. Each phase trace is extracted once. A symbol whose
     decisions no estimate can change is decided from its sample's angle,
     once; only the others are rotated and decided (see MARGIN). Bit errors
-    are counted from the decided quadrants. Deterministic for a given config.
+    are counted from the decided quadrants, the baseline's whether or not
+    the report carries them. Deterministic for a given config.
     """
     return _detect(_receive(cfg), cfg)
 
@@ -171,12 +172,12 @@ def kappa_objective(cfg: TrialConfig):
     """The compensated BER of cfg's channel realization as a function of kappa.
 
     The realization, its phase traces, the delay recovery, the received
-    decisions and the compensated decisions that no estimate can change (the
-    settled symbols, see MARGIN) are computed once, here. Each call re-runs
-    the joint estimate and the detection on the open symbols only, giving
-    exactly run_trial(cfg with that finite kappa and no baseline).ber_compensated.
+    decisions, the compensated decisions that no estimate can change (the
+    settled symbols, see MARGIN) and the baseline's errors are computed once,
+    here, as run_trial computes them. Each call re-runs the joint estimate
+    and the detection on the open symbols only, giving exactly
+    run_trial(cfg with that finite kappa).ber_compensated.
     """
-    cfg = replace(cfg, compare_baseline=False)
     reception = _receive(cfg)
 
     def objective(kappa: float) -> float:
@@ -272,10 +273,9 @@ class _Reception:
     The open symbols' samples (channel 2 aligned), their observations for the
     joint estimate and their keys, gathered in symbol order, with the mean
     removal already applied when it is on; the histogram of the settled
-    symbols' codes, which counts both receivers (see MARGIN); the open
-    symbols' baseline decisions, two uint8 arrays in the same order (None
-    without the baseline); the number of valid symbols and the recovered
-    delay.
+    symbols' codes, which counts both receivers (see MARGIN); the baseline's
+    bit errors per channel, fixed by the realization whatever the estimator;
+    the number of valid symbols and the recovered delay.
     """
 
     rx1: np.ndarray
@@ -284,15 +284,15 @@ class _Reception:
     obs2: np.ndarray
     key: np.ndarray
     settled: np.ndarray
-    baseline: tuple[np.ndarray, np.ndarray] | None
+    baseline_errors: tuple[int, int]
     valid_symbols: int
     estimated_lag: int
     lag_confident: bool
 
 
 def _receive(cfg: TrialConfig) -> _Reception:
-    """The part of run_trial that kappa, the estimator mode and
-    compare_baseline do not change, ending in the settle pass (see MARGIN).
+    """The part of run_trial that the estimator and compare_baseline do not
+    change, ending in the settle pass (see MARGIN), which counts the baseline.
     Only what _Reception holds outlives it: the whole streams and traces
     are freed when it returns."""
     n = cfg.n_symbols
@@ -325,26 +325,26 @@ def _receive(cfg: TrialConfig) -> _Reception:
     a, b = _overlap(n, applied_lag)
     # the mean removal takes the whole traces' means, not each block's
     means = (trace1.mean(), trace2.mean()) if cfg.vv.remove_mean else None
-    settled, baseline, opened = _settle(
-        rx1[a], rx2[b], trace1[a], trace2[b], k_tx1[a], k_tx2[a], means, cfg.compare_baseline)
-    return _Reception(*opened, settled=settled, baseline=baseline,
+    settled, baseline_errors, opened = _settle(
+        rx1[a], rx2[b], trace1[a], trace2[b], k_tx1[a], k_tx2[a], means)
+    return _Reception(*opened, settled=settled, baseline_errors=baseline_errors,
                       valid_symbols=a.stop - a.start, estimated_lag=applied_lag,
                       lag_confident=delay.confident)
 
 
-def _settle(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means,
-            baseline: bool) -> tuple[np.ndarray, tuple | None, tuple[np.ndarray, ...]]:
+def _settle(rx1, rx2, trace1, trace2, k_tx1, k_tx2,
+            means) -> tuple[np.ndarray, tuple[int, int], tuple[np.ndarray, ...]]:
     """The settle pass (see MARGIN) over equal-length arrays: the received
     samples, the receiver's phase traces, the transmitted quadrants and the
     traces' means (None: no mean removal).
 
     Returns the histogram of the settled symbols' codes, which counts both
-    receivers, the open symbols' baseline decisions (two uint8 arrays; None
-    unless baseline) and their (rx1, rx2, obs1, obs2, key), all in symbol
-    order. The blocks do only the per-symbol work: each returns its settled
-    histogram and its open symbols' keys and indices. The open symbols are
-    then handled once, all together: their baseline decided from the float
-    pipeline, gathered, and the mean removal applied, so the gathered
+    receivers, the baseline's bit errors per channel and the open symbols'
+    (rx1, rx2, obs1, obs2, key) in symbol order. The blocks do only the
+    per-symbol work: each returns its settled histogram and its open
+    symbols' keys and indices. The open symbols are then handled once, all
+    together: their baseline decided from the float pipeline and counted,
+    then they are gathered and the mean removal applied, so the gathered
     samples are rotated by minus their channel's mean and the observations
     are the traces less the mean, wrapped.
     """
@@ -401,10 +401,11 @@ def _settle(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means,
     key = np.concatenate([p[1] for p in parts])
     at = np.concatenate([p[2] for p in parts])
     del parts
-    base = None
-    if baseline:
-        base = tuple(quadrant_indices(apply_compensation(z[at], t[at]))
-                     for z, t in ((rx1, trace1), (rx2, trace2)))
+    # the baseline's errors, its open symbols decided by the float pipeline
+    base = (quadrant_indices(apply_compensation(z[at], t[at]))
+            for z, t in ((rx1, trace1), (rx2, trace2)))
+    hist = np.bincount(_code(key, *base), minlength=_CODES) + settled
+    baseline_errors = tuple((hist @ _COUNTS[:, :2]).tolist())
     opened = [rx1[at], rx2[at], trace1[at], trace2[at]]
     del at
     if means is not None:
@@ -414,7 +415,7 @@ def _settle(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means,
             opened[j] = opened[j] * np.exp(-1j * m)
             opened[2 + j] -= m
             opened[2 + j] = wrap_quarter(opened[2 + j])
-    return settled, base, (*opened, key)
+    return settled, baseline_errors, (*opened, key)
 
 
 def _decision(a: np.ndarray, lo, width, settled: np.ndarray) -> np.ndarray:
@@ -436,21 +437,17 @@ def _detect(r: _Reception, cfg: TrialConfig) -> BERReport:
     """The part of run_trial that depends on the estimator: the joint
     estimate from the open symbols' observations, the rotation and the
     decisions of their samples (both already mean-removed at reception),
-    and the counts. Each receiver's histogram is the settled one plus the
-    open symbols' codes with its decisions; the baseline reads the errors
-    of _COUNTS. Reads the reception without modifying it.
+    and the counts: the settled histogram plus the open symbols' codes. The
+    baseline's errors, counted at reception, are reported when
+    cfg.compare_baseline is set. Reads the reception without modifying it.
 
     Runs on all the open symbols at once: they are a few percent of a
     trial's symbols (16 to 24 % at sigma_common 0.5), so the compensated
     streams and their decisions are small beside the reception.
     """
-
-    def counts(post1, post2) -> list[int]:
-        hist = np.bincount(_code(r.key, post1, post2), minlength=_CODES) + r.settled
-        return (hist @ _COUNTS).tolist()
-
     comp1, comp2 = compensate_traces(r.rx1, r.rx2, r.obs1, r.obs2, cfg.estimator)
-    ec1, ec2, *cases = counts(quadrant_indices(comp1), quadrant_indices(comp2))
+    code = _code(r.key, quadrant_indices(comp1), quadrant_indices(comp2))
+    ec1, ec2, *cases = ((np.bincount(code, minlength=_CODES) + r.settled) @ _COUNTS).tolist()
     n_valid = r.valid_symbols
     assert sum(cases) == n_valid
     bits_per_channel = 2 * n_valid
@@ -458,7 +455,7 @@ def _detect(r: _Reception, cfg: TrialConfig) -> BERReport:
     ber_comp = (ec1 + ec2) / (2 * bits_per_channel)
     ci_comp = wilson_interval(ec1 + ec2, 2 * bits_per_channel)
     if cfg.compare_baseline:
-        eb1, eb2 = counts(*r.baseline)[:2]
+        eb1, eb2 = r.baseline_errors
         ber_base = (eb1 + eb2) / (2 * bits_per_channel)
         ci_base = wilson_interval(eb1 + eb2, 2 * bits_per_channel)
         errors_base = (eb1, eb2)

@@ -442,7 +442,7 @@ def test_settle_peak_memory(monkeypatch, window, remove_mean):
     tracemalloc.start()
     try:
         # each call's result is freed before the next call
-        opened = [harness._settle(rx1, rx2, t1, t2, k_tx1, k_tx2, means, True)[2][-1].size
+        opened = [harness._settle(rx1, rx2, t1, t2, k_tx1, k_tx2, means)[2][-1].size
                   for _ in range(3)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -204,6 +204,8 @@ class TestSweepCommand:
         [],
         3,
         {"delay_offset": [True]},
+        {"kappa": []},
+        {"kappa": 3},
     ])
     def test_malformed_sweep_is_config_error(self, tmp_path, capsys, sweep):
         cfg_path = tmp_path / "sweep.json"
@@ -212,6 +214,26 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
         assert "sweep" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_failed_point_reported(self, tmp_path, capsys, monkeypatch):
+        """A point that fails is named on stderr and left out of sweep.csv;
+        the other point completes and the command exits 2."""
+        config = dict(BASE_CONFIG, n_symbols=2000, sweep={"sigma_common": [0.2, 0.3]})
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "results"
+
+        def flaky(cfg, real=harness.run_trial):
+            if cfg.channel.sigma_common == 0.2:
+                raise RuntimeError("injected failure")
+            return real(cfg)
+
+        monkeypatch.setattr(harness, "run_trial", flaky)
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert "point 0 failed: " in captured.err and "injected failure" in captured.err
+        assert "1/2 points completed" in captured.out
+        assert len((out_dir / "sweep.csv").read_text().splitlines()) == 2
 
     def test_mistyped_point_file_recomputed(self, tmp_path):
         config = dict(BASE_CONFIG, n_symbols=2000, sweep={"sigma_common": [0.2, 0.3]})

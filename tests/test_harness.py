@@ -276,10 +276,19 @@ class TestKappaObjective:
     @settings(max_examples=60, deadline=None)
     @given(objective_cases())
     def test_equals_run_trial_per_kappa(self, case):
+        """Also: the reception is the same whether or not the report
+        carries the baseline, so the objective's equals run_trial's."""
         cfg, kappas = case
+
+        def fields(r):
+            return [(v.dtype, v.tobytes()) if isinstance(v, np.ndarray) else v
+                    for v in (getattr(r, f) for f in r.__dataclass_fields__)]
+
+        other = replace(cfg, compare_baseline=not cfg.compare_baseline)
+        assert fields(duolink.harness._receive(cfg)) == fields(duolink.harness._receive(other))
         objective = kappa_objective(cfg)
         for kappa in kappas:
-            trial = replace(cfg, compare_baseline=False, estimator=EstimatorConfig(kappa=kappa))
+            trial = replace(cfg, estimator=EstimatorConfig(kappa=kappa))
             assert objective(kappa) == run_trial(trial).ber_compensated
 
 
@@ -404,6 +413,24 @@ class TestEmit:
         emit([report], "json", path)
         loaded = json.loads(path.read_text())
         assert BERReport.from_dict(loaded[0]) == report
+
+    def test_numpy_scalar_fields_serialize(self, tmp_path):
+        """Numpy scalars pass the field rules and are stored as the Python
+        numbers they hold, so the report round-trips through JSON and a
+        sweep writes its point file."""
+        cfg = TrialConfig(
+            n_symbols=np.int64(2000),
+            channel=ChannelParams(sigma_common=np.float32(0.3), sigma_additive=0.15,
+                                  seed=np.uint64(3)),
+            vv=VVConfig(window=np.int64(1), remove_mean=np.bool_(False)),
+            compare_baseline=np.bool_(True),
+        )
+        report = run_trial(cfg)
+        path = tmp_path / "out.json"
+        emit([report], "json", path)
+        assert BERReport.from_dict(json.loads(path.read_text())[0]) == report
+        (point,) = run_sweep(cfg, {}, out_dir=tmp_path / "sweep")
+        assert point.error is None and point.report is not None
 
     def test_byte_identical_reruns(self, tmp_path):
         for fmt, name in (("csv", "a.csv"), ("json", "a.json")):

@@ -29,6 +29,7 @@ from duolink import (
     wrap_quarter,
 )
 from duolink import harness
+from duolink.qpsk import GRAY_DISTANCE
 
 QUARTER_PI = np.pi / 4
 MARGIN = harness.MARGIN
@@ -150,20 +151,21 @@ def test_settled_decisions_equal_full_evaluation(reception):
     k_rx1, k_rx2 = quadrant_indices(rx1), quadrant_indices(rx2)
     for s in range(rx1.size):
         one = slice(s, s + 1)
-        settled, baseline, opened = harness._settle(
-            rx1[one], rx2[one], t1[one], t2[one], k_tx1[one], k_tx2[one], means, True)
+        settled, baseline_errors, opened = harness._settle(
+            rx1[one], rx2[one], t1[one], t2[one], k_tx1[one], k_tx2[one], means)
+        # open or settled, the symbol's baseline errors are its decisions'
+        assert baseline_errors == (GRAY_DISTANCE[k_tx1[s], base1[s]],
+                                   GRAY_DISTANCE[k_tx2[s], base2[s]]), s
         received = (k_rx1[s] == k_tx1[s], k_rx2[s] == k_tx2[s])
         if opened[-1].size:
-            # an open symbol: its key, and its baseline decisions
+            # an open symbol: its key
             assert settled.sum() == 0
             (key,) = opened[-1]
             assert (key >> 4, key >> 2 & 3) == (k_tx1[s], k_tx2[s])
             assert (key >> 1 & 1, key & 1) == received
-            assert (baseline[0][0], baseline[1][0]) == (base1[s], base2[s]), s
             continue
-        # a settled symbol: no baseline entry, and its code's decisions are
-        # the baseline's as well as every estimator's (see MARGIN)
-        assert baseline[0].size == baseline[1].size == 0
+        # a settled symbol: its code's decisions are the baseline's as well
+        # as every estimator's (see MARGIN)
         (code,) = np.flatnonzero(settled)
         assert (code >> 8, code >> 6 & 3) == (k_tx1[s], k_tx2[s])
         assert (code >> 5 & 1, code >> 4 & 1) == received
@@ -183,9 +185,9 @@ def check_counts(reception):
     count what the full evaluation counts, for each estimator setting."""
     rx1, rx2, t1, t2, k_tx1, k_tx2, means = reception
     n = rx1.size
-    settled, baseline, opened = harness._settle(rx1, rx2, t1, t2, k_tx1, k_tx2, means, True)
-    r = harness._Reception(*opened, settled=settled, baseline=baseline, valid_symbols=n,
-                           estimated_lag=0, lag_confident=False)
+    settled, baseline_errors, opened = harness._settle(rx1, rx2, t1, t2, k_tx1, k_tx2, means)
+    r = harness._Reception(*opened, settled=settled, baseline_errors=baseline_errors,
+                           valid_symbols=n, estimated_lag=0, lag_confident=False)
     k_rx1, k_rx2 = quadrant_indices(rx1), quadrant_indices(rx2)
     base1, base2 = baseline_evaluation(rx1, rx2, t1, t2)
     for est in ESTIMATORS:
@@ -241,7 +243,7 @@ def test_mean_removed_observations_at_the_wrap_edges(means):
                      k_tx=rng.integers(0, 4, (2, size)), means=means, own=False)
 
     rx1, rx2, t1, t2, k_tx1, k_tx2, _ = reception(rng.choice(at_edge, n // 2))
-    settled, _, opened = harness._settle(rx1, rx2, t1, t2, k_tx1, k_tx2, means, True)
+    settled, _, opened = harness._settle(rx1, rx2, t1, t2, k_tx1, k_tx2, means)
     assert settled.sum() == 0
     assert opened[-1].size == n // 2
     check_counts(reception(rng.choice(inside + at_edge, n)))
