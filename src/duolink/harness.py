@@ -28,9 +28,8 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from enum import IntEnum
-from functools import partial
 from itertools import product
-from math import inf, sqrt
+from math import inf, prod, sqrt
 
 import numpy as np
 
@@ -165,7 +164,7 @@ def run_trial(cfg: TrialConfig) -> BERReport:
     are counted from the decided quadrants, the baseline's whether or not
     the report carries them. Deterministic for a given config.
     """
-    return _detect(_receive(cfg), cfg)
+    return _detect(_receive(cfg, *_realize(cfg)), cfg)
 
 
 def kappa_objective(cfg: TrialConfig):
@@ -178,7 +177,7 @@ def kappa_objective(cfg: TrialConfig):
     and the detection on the open symbols only, giving exactly
     run_trial(cfg with that finite kappa).ber_compensated.
     """
-    reception = _receive(cfg)
+    reception = _receive(cfg, *_realize(cfg))
 
     def objective(kappa: float) -> float:
         estimator = replace(cfg.estimator, kappa=kappa, kappa_infinite=False)
@@ -290,16 +289,21 @@ class _Reception:
     lag_confident: bool
 
 
-def _receive(cfg: TrialConfig) -> _Reception:
-    """The part of run_trial that the estimator and compare_baseline do not
-    change, ending in the settle pass (see MARGIN), which counts the baseline.
-    Only what _Reception holds outlives it: the whole streams and traces
-    are freed when it returns."""
-    n = cfg.n_symbols
-    ch = cfg.channel
-    k_tx1, k_tx2 = draw_payload(n, ch)
-    rx1, rx2 = apply_channel(k_tx1, k_tx2, ch)
+def _realize(cfg: TrialConfig) -> tuple[np.ndarray, ...]:
+    """The channel realization of cfg: (k_tx1, k_tx2, rx1, rx2), the
+    transmitted quadrant indices and the received streams."""
+    k_tx1, k_tx2 = draw_payload(cfg.n_symbols, cfg.channel)
+    return (k_tx1, k_tx2, *apply_channel(k_tx1, k_tx2, cfg.channel))
 
+
+def _receive(cfg: TrialConfig, k_tx1, k_tx2, rx1, rx2) -> _Reception:
+    """The part of run_trial that the estimator and compare_baseline do not
+    change, from a realization (see _realize) of cfg's channel, ending in
+    the settle pass (see MARGIN), which counts the baseline. Of cfg it reads
+    only n_symbols, vv and max_lag, so one realization serves every config
+    that differs in nothing else. Only what _Reception holds outlives it:
+    the traces are freed when it returns, and it modifies no argument."""
+    n = cfg.n_symbols
     # Delay recovery runs on per-symbol (window=1) traces. For a window=1
     # receiver the same two traces also serve compensation and the baseline;
     # for a wider window they serve only the search and are freed before
@@ -556,9 +560,15 @@ def sweep_configs(base: TrialConfig, axes: dict) -> list[TrialConfig]:
     keep the base value. Each point is the base config with its axis values
     put in, loaded by trial_config_from_dict, so the config-file field rules
     decide every value. A kappa of Infinity selects the minimum-magnitude
-    border mode. Point i's channel seed is the first 64-bit word of
-    np.random.SeedSequence([base_seed, i]), so every base seed gives its
-    points their own realizations.
+    border mode.
+
+    Point i's channel seed is the first 64-bit word of
+    np.random.SeedSequence([base_seed, r]), where r is the point's index in
+    the grid of its sigma_common and sigma_additive values alone. So points
+    that differ only in kappa or delay_offset carry one seed and share one
+    channel realization (run_sweep draws it once), a grid without a kappa
+    or delay_offset axis has r = i, and every base seed gives its points
+    their own realizations.
     """
     if not isinstance(axes, dict):
         raise ConfigError(f"sweep: expected an object, got {type(axes).__name__}")
@@ -569,10 +579,14 @@ def sweep_configs(base: TrialConfig, axes: dict) -> list[TrialConfig]:
     for name in names:
         if not isinstance(axes[name], (list, tuple)) or len(axes[name]) == 0:
             raise ConfigError(f"sweep: axis '{name}' must be a non-empty list")
+    # the sigma axes nest outermost (SWEEP_AXES' order), so each of their
+    # values spans `shared` consecutive points
+    shared = prod(len(axes[name]) for name in ("kappa", "delay_offset") if name in axes)
     configs = []
     for index, values in enumerate(product(*(axes[name] for name in names))):
         data = asdict(base)
-        seed = np.random.SeedSequence([base.channel.seed, index]).generate_state(1, np.uint64)
+        r = index // shared
+        seed = np.random.SeedSequence([base.channel.seed, r]).generate_state(1, np.uint64)
         data["channel"]["seed"] = int(seed[0])
         for name, value in zip(names, values):
             if name != "kappa":
@@ -615,6 +629,66 @@ def _claim_layout(out_dir) -> None:
         fh.write("\n")
 
 
+def _sweep_group(points: list[tuple[int, TrialConfig]]):
+    """Yield (index, outcome) for sweep points that share one realization:
+    their configs are equal but for delay_offset and the estimator. The
+    outcome is the point's report, equal to run_trial of its config, or the
+    message of the exception that stopped it.
+
+    The realization is drawn once, at the first point's offset; channel 2's
+    stream at offset o, from the stream at offset s, is np.roll(rx2, s - o),
+    byte for byte what the channel draws at o (see apply_channel). Points at
+    one offset share one reception and run one detection each. A step that
+    raises fails the points that share it and no other. Each roll replaces
+    the stream it reads, and each reception is freed before the next is
+    built, so a point's peak is its trial's: one realization beside one
+    reception.
+    """
+    first = points[0][1]
+    try:
+        k_tx1, k_tx2, rx1, rx2 = _realize(first)
+    except Exception as exc:  # noqa: BLE001 - per-point isolation
+        yield from ((index, str(exc)) for index, _ in points)
+        return
+    at_offset = first.channel.delay_offset  # the offset rx2 holds
+    by_offset: dict[int, list] = {}
+    for index, cfg in points:
+        by_offset.setdefault(cfg.channel.delay_offset, []).append((index, cfg))
+    for offset, at in by_offset.items():
+        try:
+            if offset != at_offset:
+                rx2, at_offset = np.roll(rx2, at_offset - offset), offset
+            reception = _receive(at[0][1], k_tx1, k_tx2, rx1, rx2)
+        except Exception as exc:  # noqa: BLE001 - per-point isolation
+            yield from ((index, str(exc)) for index, _ in at)
+            continue
+        for index, cfg in at:
+            try:
+                outcome = _detect(reception, cfg)
+            except Exception as exc:  # noqa: BLE001 - per-point isolation
+                outcome = str(exc)
+            yield index, outcome
+        del reception
+
+
+def _sweep_group_task(points: list[tuple[int, TrialConfig]]) -> list:
+    """_sweep_group's outcomes as a list: a pool worker's task."""
+    return list(_sweep_group(points))
+
+
+def _split_offsets(points: list[tuple[int, TrialConfig]], parts: int) -> list[list]:
+    """A group's points split into at most `parts` groups of whole offsets:
+    runs of consecutive offsets (in first-seen order) whose lengths differ
+    by one at most. Each part draws the realization again."""
+    offsets = list(dict.fromkeys(cfg.channel.delay_offset for _, cfg in points))
+    parts = min(parts, len(offsets))
+    part = {offset: j * parts // len(offsets) for j, offset in enumerate(offsets)}
+    split: list[list] = [[] for _ in range(parts)]
+    for point in points:
+        split[part[point[1].channel.delay_offset]].append(point)
+    return split
+
+
 def run_sweep(
     base: TrialConfig,
     axes: dict,
@@ -629,11 +703,20 @@ def run_sweep(
     any other point file is recomputed and overwritten. out_dir's
     stream_layout.json records the stream layout (channel.STREAM_LAYOUT) of
     its point files: in a directory that records another layout, or none,
-    the point files are removed and every point is recomputed. Points are
-    independent and run in `workers` processes when workers > 1; results
-    merge by index. A point lost because a worker died is run once more on
-    its own, so a point that kills its worker fails and no other does.
-    out_dir is created once the grid is accepted.
+    the point files are removed and every point is recomputed.
+
+    The points to compute are grouped by realization: points whose configs
+    are equal but for delay_offset and the estimator (sweep_configs gives
+    them one seed) share one payload and one channel, drawn once, and
+    points that also share delay_offset share one reception (see
+    _sweep_group). Every point's report equals run_trial of its own config.
+    Groups run in `workers` processes, one task each, when workers > 1;
+    with fewer groups than workers, each group's offsets are split among
+    ceil(workers / groups) tasks, each drawing the realization (see
+    _split_offsets). Results merge by index. The points of a task lost
+    because a worker died are each run once more on their own, so a point
+    that kills its worker fails and no other does. out_dir is created once
+    the grid is accepted.
     """
     _checks.integer("workers", workers)
     _checks.at_least("workers", workers, 1)
@@ -643,7 +726,7 @@ def run_sweep(
         _claim_layout(out_dir)
     points: list[SweepPoint | None] = [None] * len(configs)
 
-    pending: list[int] = []
+    groups: dict[str, list[tuple[int, TrialConfig]]] = {}
     for index, cfg in enumerate(configs):
         if out_dir is not None:
             try:
@@ -653,37 +736,57 @@ def run_sweep(
                     continue
             except ConfigError:
                 pass  # missing, unreadable or malformed point file: recompute
-        pending.append(index)
+        # the config less delay_offset and the estimator: one per realization
+        realization = replace(cfg, channel=replace(cfg.channel, delay_offset=0),
+                              estimator=EstimatorConfig())
+        groups.setdefault(repr(realization), []).append((index, cfg))
 
-    def record(index: int, get_report) -> None:
-        try:
-            report = get_report()
-            if out_dir is not None:
+    def record(index: int, outcome) -> None:
+        """Record a point's outcome: its report, written to its point file,
+        or the message of what stopped it."""
+        if isinstance(outcome, BERReport) and out_dir is not None:
+            try:
                 with _files.atomic_write(_point_path(out_dir, index)) as fh:
-                    json.dump(report.to_dict(), fh, indent=2)
+                    json.dump(outcome.to_dict(), fh, indent=2)
                     fh.write("\n")
-            points[index] = SweepPoint(index, report=report)
-        except Exception as exc:  # noqa: BLE001 - per-point isolation
-            points[index] = SweepPoint(index, error=str(exc))
+            except Exception as exc:  # noqa: BLE001 - per-point isolation
+                outcome = str(exc)
+        points[index] = (SweepPoint(index, report=outcome) if isinstance(outcome, BERReport)
+                         else SweepPoint(index, error=outcome))
 
-    if workers > 1 and len(pending) > 1:
+    def record_task(group, fut) -> None:
+        try:
+            outcomes = fut.result()
+        except Exception as exc:  # noqa: BLE001 - per-point isolation
+            outcomes = [(index, str(exc)) for index, _ in group]
+        for index, outcome in outcomes:
+            record(index, outcome)
+
+    tasks = list(groups.values())
+    if workers > len(tasks) > 0:
+        # fewer realizations than workers: share each one's offsets among
+        # ceil(workers / groups) tasks
+        tasks = [part for group in tasks
+                 for part in _split_offsets(group, -(-workers // len(tasks)))]
+    if workers > 1 and len(tasks) > 1:
         lost = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(run_trial, configs[i]) for i in pending}
-            for index, fut in futures.items():
+            futures = [(g, pool.submit(_sweep_group_task, g)) for g in tasks]
+            for group, fut in futures:
                 if isinstance(fut.exception(), BrokenProcessPool):
-                    lost.append(index)
+                    lost += group
                 else:
-                    record(index, fut.result)
-        # a worker that died took every unfinished point down with it: run
+                    record_task(group, fut)
+        # a worker that died took every unfinished group down with it: run
         # each lost point once more in a pool of its own, so that only a
         # point that kills its worker fails
-        for index in lost:
+        for point in lost:
             with ProcessPoolExecutor(max_workers=1) as pool:
-                record(index, pool.submit(run_trial, configs[index]).result)
+                record_task([point], pool.submit(_sweep_group_task, [point]))
     else:
-        for index in pending:
-            record(index, partial(run_trial, configs[index]))
+        for group in tasks:
+            for index, outcome in _sweep_group(group):
+                record(index, outcome)
     return points  # type: ignore[return-value]
 
 

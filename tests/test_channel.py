@@ -269,16 +269,31 @@ class TestApplyChannel:
         assert rx1.real.std() == pytest.approx(0.15, rel=0.02)
         assert rx1.imag.std() == pytest.approx(0.15, rel=0.02)
 
-    def test_delay_shifts_channel_two_circularly(self):
+    @pytest.mark.parametrize("offset", [5, -3, 11, 64 + 2, -64 - 1])
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("sigma_additive", [0.0, 0.15])
+    @pytest.mark.parametrize("phase_model", ["iid", "shaped"])
+    def test_delay_shifts_channel_two_circularly(self, monkeypatch, phase_model,
+                                                 sigma_additive, chunk, offset):
+        """Channel 2 at any offset is np.roll of channel 2 at offset 0, byte
+        for byte, and channel 1 does not move: run_sweep draws one
+        realization for points that differ only in delay_offset and rolls
+        channel 2 to each. Offsets of either sign, beyond the stream's length
+        and, at CHUNK 7, across chunk boundaries."""
         n = 64
-        params = ChannelParams(sigma_common=0.2, delay_offset=5, seed=9)
+        with_chunk(monkeypatch, chunk)
         tx1 = gray_indices(np.arange(2 * n) % 2)
         tx2 = gray_indices((np.arange(2 * n) + 1) % 2)
-        rx1, rx2 = apply_channel(tx1, tx2, params)
-        aligned_params = ChannelParams(sigma_common=0.2, delay_offset=0, seed=9)
-        y1, y2 = apply_channel(tx1, tx2, aligned_params)
-        np.testing.assert_array_equal(rx1, y1)
-        np.testing.assert_array_equal(rx2, np.roll(y2, -5))
+
+        def channel(delay_offset):
+            return apply_channel(tx1, tx2, ChannelParams(
+                sigma_common=0.2, sigma_additive=sigma_additive, phase_model=phase_model,
+                cpe_cutoff=1e8, delay_offset=delay_offset, seed=9))
+
+        rx1, rx2 = channel(offset)
+        y1, y2 = channel(0)
+        assert rx1.tobytes() == y1.tobytes()
+        assert rx2.tobytes() == np.roll(y2, -offset).tobytes()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differ"):

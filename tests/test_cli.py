@@ -223,12 +223,12 @@ class TestSweepCommand:
         cfg_path.write_text(json.dumps(config))
         out_dir = tmp_path / "results"
 
-        def flaky(cfg, real=harness.run_trial):
+        def flaky(cfg, real=harness._realize):
             if cfg.channel.sigma_common == 0.2:
                 raise RuntimeError("injected failure")
             return real(cfg)
 
-        monkeypatch.setattr(harness, "run_trial", flaky)
+        monkeypatch.setattr(harness, "_realize", flaky)
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
         captured = capsys.readouterr()
         assert "point 0 failed: " in captured.err and "injected failure" in captured.err

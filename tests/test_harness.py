@@ -36,17 +36,31 @@ from duolink import (
 from oracles import CASE_TRUTH_TABLE, LAGGED_WINDOW_33, reference_trial, wilson_reference
 
 
-_RUN_TRIAL = duolink.harness.run_trial
+_REALIZE = duolink.harness._realize
+_RECEIVE = duolink.harness._receive
 KILLED_SIGMA = 0.25
+KILLED_OFFSET = -3
 
 
-def run_trial_or_kill_worker(cfg):
-    """run_trial, except that the point with sigma_common KILLED_SIGMA kills
-    the process running it. Defined at module level so that a process pool
-    can pickle it by name."""
+def realize_or_kill_worker(cfg):
+    """harness._realize, except that a realization with sigma_common
+    KILLED_SIGMA kills the process drawing it."""
     if cfg.channel.sigma_common == KILLED_SIGMA:
         os.kill(os.getpid(), signal.SIGKILL)
-    return _RUN_TRIAL(cfg)
+    return _REALIZE(cfg)
+
+
+def receive_or_kill_worker(cfg, *realization):
+    """harness._receive, except that the reception at sigma_common
+    KILLED_SIGMA and delay_offset KILLED_OFFSET kills the process running it."""
+    if (cfg.channel.sigma_common, cfg.channel.delay_offset) == (KILLED_SIGMA, KILLED_OFFSET):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _RECEIVE(cfg, *realization)
+
+
+def point_seed(base_seed, r):
+    """The channel seed of a sweep's realization r."""
+    return int(np.random.SeedSequence([base_seed, r]).generate_state(1, np.uint64)[0])
 
 
 def small_config(**channel_kwargs):
@@ -284,8 +298,11 @@ class TestKappaObjective:
             return [(v.dtype, v.tobytes()) if isinstance(v, np.ndarray) else v
                     for v in (getattr(r, f) for f in r.__dataclass_fields__)]
 
+        def receive(c):
+            return duolink.harness._receive(c, *duolink.harness._realize(c))
+
         other = replace(cfg, compare_baseline=not cfg.compare_baseline)
-        assert fields(duolink.harness._receive(cfg)) == fields(duolink.harness._receive(other))
+        assert fields(receive(cfg)) == fields(receive(other))
         objective = kappa_objective(cfg)
         for kappa in kappas:
             trial = replace(cfg, estimator=EstimatorConfig(kappa=kappa))
@@ -491,9 +508,8 @@ class TestSweep:
         cfgs = sweep_configs(base, {"sigma_common": [0.1, 0.2],
                                     "kappa": [0.0, 1.0, float("inf")]})
         assert len(cfgs) == 6
-        assert [c.channel.seed for c in cfgs] == [
-            int(np.random.SeedSequence([42, i]).generate_state(1, np.uint64)[0])
-            for i in range(6)]
+        # one seed per sigma_common, repeated over the kappas
+        assert [c.channel.seed for c in cfgs] == [point_seed(42, r) for r in (0, 0, 0, 1, 1, 1)]
         assert cfgs[2].estimator.kappa_infinite
         assert not cfgs[1].estimator.kappa_infinite
         assert cfgs[1].estimator.kappa == 1.0
@@ -504,8 +520,103 @@ class TestSweep:
         axes = {"sigma_common": [0.1, 0.2], "kappa": [0.0, 1.0, float("inf")]}
         seeds = [{c.channel.seed for c in sweep_configs(small_config(seed=base), axes)}
                  for base in (0, 1)]
-        assert len(seeds[0]) == len(seeds[1]) == 6
+        assert len(seeds[0]) == len(seeds[1]) == 2
         assert not seeds[0] & seeds[1]
+
+    def test_sigma_grid_keeps_index_seeds(self):
+        """Without a kappa or delay_offset axis, point i draws realization i:
+        its seed is taken from SeedSequence([base_seed, i])."""
+        cfgs = sweep_configs(small_config(), {"sigma_common": [0.1, 0.2],
+                                              "sigma_additive": [0.1, 0.15, 0.2]})
+        assert [c.channel.seed for c in cfgs] == [point_seed(42, i) for i in range(6)]
+
+    # sigma_common x kappa x delay_offset: point s * 9 + k * 3 + o
+    GROUPED_AXES = {"sigma_common": [0.0, 0.3], "kappa": [0.0, 2.0, float("inf")],
+                    "delay_offset": [0, -5, 20]}
+    # some of each realization's point files: the resumed realizations are
+    # drawn at offsets -5 and 20, and rolled to the others
+    RESUMED = (1, 5, 7, 11, 12, 16)
+
+    @staticmethod
+    def grouped_base(window):
+        return TrialConfig(
+            n_symbols=2000,
+            channel=ChannelParams(sigma_common=0.3, sigma_additive=0.15, seed=42),
+            vv=VVConfig(window=window, remove_mean=window > 1),
+            max_lag=16,
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("window", [1, 33])
+    def test_grouped_points_equal_run_trial(self, tmp_path, window, workers):
+        """Points that differ only in kappa or delay_offset carry one seed, so
+        run_sweep draws their realization once and rolls channel 2 to each
+        offset; every report still equals run_trial of its own config. The
+        grid holds a sigma_common of 0, kappas 0, 2 and Infinity, and offsets
+        0, -5 and 20; 20 is beyond max_lag, so its lag is not confident and
+        its receiver reads wrapped samples. The resume pass recomputes some of
+        each realization's points, so it draws them at another offset."""
+        base = self.grouped_base(window)
+        cfgs = sweep_configs(base, self.GROUPED_AXES)
+        expected = [run_trial(cfg) for cfg in cfgs]
+        points = run_sweep(base, self.GROUPED_AXES, out_dir=tmp_path, workers=workers)
+        assert [p.report for p in points] == expected
+        assert [p.report.seed for p in points] == [point_seed(42, i // 9) for i in range(18)]
+        assert not any(p.report.lag_confident for p in points[2::3])
+        for index in self.RESUMED:
+            (tmp_path / f"point_{index:04d}.json").unlink()
+        resumed = run_sweep(base, self.GROUPED_AXES, out_dir=tmp_path, workers=workers)
+        assert [p.report for p in resumed] == expected
+
+    def test_each_realization_drawn_once(self, tmp_path, monkeypatch):
+        """One realization per sigma_common, one reception per offset of it:
+        2 and 6 on the first pass; on the resume pass 2, and one reception
+        per offset that its recomputed points hold."""
+        calls = {"realize": 0, "receive": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(duolink.harness, "_realize", counted("realize", _REALIZE))
+        monkeypatch.setattr(duolink.harness, "_receive", counted("receive", _RECEIVE))
+        base = self.grouped_base(1)
+        run_sweep(base, self.GROUPED_AXES, out_dir=tmp_path)
+        assert calls == {"realize": 2, "receive": 6}
+        for index in self.RESUMED:
+            (tmp_path / f"point_{index:04d}.json").unlink()
+        run_sweep(base, self.GROUPED_AXES, out_dir=tmp_path)
+        assert calls == {"realize": 2 + 2, "receive": 6 + 2 + 3}
+
+    # sigma_common 0.3 x kappa x delay_offset: point k * 4 + o, one realization
+    SPLIT_AXES = {"sigma_common": [0.3], "kappa": [0.0, 2.0],
+                  "delay_offset": [0, -5, 20, 7]}
+
+    @pytest.mark.parametrize("workers, tasks", [
+        (2, [[0, 1, 4, 5], [2, 3, 6, 7]]),
+        (3, [[0, 1, 4, 5], [2, 6], [3, 7]]),
+        (8, [[0, 4], [1, 5], [2, 6], [3, 7]]),  # one task per offset at most
+    ])
+    def test_offsets_split_among_idle_workers(self, monkeypatch, workers, tasks):
+        """With fewer realizations than workers, a realization's offsets are
+        split among tasks, whole offsets each, so that the workers share
+        them; a point's kappas stay in its offset's task. Every report still
+        equals run_trial of its config."""
+        submitted = []
+
+        class Recording(duolink.harness.ProcessPoolExecutor):
+            def submit(self, fn, points):
+                submitted.append([index for index, _ in points])
+                return super().submit(fn, points)
+
+        monkeypatch.setattr(duolink.harness, "ProcessPoolExecutor", Recording)
+        base = self.grouped_base(1)
+        points = run_sweep(base, self.SPLIT_AXES, workers=workers)
+        assert submitted == tasks
+        assert [p.report for p in points] == [
+            run_trial(cfg) for cfg in sweep_configs(base, self.SPLIT_AXES)]
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigError, match="axis"):
@@ -612,14 +723,13 @@ class TestSweep:
 
     def test_point_failure_recorded_sweep_continues(self, monkeypatch):
         base = replace(small_config(), n_symbols=2000)
-        real = duolink.harness.run_trial
 
         def flaky(cfg):
             if cfg.channel.sigma_common == 0.2:
                 raise RuntimeError("injected failure")
-            return real(cfg)
+            return _REALIZE(cfg)
 
-        monkeypatch.setattr(duolink.harness, "run_trial", flaky)
+        monkeypatch.setattr(duolink.harness, "_realize", flaky)
         points = run_sweep(base, {"sigma_common": [0.2, 0.3]})
         assert points[0].error is not None and "injected" in points[0].error
         assert points[1].report is not None
@@ -639,13 +749,28 @@ class TestSweep:
         base = replace(small_config(), n_symbols=2000)
         axes = {"sigma_common": [0.2, KILLED_SIGMA, 0.3, 0.35, 0.4, 0.45]}
         clean = run_sweep(base, axes, workers=1)
-        # run_sweep submits whatever harness.run_trial is at the time
-        monkeypatch.setattr(duolink.harness, "run_trial", run_trial_or_kill_worker)
+        # the forked workers' group tasks call whatever harness._realize is
+        # at the time
+        monkeypatch.setattr(duolink.harness, "_realize", realize_or_kill_worker)
         points = run_sweep(base, axes, workers=2)
         assert [p.error is not None for p in points] == [False, True, False, False, False, False]
         assert points[1].report is None and "terminated abruptly" in points[1].error
         assert [p.report for p in points if p.index != 1] == [
             p.report for p in clean if p.index != 1]
+
+    def test_killed_worker_fails_only_its_own_point_of_a_shared_realization(self, monkeypatch):
+        """A point that kills its worker takes its whole group down; each of
+        the group's points then runs once more on its own, and only the
+        killer fails."""
+        base = replace(small_config(), n_symbols=2000)
+        axes = {"sigma_common": [0.2, KILLED_SIGMA], "delay_offset": [0, KILLED_OFFSET, 5]}
+        clean = run_sweep(base, axes, workers=1)
+        monkeypatch.setattr(duolink.harness, "_receive", receive_or_kill_worker)
+        points = run_sweep(base, axes, workers=2)
+        assert [p.error is not None for p in points] == [False] * 4 + [True, False]
+        assert points[4].report is None and "terminated abruptly" in points[4].error
+        assert [p.report for p in points if p.index != 4] == [
+            p.report for p in clean if p.index != 4]
 
     def test_parallel_matches_serial(self):
         base = replace(small_config(), n_symbols=2000)
