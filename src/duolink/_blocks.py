@@ -4,8 +4,8 @@ A trial holds whole only the arrays that a whole-trace step needs: the two
 received streams, the two phase traces and the uint8 transmitted quadrant
 indices. Every stage in between runs over blocks of BLOCK symbols, so its
 temporaries stay the size of one block per thread however long the trial
-is: the fourth-power extraction, the delay search (each block with max_lag
-samples of margin) and the settle pass, whose blocks return the open
+is: the fourth-power extraction, the delay search (each block with a margin
+as wide as the shifts it takes) and the settle pass, whose blocks return the open
 symbols' keys and indices. The open symbols are gathered and detected
 whole, with no blocks or threads. The payload draws and the channel run
 over their random chunks (channel.CHUNK) instead, and the shaped phase's

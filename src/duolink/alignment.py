@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from . import _blocks, _checks
 
@@ -63,7 +63,9 @@ def _cuts(t: np.ndarray, mean: float, k: int,
           middle: tuple[float, float]) -> tuple[_Cuts, _Cuts]:
     """_Cuts of the trace t centered on `mean`, c = t - mean, for j = 0..k,
     cut from the head (c[j:]) and from the tail (c[:n-j]). `middle` is the
-    sum and the sum of squares of c[k:n-k], which every cut keeps.
+    sum and the sum of squares of c[k:n-k], which every cut keeps. Only the
+    k samples at either end of t are read, so those 2k samples alone may
+    stand for t.
 
     A cut's sums add the end samples it keeps to the middle's, the far end
     first, so no removed sample enters them: subtracting the removed ends
@@ -89,6 +91,19 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
+def _circular(t: np.ndarray, start: int, size: int, mean: float = 0.0) -> np.ndarray:
+    """A new array of `size` samples of t read circularly from `start`, less
+    `mean`: element i is t[(start + i) mod n] - mean."""
+    n = t.size
+    out = np.empty(size)
+    at, i = 0, start % n
+    while at < size:
+        m = min(size - at, n - i)
+        np.subtract(t[i:i + m], mean, out=out[at:at + m])
+        at, i = at + m, 0
+    return out
+
+
 def estimate_delay(
     trace1: np.ndarray, trace2: np.ndarray, max_lag: int
 ) -> AlignmentResult:
@@ -98,23 +113,44 @@ def estimate_delay(
     Lags are tried in order of |lag|, negative before positive, and a lag
     replaces the best one only when its correlation is higher by more than
     TIE_TOL, so ties to within TIE_TOL resolve to the smaller |lag|. An
-    overlap in which either trace is constant correlates as 0.
+    overlap in which either trace is constant correlates as 0. Neither trace
+    is copied or modified.
 
-    One pass over the blocks of _blocks, on their threads, neither copies
-    nor modifies the traces. Each block of trace2 is centered on its whole
-    trace's mean, and so is the block of trace1 with max_lag samples of
-    margin on either side (zero past the ends); one einsum over a sliding
-    window of the latter gives the block's cross terms at every lag (einsum
-    never threads, so unlike BLAS its rounding is fixed). The pass also sums
-    the centered samples in [max_lag, n - max_lag) and their squares, to
-    which _cuts adds the end samples each overlap keeps. The block partials
-    are added in block order, so no result depends on the thread count; the
-    block size moves the correlations only by rounding. An overlap whose
-    variance about the whole trace's mean falls under half its sum of
-    squares (a constant one among them) is degenerate and takes the direct
-    rule: 0 if either side's raw samples are all equal, else the Pearson
-    coefficient of the raw samples centered on their own means, in copies
-    made only then.
+    The one-roll case of _estimate_delays, which says how the sums are
+    taken: no result depends on the thread count, and the block size moves
+    the correlations only by rounding.
+    """
+    return _estimate_delays(trace1, trace2, [0], max_lag)[0]
+
+
+def _estimate_delays(trace1: np.ndarray, trace2: np.ndarray, rolls,
+                     max_lag: int) -> list[AlignmentResult]:
+    """estimate_delay(trace1, np.roll(trace2, d), max_lag) for each integer
+    roll d of `rolls`, up to the rounding of the correlations, from one
+    search over trace2 as given: the traces of a sweep's offsets, which are
+    circular shifts of one trace (see apply_channel).
+
+    Channel 2's sample i of roll d is trace2's (i - d) mod n, so roll d's
+    cross term at lag, over the samples p of the overlap, is
+    sum c1[p] * c2[(p - s) mod n] at the shift s = lag + d, with c1 and c2
+    the traces centered on their whole means (one mean per trace, whatever
+    the roll). Every overlap keeps the middle samples p in [max_lag,
+    n - max_lag), so one pass over the blocks of _blocks, on their threads,
+    takes the middle's cross terms at every shift the rolls need, one einsum
+    per run of adjacent shifts over a sliding window of c2 read circularly
+    (einsum never threads, so unlike BLAS its rounding is fixed); rolls far
+    apart take runs of their own, so no shift is taken that no roll needs.
+    The same pass sums trace1's middle samples and their squares, and each
+    roll's, whose middle is its shift-0 column of the window. _cuts then
+    adds the end samples each overlap keeps, and a cross term adds its end
+    products as they do: the far end's, then the near end's from the middle
+    outward, so that no product of a cut sample enters it. The block
+    partials are added in block order, so no result depends on the thread
+    count. An overlap whose variance about the whole trace's mean falls under
+    half its sum of squares (a constant one among them) is degenerate and
+    takes the direct rule: 0 if either side's raw samples are all equal,
+    else the Pearson coefficient of the raw samples centered on their own
+    means, in copies made only then.
     """
     t1 = np.asarray(trace1, dtype=float)
     t2 = np.asarray(trace2, dtype=float)
@@ -128,25 +164,58 @@ def estimate_delay(
     _checks.finite(trace1=t1, trace2=t2)
     k = max_lag
     mean1, mean2 = t1.mean(), t2.mean()
+    # a roll acts modulo n; taken in [-n/2, n/2), near rolls stay near
+    rolled = [(int(d) + n // 2) % n - n // 2 for d in rolls]
+    # runs [lo, hi] of adjacent shifts, and the rolls each one serves
+    runs: list[tuple[int, int, list[int]]] = []
+    for d in sorted(set(rolled)):
+        if runs and d - k <= runs[-1][1] + 1:
+            runs[-1] = (runs[-1][0], d + k, runs[-1][2] + [d])
+        else:
+            runs.append((d - k, d + k, [d]))
 
     def partial(b: slice) -> tuple:
-        lo, hi = b.start - k, b.stop + k
-        a, e = max(lo, 0), min(hi, n)
-        w = np.zeros(hi - lo)
-        np.subtract(t1[a:e], mean1, out=w[a - lo:e - lo])
-        c1, c2 = w[k:w.size - k], t2[b] - mean2
-        # column j of the window's row i is c1 at sample b.start + i + j - k
-        cross = np.einsum("ij,i->j", sliding_window_view(w, 2 * k + 1), c2)
-        # the block's samples in [k, n - k), which every overlap keeps
-        mid = slice(max(k - b.start, 0), max(n - k - b.start, 0))
-        c1, c2 = c1[mid], c2[mid]
-        return cross, np.array([c1.sum(), _dot(c1, c1), c2.sum(), _dot(c2, c2)])
+        c1 = t1[b] - mean1
+        m = c1.size
+        cross, sums2 = [], []
+        for lo, hi, ds in runs:
+            # w[i] is c2 at sample b.start - hi + i (mod n): column j of the
+            # window's row i pairs c1 at p = b.start + i with shift hi - j
+            w = _circular(t2, b.start - hi, m + hi - lo, mean2)
+            cross.append(np.einsum("ij,i->j", sliding_window_view(w, hi - lo + 1), c1)[::-1])
+            for d in ds:
+                c2 = w[hi - d:hi - d + m]
+                sums2.append([c2.sum(), _dot(c2, c2)])
+            del w, c2  # before the next run's window
+        return np.array([c1.sum(), _dot(c1, c1)]), cross, np.array(sums2)
 
-    parts = _blocks.each(partial, _blocks.blocks(0, n))
-    cross = sum(p[0] for p in parts).tolist()
-    sum1, sq1, sum2, sq2 = sum(p[1] for p in parts).tolist()
-    head1, tail1 = _cuts(t1, mean1, k, (sum1, sq1))
-    head2, tail2 = _cuts(t2, mean2, k, (sum2, sq2))
+    parts = _blocks.each(partial, _blocks.blocks(k, n - k))
+    sum1, sq1 = sum(p[0] for p in parts).tolist()
+    cuts1 = _cuts(t1, mean1, k, (sum1, sq1))
+    ends1 = (t1[:k] - mean1, t1[n - k:] - mean1)
+    # the rolls' middle sums, in the order of the runs' rolls
+    middles = iter(sum(p[2] for p in parts).tolist())
+    found: dict[int, AlignmentResult] = {}
+    for r, (lo, _, ds) in enumerate(runs):
+        run = sum(p[1][r] for p in parts)
+        for d in ds:
+            found[d] = _search_roll(t1, t2, d, k, cuts1, ends1, mean2,
+                                    run[d - k - lo:d + k + 1 - lo], next(middles))
+    return [found[d] for d in rolled]
+
+
+def _search_roll(t1: np.ndarray, t2: np.ndarray, d: int, k: int,
+                 cuts1: tuple[_Cuts, _Cuts], ends1: tuple[np.ndarray, np.ndarray],
+                 mean2: float, middle: np.ndarray, sums2: list[float]) -> AlignmentResult:
+    """The delay search of roll d (see _estimate_delays): trace1's cuts and
+    centered ends, trace2's mean, the middle's cross terms at lags -k..k and
+    the sum and sum of squares of the rolled trace's middle samples."""
+    n = t1.size
+    # the rolled trace's k samples at either end, from trace2's samples
+    ends2 = np.concatenate((_circular(t2, -d, k), _circular(t2, n - k - d, k)))
+    head2, tail2 = _cuts(ends2, mean2, k, tuple(sums2))
+    head1, tail1 = cuts1
+    cross = _end_products(t2, d, k, ends1, mean2, middle)
 
     def correlation(lag: int) -> float:
         j = abs(lag)
@@ -158,7 +227,7 @@ def estimate_delay(
         if var_x < x.squares[j] / 2 or var_y < y.squares[j] / 2:
             # the sums above cancel: correlate the raw overlap directly
             ox, oy = _overlap(n, lag)
-            rx, ry = t1[ox], t2[oy]
+            rx, ry = t1[ox], _circular(t2, oy.start - d, oy.stop - oy.start)
             if rx.min() == rx.max() or ry.min() == ry.max():
                 return 0.0
             cx, cy = rx - rx.mean(), ry - ry.mean()
@@ -173,6 +242,36 @@ def estimate_delay(
         if r > best_corr + TIE_TOL:
             best_lag, best_corr = lag, r
     return AlignmentResult(best_lag, best_corr, best_corr >= CONFIDENCE_THRESHOLD)
+
+
+def _end_products(t2: np.ndarray, d: int, k: int, ends1: tuple[np.ndarray, np.ndarray],
+                  mean2: float, middle: np.ndarray) -> list[float]:
+    """Roll d's cross terms at lags -k..k: the middle's (`middle`), to which
+    each lag adds the products of the end samples its overlap keeps, the far
+    end's first, then the near end's from the middle outward, as _cuts adds
+    samples. Lag >= 0 keeps all of the tail and cuts its first `lag` head
+    samples; lag < 0 keeps all of the head and cuts its last |lag| tail
+    samples. The lags are taken a few at a time, so that their products
+    stay within an eighth of a block each."""
+    n = t2.size
+    lags = np.arange(-k, k + 1)
+    total = np.empty(2 * k + 1)
+    # end e's sample p = e + q (q < k) meets the rolled trace's sample
+    # p - lag, trace2's (p - lag - d) mod n: w[q - lag + k], row k - lag of
+    # the window's, so that reversed its rows run over the lags -k..k
+    head, tail = (as_strided(_circular(t2, e - k - d, 3 * k, mean2), (2 * k + 1, k), (8, 8),
+                             writeable=False)[::-1] for e in (0, n - k))
+    rows = max(1, _blocks.BLOCK // (8 * max(k, 1)))
+    for a in range(0, 2 * k + 1, rows):
+        at = slice(a, min(a + rows, 2 * k + 1))
+        lag = lags[at, None]
+        ph, pt = head[at] * ends1[0], tail[at] * ends1[1]
+        far = np.where(lag >= 0, pt, ph).sum(axis=1)
+        # the near end's products from the middle outward, the cut ones 0
+        near = np.where(lag >= 0, ph[:, ::-1], pt)
+        near *= np.arange(k) < k - np.abs(lag)
+        total[at] = np.cumsum(np.column_stack((middle[at] + far, near)), axis=1)[:, -1]
+    return total.tolist()
 
 
 def _overlap(n: int, lag: int) -> tuple[slice, slice]:

@@ -34,7 +34,7 @@ from math import inf, prod, sqrt
 import numpy as np
 
 from . import _blocks, _checks, _files
-from .alignment import AlignmentResult, _overlap, estimate_delay
+from .alignment import AlignmentResult, _estimate_delays, _overlap, estimate_delay
 from .channel import STREAM_LAYOUT, ChannelParams, apply_channel, draw_payload
 from .compensation import EstimatorConfig, apply_compensation, compensate_traces
 from .cpe import HALF_PI, VVConfig, extract_phase, wrap_quarter
@@ -164,7 +164,7 @@ def run_trial(cfg: TrialConfig) -> BERReport:
     are counted from the decided quadrants, the baseline's whether or not
     the report carries them. Deterministic for a given config.
     """
-    return _detect(_receive(cfg, *_realize(cfg)), cfg)
+    return _detect(_trial_reception(cfg), cfg)
 
 
 def kappa_objective(cfg: TrialConfig):
@@ -177,7 +177,7 @@ def kappa_objective(cfg: TrialConfig):
     and the detection on the open symbols only, giving exactly
     run_trial(cfg with that finite kappa).ber_compensated.
     """
-    reception = _receive(cfg, *_realize(cfg))
+    reception = _trial_reception(cfg)
 
     def objective(kappa: float) -> float:
         estimator = replace(cfg.estimator, kappa=kappa, kappa_infinite=False)
@@ -226,6 +226,9 @@ NORMAL_POWER = 2.0**-500
 
 # the per-symbol extraction: of the delay search, and of the window-1 receiver
 _PER_SYMBOL = VVConfig(window=1, remove_mean=False)
+
+# the delay of a trial that skips the search
+_NO_DELAY = AlignmentResult(lag=0, peak_correlation=0.0, confident=False)
 
 _QUARTER_TURNS = 1 / HALF_PI  # per radian
 
@@ -296,30 +299,45 @@ def _realize(cfg: TrialConfig) -> tuple[np.ndarray, ...]:
     return (k_tx1, k_tx2, *apply_channel(k_tx1, k_tx2, cfg.channel))
 
 
-def _receive(cfg: TrialConfig, k_tx1, k_tx2, rx1, rx2) -> _Reception:
+def _searches(cfg: TrialConfig) -> bool:
+    """Whether cfg's trial searches for the delay: max_lag 0 turns the search
+    off, and so do traces too short for it."""
+    return cfg.max_lag > 0 and cfg.n_symbols > 2 * cfg.max_lag
+
+
+def _trial_reception(cfg: TrialConfig) -> _Reception:
+    """run_trial's reception of cfg: its realization, the delay recovered by
+    estimate_delay from the per-symbol (window=1) traces, and _receive. For
+    a window=1 receiver the same two traces also serve compensation and the
+    baseline; for a wider window they serve only the search and are freed
+    before the receiver's own extraction."""
+    k_tx1, k_tx2, rx1, rx2 = _realize(cfg)
+    delay, traces = _NO_DELAY, ()
+    if cfg.vv.window == 1 or _searches(cfg):
+        traces = (extract_phase(rx1, _PER_SYMBOL), extract_phase(rx2, _PER_SYMBOL))
+        if _searches(cfg):
+            delay = estimate_delay(*traces, cfg.max_lag)
+        if cfg.vv.window != 1:
+            traces = ()
+    return _receive(cfg, k_tx1, k_tx2, rx1, rx2, delay, *traces)
+
+
+def _receive(cfg: TrialConfig, k_tx1, k_tx2, rx1, rx2, delay: AlignmentResult,
+             trace1=None, trace2=None) -> _Reception:
     """The part of run_trial that the estimator and compare_baseline do not
-    change, from a realization (see _realize) of cfg's channel, ending in
-    the settle pass (see MARGIN), which counts the baseline. Of cfg it reads
-    only n_symbols, vv and max_lag, so one realization serves every config
-    that differs in nothing else. Only what _Reception holds outlives it:
-    the traces are freed when it returns, and it modifies no argument."""
+    change, from a realization (see _realize) of cfg's channel and its
+    recovered delay, ending in the settle pass (see MARGIN), which counts the
+    baseline. It does not search: the delay comes from estimate_delay in a
+    trial, from the group's one search in a sweep. The receiver's traces are
+    extracted here with cfg.vv, but for those given (window=1 traces of the
+    same streams). Of cfg it reads only n_symbols and vv, so one realization
+    serves every config that differs in nothing else. Only what _Reception
+    holds outlives it: the traces it extracts are freed when it returns, and
+    it modifies no argument."""
     n = cfg.n_symbols
-    # Delay recovery runs on per-symbol (window=1) traces. For a window=1
-    # receiver the same two traces also serve compensation and the baseline;
-    # for a wider window they serve only the search and are freed before
-    # the receiver's own extraction.
-    search = cfg.max_lag > 0 and n > 2 * cfg.max_lag
-    delay = AlignmentResult(lag=0, peak_correlation=0.0, confident=False)
-    if cfg.vv.window == 1:
-        trace1 = extract_phase(rx1, _PER_SYMBOL)
-        trace2 = extract_phase(rx2, _PER_SYMBOL)
-        if search:
-            delay = estimate_delay(trace1, trace2, cfg.max_lag)
-    else:
-        if search:
-            delay = estimate_delay(extract_phase(rx1, _PER_SYMBOL),
-                                   extract_phase(rx2, _PER_SYMBOL), cfg.max_lag)
+    if trace1 is None:
         trace1 = extract_phase(rx1, cfg.vv)
+    if trace2 is None:
         trace2 = extract_phase(rx2, cfg.vv)
     # only buffer on a confident estimate; an unconfident peak is noise.
     # Channel 2's received stream and trace are read through views; its
@@ -635,30 +653,45 @@ def _sweep_group(points: list[tuple[int, TrialConfig]]):
     outcome is the point's report, equal to run_trial of its config, or the
     message of the exception that stopped it.
 
-    The realization is drawn once, at the first point's offset; channel 2's
-    stream at offset o, from the stream at offset s, is np.roll(rx2, s - o),
-    byte for byte what the channel draws at o (see apply_channel). Points at
-    one offset share one reception and run one detection each. A step that
-    raises fails the points that share it and no other. Each roll replaces
-    the stream it reads, and each reception is freed before the next is
-    built, so a point's peak is its trial's: one realization beside one
-    reception.
+    The realization is drawn once, at the first point's offset o0; channel
+    2's stream at offset o, from the stream at offset s, is np.roll(rx2,
+    s - o), byte for byte what the channel draws at o (see apply_channel).
+    The per-symbol traces are elementwise in the samples, so channel 2's at
+    offset o is np.roll of its trace at o0 by o0 - o: one search
+    (_estimate_delays) on the traces at o0 recovers every offset's delay,
+    right after the realization is drawn. Points at one offset share one
+    reception and run one detection each. A step that raises fails the
+    points that share it and no other. The search's traces are freed before
+    the first reception, but for channel 1's at window=1, which is every
+    reception's; each roll replaces the stream it reads, and each reception
+    is freed before the next is built, so a point's peak is its trial's: one
+    realization beside one reception.
     """
     first = points[0][1]
-    try:
-        k_tx1, k_tx2, rx1, rx2 = _realize(first)
-    except Exception as exc:  # noqa: BLE001 - per-point isolation
-        yield from ((index, str(exc)) for index, _ in points)
-        return
-    at_offset = first.channel.delay_offset  # the offset rx2 holds
     by_offset: dict[int, list] = {}
     for index, cfg in points:
         by_offset.setdefault(cfg.channel.delay_offset, []).append((index, cfg))
+    at_offset = first.channel.delay_offset  # the offset rx2 holds
+    delays, trace1 = dict.fromkeys(by_offset, _NO_DELAY), None
+    try:
+        k_tx1, k_tx2, rx1, rx2 = _realize(first)
+        if first.vv.window == 1 or _searches(first):
+            trace1 = extract_phase(rx1, _PER_SYMBOL)
+        if _searches(first):
+            found = _estimate_delays(trace1, extract_phase(rx2, _PER_SYMBOL),
+                                     [at_offset - offset for offset in by_offset],
+                                     first.max_lag)
+            delays = dict(zip(by_offset, found))
+        if first.vv.window != 1:
+            trace1 = None
+    except Exception as exc:  # noqa: BLE001 - per-point isolation
+        yield from ((index, str(exc)) for index, _ in points)
+        return
     for offset, at in by_offset.items():
         try:
             if offset != at_offset:
                 rx2, at_offset = np.roll(rx2, at_offset - offset), offset
-            reception = _receive(at[0][1], k_tx1, k_tx2, rx1, rx2)
+            reception = _receive(at[0][1], k_tx1, k_tx2, rx1, rx2, delays[offset], trace1)
         except Exception as exc:  # noqa: BLE001 - per-point isolation
             yield from ((index, str(exc)) for index, _ in at)
             continue
@@ -707,12 +740,14 @@ def run_sweep(
 
     The points to compute are grouped by realization: points whose configs
     are equal but for delay_offset and the estimator (sweep_configs gives
-    them one seed) share one payload and one channel, drawn once, and
-    points that also share delay_offset share one reception (see
-    _sweep_group). Every point's report equals run_trial of its own config.
-    Groups run in `workers` processes, one task each, when workers > 1;
-    with fewer groups than workers, each group's offsets are split among
-    ceil(workers / groups) tasks, each drawing the realization (see
+    them one seed) share one payload, one channel and one delay search,
+    drawn and run once, and points that also share delay_offset share one
+    reception (see _sweep_group). Every point's report equals run_trial of
+    its own config. Groups run one task each when workers > 1, in a pool of
+    min(workers, tasks) processes, as a forked pool starts all of its
+    processes at once; with fewer groups than workers, each group's offsets
+    are split among ceil(workers / groups) tasks, each drawing the
+    realization and searching for its own offsets' delays (see
     _split_offsets). Results merge by index. The points of a task lost
     because a worker died are each run once more on their own, so a point
     that kills its worker fails and no other does. out_dir is created once
@@ -770,7 +805,7 @@ def run_sweep(
                  for part in _split_offsets(group, -(-workers // len(tasks)))]
     if workers > 1 and len(tasks) > 1:
         lost = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             futures = [(g, pool.submit(_sweep_group_task, g)) for g in tasks]
             for group, fut in futures:
                 if isinstance(fut.exception(), BrokenProcessPool):

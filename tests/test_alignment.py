@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from duolink import KappaSearchResult, adapt_kappa, estimate_delay
 from duolink import _blocks
-from duolink.alignment import CONFIDENCE_THRESHOLD, TIE_TOL, _cuts, _dot, _overlap
+from duolink.alignment import (CONFIDENCE_THRESHOLD, TIE_TOL, _cuts, _dot, _estimate_delays,
+                               _overlap)
 from oracles import delay_reference
 
 
@@ -77,6 +78,35 @@ def trace_pairs(draw):
                 a = draw(st.integers(0, n))
                 t[a:draw(st.integers(a, n))] = draw(level)
     return t1, t2, max_lag
+
+
+# Seven rolls of a group, as a sweep's offsets give them: near each other
+# (one run of shifts), and far apart (runs of their own)
+GROUP_ROLLS = (0, -30, 3, 18, -7, 40, 100)
+
+
+@st.composite
+def rolled_trace_pairs(draw):
+    """(trace1, trace2, max_lag, rolls): a pair of trace_pairs with trace2
+    rolled back by the first of one to seven rolls, so that roll restores the
+    drawn pair; the rolls reach past max_lag and past n either way. At times
+    max_lag is raised to n // 2 or more, too long for the traces."""
+    t1, t2, max_lag = draw(trace_pairs())
+    n = t1.size
+    rolls = draw(st.lists(st.integers(-3 * n, 3 * n), min_size=1, max_size=7))
+    if draw(st.integers(0, 9)) == 0:
+        max_lag = draw(st.integers(n // 2, n))
+    return t1, np.roll(t2, -rolls[0]), max_lag, rolls
+
+
+def assert_matches_reference(t1, t2, max_lag, result):
+    lag, peak = delay_reference(t1, t2, max_lag, tie_tol=TIE_TOL)
+    assert result.lag == lag
+    # Three-sample overlaps with two equal values correlate as exactly
+    # +-0.5, which rounding puts on either side of the threshold
+    if abs(peak - CONFIDENCE_THRESHOLD) > 1e-12:
+        assert result.confident == (peak >= CONFIDENCE_THRESHOLD)
+    assert abs(result.peak_correlation - peak) <= 1e-12
 
 
 class TestEstimateDelay:
@@ -167,14 +197,48 @@ class TestEstimateDelay:
     @example(ULP_APART)
     def test_matches_direct_pearson_reference(self, case):
         t1, t2, max_lag = case
-        lag, peak = delay_reference(t1, t2, max_lag, tie_tol=TIE_TOL)
-        result = estimate_delay(t1, t2, max_lag)
-        assert result.lag == lag
-        # Three-sample overlaps with two equal values correlate as exactly
-        # +-0.5, which rounding puts on either side of the threshold
-        if abs(peak - CONFIDENCE_THRESHOLD) > 1e-12:
-            assert result.confident == (peak >= CONFIDENCE_THRESHOLD)
-        assert abs(result.peak_correlation - peak) <= 1e-12
+        assert_matches_reference(t1, t2, max_lag, estimate_delay(t1, t2, max_lag))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rolled_trace_pairs())
+    @example((*CANCELLING_OVERLAP, [0, 1, -8, 3 + 7]))
+    @example((*ENDS_HOLD_THE_VARIANCE, [0, 2, -2, 7, -16]))
+    @example((ENDS_HOLD_THE_VARIANCE[0], np.roll(ENDS_HOLD_THE_VARIANCE[1], -3), 2, [3, 0, 1]))
+    @example((*ULP_APART, [0, 15, -30]))
+    @example((np.full(40, 0.2), np.full(40, -0.1), 6, [0, 9, -50]))
+    @example((noise_trace(40, 11), noise_trace(40, 12), 20, [0, 5]))
+    def test_group_matches_direct_pearson_reference(self, case):
+        """The grouped search gives, for each roll d, what the direct
+        reference gives on np.roll(trace2, d): the lag and the confidence
+        exactly, the peak correlation to 1e-12. Rolls beyond max_lag and
+        beyond n, constant traces and traces whose variance lies in the
+        samples that a lag cuts are among the cases; a max_lag too long for
+        the traces is rejected, as estimate_delay rejects it."""
+        t1, t2, max_lag, rolls = case
+        if t1.size <= 2 * max_lag:
+            with pytest.raises(ValueError, match="short"):
+                _estimate_delays(t1, t2, rolls, max_lag)
+            return
+        results = _estimate_delays(t1, t2, rolls, max_lag)
+        assert len(results) == len(rolls)
+        for d, result in zip(rolls, results):
+            assert_matches_reference(t1, np.roll(t2, d), max_lag, result)
+
+    def test_group_of_ulp_apart_rolls_equals_single_searches(self):
+        """ULP_APART rolled by amounts other than multiples of n: trace2's
+        variance is then a few ulps in overlaps that the centered sums keep,
+        where the direct reference, which centers each overlap on its own
+        rounded mean, is off. At roll -4 it gives lag -3 (0.236) and at roll
+        46 lag -2 (0.179), where exact rational arithmetic gives lag 1
+        (0.2934) and lag -2 (0.2282), as the search does. What a sweep needs
+        holds at every roll: the group's search equals estimate_delay of
+        the rolled trace."""
+        t1, t2, max_lag = ULP_APART
+        rolls = [0, 4, -4, 15, -31, 46]
+        for d, got in zip(rolls, _estimate_delays(t1, t2, rolls, max_lag)):
+            single = estimate_delay(t1, np.roll(t2, d), max_lag)
+            assert (got.lag, got.confident) == (single.lag, single.confident), d
+            assert abs(got.peak_correlation - single.peak_correlation) <= 1e-12, d
 
     @settings(max_examples=200, deadline=None)
     @given(trace_pairs())
@@ -187,6 +251,7 @@ class TestEstimateDelay:
         before = t1.tobytes(), t2.tobytes()
         t1.flags.writeable = t2.flags.writeable = False
         estimate_delay(t1, t2, max_lag)
+        _estimate_delays(t1, t2, GROUP_ROLLS, max_lag)
         assert (t1.tobytes(), t2.tobytes()) == before
 
     @settings(max_examples=60, deadline=None)
@@ -197,9 +262,14 @@ class TestEstimateDelay:
         """The lag and the confidence do not depend on the block size or on
         the thread count, and at one block size the peak correlation is
         bit-equal whatever the thread count (the block size may move it by
-        rounding)."""
+        rounding): for one search, and for each of a group of seven rolls."""
         t1, t2, max_lag = case
-        expected = estimate_delay(t1, t2, max_lag)
+
+        def search():
+            return [estimate_delay(t1, t2, max_lag),
+                    *_estimate_delays(t1, t2, GROUP_ROLLS, max_lag)]
+
+        expected = search()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the pool's tasks finely
         try:
@@ -209,31 +279,42 @@ class TestEstimateDelay:
                     with pytest.MonkeyPatch.context() as mp:
                         mp.setattr(_blocks, "BLOCK", block)
                         mp.setattr(_blocks, "THREADS", threads)
-                        got = estimate_delay(t1, t2, max_lag)
-                    assert got.lag == expected.lag, (block, threads)
-                    # see test_matches_direct_pearson_reference
-                    if abs(expected.peak_correlation - CONFIDENCE_THRESHOLD) > 1e-12:
-                        assert got.confident == expected.confident, (block, threads)
-                    peaks.add(got.peak_correlation.hex())
+                        got = search()
+                    for g, e in zip(got, expected):
+                        assert g.lag == e.lag, (block, threads)
+                        # see test_matches_direct_pearson_reference
+                        if abs(e.peak_correlation - CONFIDENCE_THRESHOLD) > 1e-12:
+                            assert g.confident == e.confident, (block, threads)
+                    peaks.add(tuple(g.peak_correlation.hex() for g in got))
                 assert len(peaks) == 1, (block, peaks)
         finally:
             sys.setswitchinterval(interval)
 
     def test_peak_memory_is_a_few_blocks(self, monkeypatch):
         """On two threads the search holds a few blocks at a time, not a
-        copy of a trace (8 B/sym) nor a mask of one (1 B/sym)."""
+        copy of a trace (8 B/sym) nor a mask of one (1 B/sym): one search,
+        and a group of seven rolls, which rolls neither trace whole."""
         monkeypatch.setattr(_blocks, "THREADS", 2)
         n = 2**21
         t1 = noise_trace(n, 9)
         t2 = np.roll(t1, -3) + noise_trace(n, 10)
-        tracemalloc.start()
-        try:
-            result = estimate_delay(t1, t2, 16)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert result.lag == 3
-        assert peak < 6 * 8 * _blocks.BLOCK, peak / n
+        for rolls in ((0,), GROUP_ROLLS):
+            tracemalloc.start()
+            try:
+                if rolls == (0,):
+                    results = [estimate_delay(t1, t2, 16)]
+                else:
+                    results = _estimate_delays(t1, t2, rolls, 16)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # trace2 rolled by d leads trace1 by 3 - d
+            for d, result in zip(rolls, results):
+                if abs(3 - d) <= 16:
+                    assert (result.lag, result.confident) == (3 - d, True)
+                else:
+                    assert not result.confident
+            assert peak < 6 * 8 * _blocks.BLOCK, (rolls, peak / n)
 
     def test_ulp_apart_example_merges_under_centering(self):
         """ULP_APART is what its comment says, and the search correlates the
@@ -263,6 +344,8 @@ class TestEstimateDelay:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="short"):
             estimate_delay(np.zeros(16), np.zeros(16), max_lag=8)
+        with pytest.raises(ValueError, match="short"):
+            _estimate_delays(np.zeros(16), np.zeros(16), [0, 3], max_lag=8)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differ"):

@@ -323,7 +323,7 @@ def test_mean_removed_gather_equals_whole_arrays(window):
         estimator=EstimatorConfig(kappa=4.0),
         max_lag=0,
     )
-    reception = with_block(block, lambda: harness._receive(cfg, *harness._realize(cfg)))
+    reception = with_block(block, lambda: harness._trial_reception(cfg))
     # more open symbols than the second block has symbols at all
     assert reception.key.size > 16384 + 1000
     assert_counts_equal(harness._detect(reception, cfg), whole_array_counts(cfg), cfg)
@@ -417,17 +417,22 @@ def test_trial_peak_memory_without_spare_copies(monkeypatch, phase_model, window
     assert peak / n < bound
 
 
-def test_sweep_group_peak_is_its_trials(monkeypatch):
+@pytest.mark.parametrize("window, remove_mean", [(1, False), (33, True)])
+def test_sweep_group_peak_is_its_trials(monkeypatch, window, remove_mean):
     """A sweep's realization serves three offsets, two of them rolled; its
-    peak is that of the largest of the three run_trials. Channel 2's stream
-    is rolled from the last one, which is then freed, and each reception is
-    freed before the next is built: keeping the drawn stream beside a
-    rolled one adds 16 B/sym here, the last reception beside the next 11."""
+    peak is that of the largest of the three run_trials. The group's one
+    delay search runs before any reception, and its traces are freed before
+    the first one, but for channel 1's at window 1, which every reception
+    reads. Channel 2's stream is rolled from the last one, which is then
+    freed, and each reception is freed before the next is built: keeping the
+    drawn stream beside a rolled one adds 16 B/sym here, the last reception
+    beside the next 11."""
     monkeypatch.setattr(_blocks, "THREADS", 2)
     n = 2**18
     base = TrialConfig(
         n_symbols=n,
         channel=ChannelParams(sigma_common=0.5, sigma_additive=0.15, seed=5),
+        vv=VVConfig(window=window, remove_mean=remove_mean),
         estimator=EstimatorConfig(kappa=8.0),
         compare_baseline=True,
     )
@@ -443,7 +448,8 @@ def test_sweep_group_peak_is_its_trials(monkeypatch):
             tracemalloc.stop()
 
     trials = max(peak(lambda: run_trial(cfg)) for _, cfg in points)
-    assert peak(lambda: list(harness._sweep_group(points))) < trials + 2
+    group = peak(lambda: list(harness._sweep_group(points)))
+    assert group < trials + 2, (group, trials)
 
 
 @pytest.mark.parametrize("window, remove_mean", [(1, False), (33, True)])
@@ -501,7 +507,7 @@ def test_detection_peak_memory(phase_model, window, remove_mean, bound):
         estimator=EstimatorConfig(kappa=8.0),
         compare_baseline=True,
     )
-    reception = harness._receive(cfg, *harness._realize(cfg))
+    reception = harness._trial_reception(cfg)
     tracemalloc.start()
     try:
         harness._detect(reception, cfg)

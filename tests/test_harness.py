@@ -26,6 +26,7 @@ from duolink import (
     VVConfig,
     classify_cases,
     emit,
+    estimate_delay,
     kappa_objective,
     run_sweep,
     run_trial,
@@ -38,6 +39,7 @@ from oracles import CASE_TRUTH_TABLE, LAGGED_WINDOW_33, reference_trial, wilson_
 
 _REALIZE = duolink.harness._realize
 _RECEIVE = duolink.harness._receive
+_ESTIMATE_DELAYS = duolink.harness._estimate_delays
 KILLED_SIGMA = 0.25
 KILLED_OFFSET = -3
 
@@ -299,7 +301,7 @@ class TestKappaObjective:
                     for v in (getattr(r, f) for f in r.__dataclass_fields__)]
 
         def receive(c):
-            return duolink.harness._receive(c, *duolink.harness._realize(c))
+            return duolink.harness._trial_reception(c)
 
         other = replace(cfg, compare_baseline=not cfg.compare_baseline)
         assert fields(receive(cfg)) == fields(receive(other))
@@ -617,6 +619,51 @@ class TestSweep:
         assert submitted == tasks
         assert [p.report for p in points] == [
             run_trial(cfg) for cfg in sweep_configs(base, self.SPLIT_AXES)]
+
+    # the lag sweep's offsets: their rolls need 497 shifts in one run
+    LAG_OFFSETS = [-120, -90, -30, 0, 30, 90, 120]
+
+    def test_one_delay_search_per_group(self, monkeypatch):
+        """A group of seven offsets makes one grouped search, over the rolls
+        from its first offset to each, and no estimate_delay call; every
+        report still equals run_trial of its config."""
+        calls = []
+
+        def grouped(t1, t2, rolls, max_lag):
+            calls.append(list(rolls))
+            return _ESTIMATE_DELAYS(t1, t2, rolls, max_lag)
+
+        def single(*args):
+            calls.append("estimate_delay")
+            return estimate_delay(*args)
+
+        monkeypatch.setattr(duolink.harness, "_estimate_delays", grouped)
+        monkeypatch.setattr(duolink.harness, "estimate_delay", single)
+        base = replace(self.grouped_base(1), max_lag=128)
+        axes = {"delay_offset": self.LAG_OFFSETS}
+        points = run_sweep(base, axes)
+        assert calls == [[-120 - offset for offset in self.LAG_OFFSETS]]
+        monkeypatch.undo()
+        assert [p.report for p in points] == [run_trial(cfg) for cfg in sweep_configs(base, axes)]
+        assert [p.report.estimated_lag for p in points] == self.LAG_OFFSETS
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_pool_capped_at_task_count(self, monkeypatch, workers):
+        """A pool starts no more processes than it has tasks: a grid of two
+        realizations at workers 2 or 8 builds one pool of two."""
+        sizes = []
+
+        class Recording(duolink.harness.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(duolink.harness, "ProcessPoolExecutor", Recording)
+        base = replace(small_config(), n_symbols=2000)
+        axes = {"sigma_common": [0.2, 0.3]}
+        points = run_sweep(base, axes, workers=workers)
+        assert sizes == [2]
+        assert [p.report for p in points] == [run_trial(cfg) for cfg in sweep_configs(base, axes)]
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigError, match="axis"):
