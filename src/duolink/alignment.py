@@ -150,7 +150,9 @@ def _estimate_delays(trace1: np.ndarray, trace2: np.ndarray, rolls,
     half its sum of squares (a constant one among them) is degenerate and
     takes the direct rule: 0 if either side's raw samples are all equal,
     else the Pearson coefficient of the raw samples centered on their own
-    means, in copies made only then.
+    rounded means, in copies made only then, its sums corrected for that
+    rounding (sum(d*d) - sum(d)**2/m, and so for the cross term), so that
+    samples a few ulps apart correlate as exact arithmetic has them.
     """
     t1 = np.asarray(trace1, dtype=float)
     t2 = np.asarray(trace2, dtype=float)
@@ -230,8 +232,12 @@ def _search_roll(t1: np.ndarray, t2: np.ndarray, d: int, k: int,
             rx, ry = t1[ox], _circular(t2, oy.start - d, oy.stop - oy.start)
             if rx.min() == rx.max() or ry.min() == ry.max():
                 return 0.0
+            # centered on their rounded means, and corrected for that
+            # rounding (the corrected two-pass formula)
             cx, cy = rx - rx.mean(), ry - ry.mean()
-            var_x, var_y, cov = _dot(cx, cx), _dot(cy, cy), _dot(cx, cy)
+            sx, sy = float(cx.sum()), float(cy.sum())
+            var_x, var_y = _dot(cx, cx) - sx * sx / m, _dot(cy, cy) - sy * sy / m
+            cov = _dot(cx, cy) - sx * sy / m
         if var_x > 0 and var_y > 0:
             return cov / math.sqrt(var_x * var_y)
         return 0.0

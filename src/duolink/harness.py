@@ -270,14 +270,17 @@ _COUNTS = _count_tables()
 
 @dataclass(frozen=True)
 class _Reception:
-    """What a trial computes before the joint estimate, on the valid region.
+    """What a trial computes before the joint estimate, on the valid region:
+    a restriction of a settle pass (see _restrict).
 
     The open symbols' samples (channel 2 aligned), their observations for the
     joint estimate and their keys, gathered in symbol order, with the mean
     removal already applied when it is on; the histogram of the settled
     symbols' codes, which counts both receivers (see MARGIN); the baseline's
     bit errors per channel, fixed by the realization whatever the estimator;
-    the number of valid symbols and the recovered delay.
+    the number of valid symbols and the recovered delay. The open arrays may
+    be views of a pass that serves other receptions as well: the detection
+    only reads them.
     """
 
     rx1: np.ndarray
@@ -292,6 +295,24 @@ class _Reception:
     lag_confident: bool
 
 
+@dataclass(frozen=True)
+class _Pass:
+    """A settle pass over `size` paired symbols (see _settle_pass), as
+    _restrict reads it: the histogram of the settled symbols' codes, which
+    counts both receivers; the baseline's histogram, which adds the open
+    symbols' baseline codes to it; the codes of the `keep` symbols at either
+    end (head and tail), an open symbol's as _CODES plus its baseline code;
+    and the open symbols' gathered (rx1, rx2, obs1, obs2, key), in symbol
+    order."""
+
+    settled: np.ndarray
+    baseline: np.ndarray
+    head: np.ndarray
+    tail: np.ndarray
+    opened: tuple[np.ndarray, ...]
+    size: int
+
+
 def _realize(cfg: TrialConfig) -> tuple[np.ndarray, ...]:
     """The channel realization of cfg: (k_tx1, k_tx2, rx1, rx2), the
     transmitted quadrant indices and the received streams."""
@@ -303,6 +324,12 @@ def _searches(cfg: TrialConfig) -> bool:
     """Whether cfg's trial searches for the delay: max_lag 0 turns the search
     off, and so do traces too short for it."""
     return cfg.max_lag > 0 and cfg.n_symbols > 2 * cfg.max_lag
+
+
+def _applied(delay: AlignmentResult) -> int:
+    """The lag that the receiver applies: only buffer on a confident
+    estimate; an unconfident peak is noise."""
+    return delay.lag if delay.confident else 0
 
 
 def _trial_reception(cfg: TrialConfig) -> _Reception:
@@ -326,52 +353,50 @@ def _receive(cfg: TrialConfig, k_tx1, k_tx2, rx1, rx2, delay: AlignmentResult,
              trace1=None, trace2=None) -> _Reception:
     """The part of run_trial that the estimator and compare_baseline do not
     change, from a realization (see _realize) of cfg's channel and its
-    recovered delay, ending in the settle pass (see MARGIN), which counts the
-    baseline. It does not search: the delay comes from estimate_delay in a
-    trial, from the group's one search in a sweep. The receiver's traces are
-    extracted here with cfg.vv, but for those given (window=1 traces of the
-    same streams). Of cfg it reads only n_symbols and vv, so one realization
+    recovered delay: one settle pass (see MARGIN) over the channels' overlap
+    at the applied lag, which counts the baseline, restricted to all of it.
+    It does not search: the delay comes from estimate_delay in a trial, from
+    the group's one search in a sweep. The receiver's traces are extracted
+    here with cfg.vv, but for those given (window=1 traces of the same
+    streams). Of cfg it reads only n_symbols and vv, so one realization
     serves every config that differs in nothing else. Only what _Reception
     holds outlives it: the traces it extracts are freed when it returns, and
     it modifies no argument."""
-    n = cfg.n_symbols
     if trace1 is None:
         trace1 = extract_phase(rx1, cfg.vv)
     if trace2 is None:
         trace2 = extract_phase(rx2, cfg.vv)
-    # only buffer on a confident estimate; an unconfident peak is noise.
-    # Channel 2's received stream and trace are read through views; its
+    # channel 2's received stream and trace are read through views; its
     # payload is indexed as channel 1's, as the channel shifts only the
     # received stream
-    applied_lag = delay.lag if delay.confident else 0
-    a, b = _overlap(n, applied_lag)
+    lag = _applied(delay)
+    a, b = _overlap(cfg.n_symbols, lag)
     # the mean removal takes the whole traces' means, not each block's
     means = (trace1.mean(), trace2.mean()) if cfg.vv.remove_mean else None
-    settled, baseline_errors, opened = _settle(
-        rx1[a], rx2[b], trace1[a], trace2[b], k_tx1[a], k_tx2[a], means)
-    return _Reception(*opened, settled=settled, baseline_errors=baseline_errors,
-                      valid_symbols=a.stop - a.start, estimated_lag=applied_lag,
-                      lag_confident=delay.confident)
+    settle = _settle_pass(rx1[a], rx2[b], trace1[a], trace2[b], k_tx1[a], k_tx2[a], means, 0)
+    return _restrict(settle, 0, settle.size, lag, delay.confident)
 
 
-def _settle(rx1, rx2, trace1, trace2, k_tx1, k_tx2,
-            means) -> tuple[np.ndarray, tuple[int, int], tuple[np.ndarray, ...]]:
-    """The settle pass (see MARGIN) over equal-length arrays: the received
-    samples, the receiver's phase traces, the transmitted quadrants and the
-    traces' means (None: no mean removal).
+def _settle_pass(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means, keep: int) -> _Pass:
+    """The settle pass (see MARGIN) over equal-length arrays, paired sample
+    by sample: the received samples, the receiver's phase traces, the
+    transmitted quadrants and the traces' means (None: no mean removal). It
+    keeps the codes of the `keep` symbols at either end (2 * keep must not
+    exceed the length), so that _restrict can leave them out (see _Pass).
 
-    Returns the histogram of the settled symbols' codes, which counts both
-    receivers, the baseline's bit errors per channel and the open symbols'
-    (rx1, rx2, obs1, obs2, key) in symbol order. The blocks do only the
-    per-symbol work: each returns its settled histogram and its open
-    symbols' keys and indices. The open symbols are then handled once, all
-    together: their baseline decided from the float pipeline and counted,
-    then they are gathered and the mean removal applied, so the gathered
-    samples are rotated by minus their channel's mean and the observations
-    are the traces less the mean, wrapped.
+    The blocks do only the per-symbol work: each adds to the settled
+    histogram and returns its open symbols' keys and indices. The open
+    symbols are then handled once, all together: their baseline decided
+    from the float pipeline and coded, then they are gathered and the mean
+    removal applied, so the gathered samples are rotated by minus their
+    channel's mean and the observations are the traces less the mean,
+    wrapped.
     """
+    n = k_tx1.size
     removed = (0.0, 0.0) if means is None else means
     margin = MARGIN * _QUARTER_TURNS
+    head, tail = np.empty(keep, dtype=np.uint16), np.empty(keep, dtype=np.uint16)
+    ends = ((head, 0), (tail, n - keep))  # each with its first symbol's index
 
     def settle(b: slice):
         rx, k_tx = (rx1[b], rx2[b]), (k_tx1[b], k_tx2[b])
@@ -414,20 +439,30 @@ def _settle(rx1, rx2, trace1, trace2, k_tx1, k_tx2,
         at = np.flatnonzero(~settled)
         # all codes less the open ones: faster than selecting the settled
         hist = np.bincount(code, minlength=_CODES) - np.bincount(code[at], minlength=_CODES)
+        # the codes of the end symbols in this block, the open ones as
+        # _CODES (their baseline codes are added once they are decided)
+        for end, start in ends:
+            lo_p, hi_p = max(b.start, start), min(b.stop, start + keep)
+            if lo_p < hi_p:
+                code[at] = _CODES
+                end[lo_p - start:hi_p - start] = code[lo_p - b.start:hi_p - b.start]
         at_key = key[at]
         at += b.start
         return hist, at_key, at
 
-    parts = _blocks.each(settle, _blocks.blocks(0, k_tx1.size))
+    parts = _blocks.each(settle, _blocks.blocks(0, n))
     settled = sum((p[0] for p in parts), np.zeros(_CODES, dtype=np.int64))
     key = np.concatenate([p[1] for p in parts])
     at = np.concatenate([p[2] for p in parts])
     del parts
-    # the baseline's errors, its open symbols decided by the float pipeline
-    base = (quadrant_indices(apply_compensation(z[at], t[at]))
-            for z, t in ((rx1, trace1), (rx2, trace2)))
-    hist = np.bincount(_code(key, *base), minlength=_CODES) + settled
-    baseline_errors = tuple((hist @ _COUNTS[:, :2]).tolist())
+    # the baseline's codes, its open symbols decided by the float pipeline
+    base = _code(key, *(quadrant_indices(apply_compensation(z[at], t[at]))
+                        for z, t in ((rx1, trace1), (rx2, trace2))))
+    baseline = np.bincount(base, minlength=_CODES) + settled
+    for end, start in ends:
+        i, j = np.searchsorted(at, (start, start + keep)).tolist()
+        end[at[i:j] - start] += base[i:j]
+    del base
     opened = [rx1[at], rx2[at], trace1[at], trace2[at]]
     del at
     if means is not None:
@@ -437,7 +472,31 @@ def _settle(rx1, rx2, trace1, trace2, k_tx1, k_tx2,
             opened[j] = opened[j] * np.exp(-1j * m)
             opened[2 + j] -= m
             opened[2 + j] = wrap_quarter(opened[2 + j])
-    return settled, baseline_errors, (*opened, key)
+    return _Pass(settled, baseline, head, tail, (*opened, key), n)
+
+
+def _restrict(settle: _Pass, lo: int, hi: int, lag: int, confident: bool) -> _Reception:
+    """The reception of the symbols [lo, hi) of a settle pass, at the lag
+    `lag`: the pass's histograms less the codes of the end symbols that
+    [lo, hi) leaves out, which must lie within the pass's kept ends (a
+    settled symbol's code counts in both, an open one's baseline code in the
+    baseline's), and the pass's open symbols in [lo, hi), a slice of its
+    open arrays, as the left-out ends hold the open symbols left out. No
+    symbol is recomputed, and no float is touched."""
+    n, keep = settle.size, settle.head.size
+    if not (0 <= lo <= keep and n - keep <= hi <= n):
+        raise ValueError(f"[{lo}, {hi}) leaves out more than the {keep} kept end symbols")
+    settled, baseline = settle.settled, settle.baseline
+    before, after = settle.head[:lo], settle.tail[keep - (n - hi):]
+    if before.size or after.size:
+        out = np.concatenate((before, after))
+        settled = settled - np.bincount(out[out < _CODES], minlength=_CODES)
+        baseline = baseline - np.bincount(out % _CODES, minlength=_CODES)
+    i = np.count_nonzero(before >= _CODES)
+    j = settle.opened[-1].size - np.count_nonzero(after >= _CODES)
+    return _Reception(*(a[i:j] for a in settle.opened), settled=settled,
+                      baseline_errors=tuple((baseline @ _COUNTS[:, :2]).tolist()),
+                      valid_symbols=hi - lo, estimated_lag=lag, lag_confident=confident)
 
 
 def _decision(a: np.ndarray, lo, width, settled: np.ndarray) -> np.ndarray:
@@ -654,24 +713,40 @@ def _sweep_group(points: list[tuple[int, TrialConfig]]):
     message of the exception that stopped it.
 
     The realization is drawn once, at the first point's offset o0; channel
-    2's stream at offset o, from the stream at offset s, is np.roll(rx2,
-    s - o), byte for byte what the channel draws at o (see apply_channel).
-    The per-symbol traces are elementwise in the samples, so channel 2's at
-    offset o is np.roll of its trace at o0 by o0 - o: one search
-    (_estimate_delays) on the traces at o0 recovers every offset's delay,
-    right after the realization is drawn. Points at one offset share one
-    reception and run one detection each. A step that raises fails the
-    points that share it and no other. The search's traces are freed before
-    the first reception, but for channel 1's at window=1, which is every
-    reception's; each roll replaces the stream it reads, and each reception
-    is freed before the next is built, so a point's peak is its trial's: one
-    realization beside one reception.
+    2's stream at offset o is np.roll(rx2, o0 - o), byte for byte what the
+    channel draws at o (see apply_channel). The per-symbol traces are
+    elementwise in the samples, so channel 2's at offset o is np.roll of its
+    trace at o0 by o0 - o: one search (_estimate_delays) on the traces at o0
+    recovers every offset's delay, right after the realization is drawn.
+
+    At the applied lag L of offset o, channel 1's sample i meets the drawn
+    stream's sample (i - s) mod n, s = (L + o0 - o) mod n: the pairing
+    shift. A per-symbol receiver without mean removal (vv == _PER_SYMBOL)
+    reads nothing of a reception but its paired samples and their traces,
+    so offsets of one pairing shift share one settle pass over all n
+    symbols, on channel 2 rolled by s and its trace extracted from that
+    stream (the roll of the trace at o0, as extraction is elementwise at
+    window 1); each offset's reception is that pass restricted to its
+    overlap (_restrict). Any other receiver takes whole-trace means, whose
+    rounding depends on the roll, or windowed traces, which are cut at the
+    stream's ends and so are no rolls of one another: each offset runs a
+    pass of its own over its overlap (_receive). Points
+    at one offset share one reception and run one detection each. A step
+    that raises fails the points that share it and no other.
+
+    The search's traces are freed before the first pass, but for channel
+    1's at window=1, which every pass reads; channel 2 is rolled from the
+    last pass's stream, which the roll replaces, a shared pass's channel-2
+    trace is freed when the pass returns, before any detection, and each
+    pass is freed before the next is built, so a point's peak is its
+    trial's: one realization beside one reception.
     """
     first = points[0][1]
+    n = first.n_symbols
     by_offset: dict[int, list] = {}
     for index, cfg in points:
         by_offset.setdefault(cfg.channel.delay_offset, []).append((index, cfg))
-    at_offset = first.channel.delay_offset  # the offset rx2 holds
+    o0 = first.channel.delay_offset  # the offset rx2 is drawn at
     delays, trace1 = dict.fromkeys(by_offset, _NO_DELAY), None
     try:
         k_tx1, k_tx2, rx1, rx2 = _realize(first)
@@ -679,29 +754,54 @@ def _sweep_group(points: list[tuple[int, TrialConfig]]):
             trace1 = extract_phase(rx1, _PER_SYMBOL)
         if _searches(first):
             found = _estimate_delays(trace1, extract_phase(rx2, _PER_SYMBOL),
-                                     [at_offset - offset for offset in by_offset],
-                                     first.max_lag)
+                                     [o0 - offset for offset in by_offset], first.max_lag)
             delays = dict(zip(by_offset, found))
         if first.vv.window != 1:
             trace1 = None
     except Exception as exc:  # noqa: BLE001 - per-point isolation
         yield from ((index, str(exc)) for index, _ in points)
         return
-    for offset, at in by_offset.items():
+    # each pass's roll of the drawn stream, and the offsets it serves
+    shared = first.vv == _PER_SYMBOL
+    if shared:
+        shifts: dict[int, list[int]] = {}
+        for offset, delay in delays.items():
+            shifts.setdefault((_applied(delay) + o0 - offset) % n, []).append(offset)
+        passes = list(shifts.items())
+    else:
+        passes = [(o0 - offset, [offset]) for offset in by_offset]
+    held = 0  # the roll of the drawn stream that rx2 holds
+    for roll, offsets in passes:
+        settle = None
         try:
-            if offset != at_offset:
-                rx2, at_offset = np.roll(rx2, at_offset - offset), offset
-            reception = _receive(at[0][1], k_tx1, k_tx2, rx1, rx2, delays[offset], trace1)
+            if (roll - held) % n:
+                rx2, held = np.roll(rx2, roll - held), roll
+            if shared:
+                keep = max(abs(_applied(delays[offset])) for offset in offsets)
+                settle = _settle_pass(rx1, rx2, trace1, extract_phase(rx2, _PER_SYMBOL),
+                                      k_tx1, k_tx2, None, keep)
         except Exception as exc:  # noqa: BLE001 - per-point isolation
-            yield from ((index, str(exc)) for index, _ in at)
+            yield from ((index, str(exc)) for offset in offsets for index, _ in by_offset[offset])
             continue
-        for index, cfg in at:
+        for offset in offsets:
+            at, delay = by_offset[offset], delays[offset]
             try:
-                outcome = _detect(reception, cfg)
+                if settle is None:
+                    reception = _receive(at[0][1], k_tx1, k_tx2, rx1, rx2, delay, trace1)
+                else:
+                    a, _ = _overlap(n, _applied(delay))
+                    reception = _restrict(settle, a.start, a.stop, _applied(delay),
+                                          delay.confident)
             except Exception as exc:  # noqa: BLE001 - per-point isolation
-                outcome = str(exc)
-            yield index, outcome
-        del reception
+                yield from ((index, str(exc)) for index, _ in at)
+                continue
+            for index, cfg in at:
+                try:
+                    outcome = _detect(reception, cfg)
+                except Exception as exc:  # noqa: BLE001 - per-point isolation
+                    outcome = str(exc)
+                yield index, outcome
+            del reception
 
 
 def _sweep_group_task(points: list[tuple[int, TrialConfig]]) -> list:
@@ -741,9 +841,12 @@ def run_sweep(
     The points to compute are grouped by realization: points whose configs
     are equal but for delay_offset and the estimator (sweep_configs gives
     them one seed) share one payload, one channel and one delay search,
-    drawn and run once, and points that also share delay_offset share one
-    reception (see _sweep_group). Every point's report equals run_trial of
-    its own config. Groups run one task each when workers > 1, in a pool of
+    drawn and run once. At window 1 without mean removal, offsets whose
+    applied lags pair the channels' samples alike share one settle pass,
+    each reception a restriction of it; otherwise each offset runs its own.
+    Points that also share delay_offset share one reception (see
+    _sweep_group). Every point's report equals run_trial of its own
+    config. Groups run one task each when workers > 1, in a pool of
     min(workers, tasks) processes, as a forked pool starts all of its
     processes at once; with fewer groups than workers, each group's offsets
     are split among ceil(workers / groups) tasks, each drawing the

@@ -8,6 +8,7 @@ argument), which both sides must share.
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -114,28 +115,48 @@ def count_errors(tx, rx) -> tuple[int, float]:
 
 
 def pearson_reference(x, y) -> float:
-    """Pearson coefficient of two equal-length samples, 0 if either is constant."""
+    """Pearson coefficient of two equal-length samples, 0 if either is
+    constant. Each sample is centered on its rounded mean, and the sums of
+    squares and products are corrected for that mean's rounding (the
+    corrected two-pass formula, sum(d*d) - sum(d)**2/m), so samples that
+    vary by a few ulps correlate as exact arithmetic correlates them."""
     if x.max() == x.min() or y.max() == y.min():
         return 0.0
+    m = x.size
     dx = x - x.mean()
     dy = y - y.mean()
-    denom = math.sqrt(float(np.dot(dx, dx)) * float(np.dot(dy, dy)))
-    if denom == 0:
+    sx, sy = float(dx.sum()), float(dy.sum())
+    var_x = float(np.dot(dx, dx)) - sx * sx / m
+    var_y = float(np.dot(dy, dy)) - sy * sy / m
+    if var_x <= 0 or var_y <= 0:
         return 0.0
-    return float(np.dot(dx, dy)) / denom
+    return (float(np.dot(dx, dy)) - sx * sy / m) / math.sqrt(var_x * var_y)
 
 
-def delay_reference(t1, t2, max_lag: int, tie_tol: float = 0.0) -> tuple[int, float]:
-    """(lag, peak correlation) by correlating every overlap directly; lags in
-    order of |lag|, negative first, and a later lag wins only by more than
-    tie_tol."""
+def pearson_exact(x, y) -> float:
+    """pearson_reference in exact rational arithmetic: the coefficient of the
+    samples' float values, rounded once, at the end."""
+    if x.max() == x.min() or y.max() == y.min():
+        return 0.0
+    fx, fy = [Fraction(float(v)) for v in x], [Fraction(float(v)) for v in y]
+    mx, my = sum(fx) / len(fx), sum(fy) / len(fy)
+    cov = sum((a - mx) * (b - my) for a, b in zip(fx, fy))
+    var = sum((a - mx) ** 2 for a in fx) * sum((b - my) ** 2 for b in fy)
+    return math.copysign(math.sqrt(cov * cov / var), cov)
+
+
+def delay_reference(t1, t2, max_lag: int, tie_tol: float = 0.0,
+                    pearson=pearson_reference) -> tuple[int, float]:
+    """(lag, peak correlation) by correlating every overlap directly with
+    `pearson`; lags in order of |lag|, negative first, and a later lag wins
+    only by more than tie_tol."""
     n = t1.size
     best_lag, best = 0, -math.inf
     for lag in sorted(range(-max_lag, max_lag + 1), key=lambda s: (abs(s), s)):
         if lag >= 0:
-            r = pearson_reference(t1[lag:], t2[: n - lag])
+            r = pearson(t1[lag:], t2[: n - lag])
         else:
-            r = pearson_reference(t1[: n + lag], t2[-lag:])
+            r = pearson(t1[: n + lag], t2[-lag:])
         if r > best + tie_tol:
             best_lag, best = lag, r
     return best_lag, best

@@ -13,7 +13,7 @@ from duolink import KappaSearchResult, adapt_kappa, estimate_delay
 from duolink import _blocks
 from duolink.alignment import (CONFIDENCE_THRESHOLD, TIE_TOL, _cuts, _dot, _estimate_delays,
                                _overlap)
-from oracles import delay_reference
+from oracles import delay_reference, pearson_exact
 
 
 def noise_trace(n, seed):
@@ -28,8 +28,9 @@ CANCELLING_OVERLAP = (
 
 # Traces whose samples differ by one ulp of 1.0, which centering on a mean
 # of about -0.36 rounds away: trace1's first 12 samples vary, but not once
-# centered. Lag -3 overlaps them with trace2 and correlates as 0.516 on the
-# raw samples, but as about 0 once centered on the whole trace's mean.
+# centered. Lag -3 overlaps them with trace2 and correlates as 0.2928 on the
+# raw samples (in exact arithmetic), but as about 0 once centered on the
+# whole trace's mean.
 _ULP = np.nextafter(1.0, 2.0)
 ULP_APART = (
     np.array([1.0, 1.0, 1.0, 1.0, _ULP, 1.0, 1.0, 1.0, 1.0, _ULP, 1.0, _ULP, -9.0, -9.0,
@@ -204,7 +205,7 @@ class TestEstimateDelay:
     @example((*CANCELLING_OVERLAP, [0, 1, -8, 3 + 7]))
     @example((*ENDS_HOLD_THE_VARIANCE, [0, 2, -2, 7, -16]))
     @example((ENDS_HOLD_THE_VARIANCE[0], np.roll(ENDS_HOLD_THE_VARIANCE[1], -3), 2, [3, 0, 1]))
-    @example((*ULP_APART, [0, 15, -30]))
+    @example((*ULP_APART, [0, 4, -4, 15, -31, 46]))
     @example((np.full(40, 0.2), np.full(40, -0.1), 6, [0, 9, -50]))
     @example((noise_trace(40, 11), noise_trace(40, 12), 20, [0, 5]))
     def test_group_matches_direct_pearson_reference(self, case):
@@ -226,11 +227,8 @@ class TestEstimateDelay:
 
     def test_group_of_ulp_apart_rolls_equals_single_searches(self):
         """ULP_APART rolled by amounts other than multiples of n: trace2's
-        variance is then a few ulps in overlaps that the centered sums keep,
-        where the direct reference, which centers each overlap on its own
-        rounded mean, is off. At roll -4 it gives lag -3 (0.236) and at roll
-        46 lag -2 (0.179), where exact rational arithmetic gives lag 1
-        (0.2934) and lag -2 (0.2282), as the search does. What a sweep needs
+        variance is then a few ulps in overlaps that the centered sums keep
+        (see test_ulp_apart_matches_exact_arithmetic). What a sweep needs
         holds at every roll: the group's search equals estimate_delay of
         the rolled trace."""
         t1, t2, max_lag = ULP_APART
@@ -239,6 +237,27 @@ class TestEstimateDelay:
             single = estimate_delay(t1, np.roll(t2, d), max_lag)
             assert (got.lag, got.confident) == (single.lag, single.confident), d
             assert abs(got.peak_correlation - single.peak_correlation) <= 1e-12, d
+
+    @pytest.mark.parametrize("roll, lag, peak", [(0, -3, 0.2928), (-4, 1, 0.2934),
+                                                 (46, -2, 0.2282)])
+    def test_ulp_apart_matches_exact_arithmetic(self, roll, lag, peak):
+        """ULP_APART with trace2 rolled: overlaps whose variance is a few ulps
+        take the direct rule, whose sums are corrected for the rounding of
+        their means. The direct reference, the search and the group's search
+        then give the lag and the peak correlation that exact rational
+        arithmetic gives; centered on their rounded means without the
+        correction, they gave 0.516 at roll 0, and the reference lag -3
+        (0.236) at roll -4 and 0.179 at roll 46."""
+        t1, t2, max_lag = ULP_APART
+        rolled = np.roll(t2, roll)
+        exact_lag, exact_peak = delay_reference(t1, rolled, max_lag, TIE_TOL, pearson_exact)
+        assert (exact_lag, round(exact_peak, 4)) == (lag, peak)
+        assert_matches_reference(t1, rolled, max_lag, estimate_delay(t1, rolled, max_lag))
+        reference = delay_reference(t1, rolled, max_lag, TIE_TOL)
+        assert reference[0] == lag and abs(reference[1] - exact_peak) <= 1e-12
+        (grouped,) = _estimate_delays(t1, t2, [roll], max_lag)
+        assert (grouped.lag, grouped.confident) == (lag, False)
+        assert abs(grouped.peak_correlation - exact_peak) <= 1e-12
 
     @settings(max_examples=200, deadline=None)
     @given(trace_pairs())
@@ -323,9 +342,9 @@ class TestEstimateDelay:
         assert np.ptp(t1[:12]) > 0
         assert np.ptp((t1 - t1.mean())[:12]) == 0
         lag, peak = delay_reference(*ULP_APART, tie_tol=TIE_TOL)
-        assert (lag, peak >= CONFIDENCE_THRESHOLD) == (-3, True)
+        assert (lag, peak >= CONFIDENCE_THRESHOLD) == (-3, False)
         result = estimate_delay(*ULP_APART)
-        assert (result.lag, result.confident) == (lag, True)
+        assert (result.lag, result.confident) == (lag, False)
         assert abs(result.peak_correlation - peak) <= 1e-12
 
     def test_plain_python_result(self):

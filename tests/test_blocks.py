@@ -417,27 +417,34 @@ def test_trial_peak_memory_without_spare_copies(monkeypatch, phase_model, window
     assert peak / n < bound
 
 
-@pytest.mark.parametrize("window, remove_mean", [(1, False), (33, True)])
-def test_sweep_group_peak_is_its_trials(monkeypatch, window, remove_mean):
+@pytest.mark.parametrize("window, remove_mean, sigma_common, offsets", [
+    pytest.param(1, False, 0.5, (3, 40, -9), id="1-False"),
+    pytest.param(33, True, 0.5, (3, 40, -9), id="33-True"),
+    pytest.param(1, False, 0.3, (3, 12, -9), id="1-False-shared"),
+])
+def test_sweep_group_peak_is_its_trials(monkeypatch, window, remove_mean, sigma_common, offsets):
     """A sweep's realization serves three offsets, two of them rolled; its
     peak is that of the largest of the three run_trials. The group's one
-    delay search runs before any reception, and its traces are freed before
-    the first one, but for channel 1's at window 1, which every reception
+    delay search runs before any settle pass, and its traces are freed
+    before the first one, but for channel 1's at window 1, which every pass
     reads. Channel 2's stream is rolled from the last one, which is then
-    freed, and each reception is freed before the next is built: keeping the
+    freed, and each pass is freed before the next is built: keeping the
     drawn stream beside a rolled one adds 16 B/sym here, the last reception
-    beside the next 11."""
+    beside the next 11. At sigma_common 0.5 no lag is confident, so each
+    offset pairs the channels its own way and runs a pass of its own; at 0.3
+    all three lags are, within max_lag 16, and the three offsets share one
+    pass, whose channel-2 trace is freed before the first detection."""
     monkeypatch.setattr(_blocks, "THREADS", 2)
     n = 2**18
     base = TrialConfig(
         n_symbols=n,
-        channel=ChannelParams(sigma_common=0.5, sigma_additive=0.15, seed=5),
+        channel=ChannelParams(sigma_common=sigma_common, sigma_additive=0.15, seed=5),
         vv=VVConfig(window=window, remove_mean=remove_mean),
         estimator=EstimatorConfig(kappa=8.0),
         compare_baseline=True,
     )
     points = [(i, replace(base, channel=replace(base.channel, delay_offset=offset)))
-              for i, offset in enumerate((3, 40, -9))]
+              for i, offset in enumerate(offsets)]
 
     def peak(fn):
         tracemalloc.start()
@@ -448,14 +455,17 @@ def test_sweep_group_peak_is_its_trials(monkeypatch, window, remove_mean):
             tracemalloc.stop()
 
     trials = max(peak(lambda: run_trial(cfg)) for _, cfg in points)
-    group = peak(lambda: list(harness._sweep_group(points)))
+    outcomes = []
+    group = peak(lambda: outcomes.extend(harness._sweep_group(points)))
     assert group < trials + 2, (group, trials)
+    assert [report.lag_confident for _, report in outcomes] == [sigma_common < 0.5] * 3
 
 
 @pytest.mark.parametrize("window, remove_mean", [(1, False), (33, True)])
 def test_settle_peak_memory(monkeypatch, window, remove_mean):
-    """The settle pass's own peak over three calls with two threads, its
-    inputs allocated before tracing, at 2*10^5 symbols (the size of the
+    """The settle pass's own peak over three calls with two threads, each
+    restricted to all of its symbols as a trial's is, its inputs allocated
+    before tracing, at 2*10^5 symbols (the size of the
     benchmark's sweep and kappa-search trials, where the blocks weigh most).
     A block holds at most four float arrays at a time: the hull's two and,
     per channel, the power and its square's temporary or the power's buffer,
@@ -477,7 +487,8 @@ def test_settle_peak_memory(monkeypatch, window, remove_mean):
     tracemalloc.start()
     try:
         # each call's result is freed before the next call
-        opened = [harness._settle(rx1, rx2, t1, t2, k_tx1, k_tx2, means)[2][-1].size
+        opened = [harness._restrict(harness._settle_pass(rx1, rx2, t1, t2, k_tx1, k_tx2, means, 0),
+                                    0, n, 0, False).key.size
                   for _ in range(3)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -38,7 +38,8 @@ from oracles import CASE_TRUTH_TABLE, LAGGED_WINDOW_33, reference_trial, wilson_
 
 
 _REALIZE = duolink.harness._realize
-_RECEIVE = duolink.harness._receive
+_DETECT = duolink.harness._detect
+_SETTLE_PASS = duolink.harness._settle_pass
 _ESTIMATE_DELAYS = duolink.harness._estimate_delays
 KILLED_SIGMA = 0.25
 KILLED_OFFSET = -3
@@ -52,12 +53,12 @@ def realize_or_kill_worker(cfg):
     return _REALIZE(cfg)
 
 
-def receive_or_kill_worker(cfg, *realization):
-    """harness._receive, except that the reception at sigma_common
+def detect_or_kill_worker(reception, cfg):
+    """harness._detect, except that the detection at sigma_common
     KILLED_SIGMA and delay_offset KILLED_OFFSET kills the process running it."""
     if (cfg.channel.sigma_common, cfg.channel.delay_offset) == (KILLED_SIGMA, KILLED_OFFSET):
         os.kill(os.getpid(), signal.SIGKILL)
-    return _RECEIVE(cfg, *realization)
+    return _DETECT(reception, cfg)
 
 
 def point_seed(base_seed, r):
@@ -571,10 +572,14 @@ class TestSweep:
         assert [p.report for p in resumed] == expected
 
     def test_each_realization_drawn_once(self, tmp_path, monkeypatch):
-        """One realization per sigma_common, one reception per offset of it:
-        2 and 6 on the first pass; on the resume pass 2, and one reception
-        per offset that its recomputed points hold."""
-        calls = {"realize": 0, "receive": 0}
+        """One realization per sigma_common, one settle pass per pairing
+        shift of it. At sigma_common 0 no lag is recovered, so offsets 0, -5
+        and 20 pair three ways; at 0.3 the lags of 0 and -5 are, and those
+        two offsets share a pass. So 2 realizations and 3 + 2 passes on the
+        first pass; on the resume pass 2, and a pass per shift that its
+        recomputed points' offsets pair at: 2 for offsets -5 and 20 of the
+        first, 2 for all three of the second."""
+        calls = {"realize": 0, "settle_pass": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -583,14 +588,16 @@ class TestSweep:
             return wrapper
 
         monkeypatch.setattr(duolink.harness, "_realize", counted("realize", _REALIZE))
-        monkeypatch.setattr(duolink.harness, "_receive", counted("receive", _RECEIVE))
+        monkeypatch.setattr(duolink.harness, "_settle_pass",
+                            counted("settle_pass", _SETTLE_PASS))
         base = self.grouped_base(1)
-        run_sweep(base, self.GROUPED_AXES, out_dir=tmp_path)
-        assert calls == {"realize": 2, "receive": 6}
+        points = run_sweep(base, self.GROUPED_AXES, out_dir=tmp_path)
+        assert [p.report.lag_confident for p in points] == [False] * 9 + [True, True, False] * 3
+        assert calls == {"realize": 2, "settle_pass": 3 + 2}
         for index in self.RESUMED:
             (tmp_path / f"point_{index:04d}.json").unlink()
         run_sweep(base, self.GROUPED_AXES, out_dir=tmp_path)
-        assert calls == {"realize": 2 + 2, "receive": 6 + 2 + 3}
+        assert calls == {"realize": 2 + 2, "settle_pass": 3 + 2 + 2 + 2}
 
     # sigma_common 0.3 x kappa x delay_offset: point k * 4 + o, one realization
     SPLIT_AXES = {"sigma_common": [0.3], "kappa": [0.0, 2.0],
@@ -646,6 +653,48 @@ class TestSweep:
         monkeypatch.undo()
         assert [p.report for p in points] == [run_trial(cfg) for cfg in sweep_configs(base, axes)]
         assert [p.report.estimated_lag for p in points] == self.LAG_OFFSETS
+
+    # offsets 0, -5, 7 and 12 are recovered at max_lag 16, 20 is not
+    PAIRING_OFFSETS = [0, -5, 7, 20, 12]
+
+    @pytest.mark.parametrize("window, remove_mean, max_lag, offsets, passes", [
+        (1, False, 16, PAIRING_OFFSETS, 2),
+        # no search (n <= 2 * max_lag): offsets 0 and n pair alike
+        (1, False, 1000, [0, -5, 2000], 2),
+        (33, True, 16, PAIRING_OFFSETS, 5),
+        (1, True, 16, PAIRING_OFFSETS, 5),
+    ], ids=["w1-recovered", "w1-no-search", "w33", "w1-mean-removed"])
+    def test_one_pass_per_pairing(self, monkeypatch, window, remove_mean, max_lag, offsets,
+                                  passes):
+        """A per-symbol receiver without mean removal runs one settle pass
+        per pairing shift (lag - offset mod n): the recovered offsets share
+        one, and an unrecovered offset, or any offset of a group that does
+        not search, pairs at a shift of its own, unless it lies n away from
+        another. Window 33, and window 1 with the mean removal, run a pass per
+        offset. Every report equals run_trial of its config."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return _SETTLE_PASS(*args)
+
+        monkeypatch.setattr(duolink.harness, "_settle_pass", counted)
+        n = 2000
+        base = replace(self.grouped_base(window), max_lag=max_lag,
+                       vv=VVConfig(window=window, remove_mean=remove_mean))
+        axes = {"kappa": [2.0, float("inf")], "delay_offset": offsets}
+        points = run_sweep(base, axes)
+        monkeypatch.undo()
+        reports = [p.report for p in points]
+        assert reports == [run_trial(cfg) for cfg in sweep_configs(base, axes)]
+        assert len(calls) == passes
+        if (window, remove_mean) == (1, False):
+            shifts = {(r.estimated_lag - r.config.channel.delay_offset) % n for r in reports}
+            assert len(shifts) == passes
+        if max_lag == 16:
+            recovered = [r.estimated_lag == o and r.lag_confident
+                         for r, o in zip(reports, offsets * 2)]
+            assert recovered == [o != 20 for o in offsets * 2]
 
     @pytest.mark.parametrize("workers", [2, 8])
     def test_pool_capped_at_task_count(self, monkeypatch, workers):
@@ -808,11 +857,14 @@ class TestSweep:
     def test_killed_worker_fails_only_its_own_point_of_a_shared_realization(self, monkeypatch):
         """A point that kills its worker takes its whole group down; each of
         the group's points then runs once more on its own, and only the
-        killer fails."""
+        killer fails. It kills in its own detection, a step of that point
+        alone: its offset's lag is recovered, as its neighbours' are, so the
+        three offsets share one settle pass."""
         base = replace(small_config(), n_symbols=2000)
         axes = {"sigma_common": [0.2, KILLED_SIGMA], "delay_offset": [0, KILLED_OFFSET, 5]}
         clean = run_sweep(base, axes, workers=1)
-        monkeypatch.setattr(duolink.harness, "_receive", receive_or_kill_worker)
+        assert [p.report.estimated_lag for p in clean[3:]] == [0, KILLED_OFFSET, 5]
+        monkeypatch.setattr(duolink.harness, "_detect", detect_or_kill_worker)
         points = run_sweep(base, axes, workers=2)
         assert [p.error is not None for p in points] == [False] * 4 + [True, False]
         assert points[4].report is None and "terminated abruptly" in points[4].error

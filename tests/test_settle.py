@@ -17,18 +17,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duolink import (
+    ChannelParams,
     EstimatorConfig,
     TrialConfig,
     VVConfig,
+    apply_channel,
     apply_compensation,
     classify_cases,
     compensate_traces,
     count_quadrant_errors,
+    draw_payload,
     extract_phase,
     quadrant_indices,
     wrap_quarter,
 )
-from duolink import harness
+from duolink import _blocks, harness
 from duolink.qpsk import GRAY_DISTANCE
 
 QUARTER_PI = np.pi / 4
@@ -125,6 +128,13 @@ def receptions(draw):
         means=draw(st.none() | st.tuples(angles, angles)), own=draw(st.booleans()))
 
 
+def settle(rx1, rx2, t1, t2, k_tx1, k_tx2, means):
+    """The reception of one settle pass over all of the given arrays, paired
+    sample by sample, as a trial restricts its pass."""
+    whole = harness._settle_pass(rx1, rx2, t1, t2, k_tx1, k_tx2, means, 0)
+    return harness._restrict(whole, 0, rx1.size, 0, False)
+
+
 def full_evaluation(rx1, rx2, t1, t2, means, estimator):
     """Every symbol's compensated decisions, rotated and decided. The mean
     removal, when means are given, rotates each stream by minus its mean and
@@ -151,22 +161,21 @@ def test_settled_decisions_equal_full_evaluation(reception):
     k_rx1, k_rx2 = quadrant_indices(rx1), quadrant_indices(rx2)
     for s in range(rx1.size):
         one = slice(s, s + 1)
-        settled, baseline_errors, opened = harness._settle(
-            rx1[one], rx2[one], t1[one], t2[one], k_tx1[one], k_tx2[one], means)
+        r = settle(rx1[one], rx2[one], t1[one], t2[one], k_tx1[one], k_tx2[one], means)
         # open or settled, the symbol's baseline errors are its decisions'
-        assert baseline_errors == (GRAY_DISTANCE[k_tx1[s], base1[s]],
-                                   GRAY_DISTANCE[k_tx2[s], base2[s]]), s
+        assert r.baseline_errors == (GRAY_DISTANCE[k_tx1[s], base1[s]],
+                                     GRAY_DISTANCE[k_tx2[s], base2[s]]), s
         received = (k_rx1[s] == k_tx1[s], k_rx2[s] == k_tx2[s])
-        if opened[-1].size:
+        if r.key.size:
             # an open symbol: its key
-            assert settled.sum() == 0
-            (key,) = opened[-1]
+            assert r.settled.sum() == 0
+            (key,) = r.key
             assert (key >> 4, key >> 2 & 3) == (k_tx1[s], k_tx2[s])
             assert (key >> 1 & 1, key & 1) == received
             continue
         # a settled symbol: its code's decisions are the baseline's as well
         # as every estimator's (see MARGIN)
-        (code,) = np.flatnonzero(settled)
+        (code,) = np.flatnonzero(r.settled)
         assert (code >> 8, code >> 6 & 3) == (k_tx1[s], k_tx2[s])
         assert (code >> 5 & 1, code >> 4 & 1) == received
         assert (code >> 2 & 3, code & 3) == (base1[s], base2[s]), s
@@ -185,9 +194,8 @@ def check_counts(reception):
     count what the full evaluation counts, for each estimator setting."""
     rx1, rx2, t1, t2, k_tx1, k_tx2, means = reception
     n = rx1.size
-    settled, baseline_errors, opened = harness._settle(rx1, rx2, t1, t2, k_tx1, k_tx2, means)
-    r = harness._Reception(*opened, settled=settled, baseline_errors=baseline_errors,
-                           valid_symbols=n, estimated_lag=0, lag_confident=False)
+    r = settle(rx1, rx2, t1, t2, k_tx1, k_tx2, means)
+    assert r.valid_symbols == n
     k_rx1, k_rx2 = quadrant_indices(rx1), quadrant_indices(rx2)
     base1, base2 = baseline_evaluation(rx1, rx2, t1, t2)
     for est in ESTIMATORS:
@@ -243,7 +251,69 @@ def test_mean_removed_observations_at_the_wrap_edges(means):
                      k_tx=rng.integers(0, 4, (2, size)), means=means, own=False)
 
     rx1, rx2, t1, t2, k_tx1, k_tx2, _ = reception(rng.choice(at_edge, n // 2))
-    settled, _, opened = harness._settle(rx1, rx2, t1, t2, k_tx1, k_tx2, means)
-    assert settled.sum() == 0
-    assert opened[-1].size == n // 2
+    r = settle(rx1, rx2, t1, t2, k_tx1, k_tx2, means)
+    assert r.settled.sum() == 0
+    assert r.key.size == n // 2
     check_counts(reception(rng.choice(inside + at_edge, n)))
+
+
+@st.composite
+def restricted_passes(draw, with_means):
+    """(arrays, means, keep, lo, hi): the arrays of a settle pass, from
+    build's boundary receptions or from a channel realization of up to 300
+    symbols at window 1 or 33, with means or without, and a nonempty range
+    [lo, hi) that leaves out no more than the `keep` symbols at either end."""
+    if draw(st.booleans()):
+        *arrays, means = draw(receptions())
+        if with_means and means is None:
+            means = (draw(angles), draw(angles))
+    else:
+        n = draw(st.integers(1, 300))
+        params = ChannelParams(sigma_common=draw(st.floats(0.0, 0.6)),
+                               sigma_additive=draw(st.floats(0.0, 0.3)),
+                               seed=draw(st.integers(0, 2**32 - 1)))
+        k_tx1, k_tx2 = draw_payload(n, params)
+        rx1, rx2 = apply_channel(k_tx1, k_tx2, params)
+        vv = VVConfig(window=draw(st.sampled_from([1, 33])))
+        t1, t2 = extract_phase(rx1, vv), extract_phase(rx2, vv)
+        arrays, means = [rx1, rx2, t1, t2, k_tx1, k_tx2], (t1.mean(), t2.mean())
+    if not with_means:
+        means = None
+    n = arrays[0].size
+    keep = draw(st.integers(0, n // 2))
+    lo = draw(st.integers(0, keep))
+    hi = draw(st.integers(max(n - keep, lo + 1), n))
+    return arrays, means, keep, lo, hi
+
+
+@pytest.mark.parametrize("with_means", [False, True])
+@pytest.mark.parametrize("block", [1, 7, 64, _blocks.BLOCK])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_restriction_equals_pass_over_its_range(block, with_means, data):
+    """A pass restricted to [lo, hi) is the pass over just that range's
+    arrays: the same settled histogram, baseline errors and open symbols,
+    their gathered samples and observations byte for byte, at every block
+    size (the ends then fall in one block or span several)."""
+    arrays, means, keep, lo, hi = data.draw(restricted_passes(with_means))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_blocks, "BLOCK", block)
+        got = harness._restrict(harness._settle_pass(*arrays, means, keep), lo, hi, 3, True)
+        want = settle(*(a[lo:hi] for a in arrays), means)
+    assert (got.valid_symbols, got.estimated_lag, got.lag_confident) == (hi - lo, 3, True)
+    assert got.settled.tobytes() == want.settled.tobytes()
+    assert got.baseline_errors == want.baseline_errors
+    for name in ("rx1", "rx2", "obs1", "obs2", "key"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_restriction_beyond_the_kept_ends_rejected():
+    rx1, rx2, t1, t2, k_tx1, k_tx2, _ = build(
+        kinds=["free"] * 6, j=[0] * 6, edges=[QUARTER_PI] * 6, o=np.zeros((2, 6)),
+        t=np.zeros((2, 6)), mags=np.ones((2, 6)), quadrants=np.zeros((2, 6), int),
+        k_tx=np.zeros((2, 6), int), means=None, own=True)
+    whole = harness._settle_pass(rx1, rx2, t1, t2, k_tx1, k_tx2, None, 2)
+    assert harness._restrict(whole, 2, 4, 0, False).valid_symbols == 2
+    for lo, hi in ((3, 6), (0, 3)):
+        with pytest.raises(ValueError, match="kept end symbols"):
+            harness._restrict(whole, lo, hi, 0, False)
