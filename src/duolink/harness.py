@@ -163,8 +163,12 @@ def run_trial(cfg: TrialConfig) -> BERReport:
     once; only the others are rotated and decided (see MARGIN). Bit errors
     are counted from the decided quadrants, the baseline's whether or not
     the report carries them. Deterministic for a given config.
+
+    A trial is the sweep group of one point, [(0, cfg)]: its reception is
+    that group's one reception (see _receptions), and what stops it is
+    raised as it was raised.
     """
-    return _detect(_trial_reception(cfg), cfg)
+    return _detect(_single_reception(cfg), cfg)
 
 
 def kappa_objective(cfg: TrialConfig):
@@ -173,11 +177,12 @@ def kappa_objective(cfg: TrialConfig):
     The realization, its phase traces, the delay recovery, the received
     decisions, the compensated decisions that no estimate can change (the
     settled symbols, see MARGIN) and the baseline's errors are computed once,
-    here, as run_trial computes them. Each call re-runs the joint estimate
-    and the detection on the open symbols only, giving exactly
-    run_trial(cfg with that finite kappa).ber_compensated.
+    here: the reception of run_trial(cfg), the one of the sweep group
+    [(0, cfg)]. Each call re-runs the joint estimate and the detection on
+    the open symbols only, giving exactly run_trial(cfg with that finite
+    kappa).ber_compensated.
     """
-    reception = _trial_reception(cfg)
+    reception = _single_reception(cfg)
 
     def objective(kappa: float) -> float:
         estimator = replace(cfg.estimator, kappa=kappa, kappa_infinite=False)
@@ -332,36 +337,121 @@ def _applied(delay: AlignmentResult) -> int:
     return delay.lag if delay.confident else 0
 
 
-def _trial_reception(cfg: TrialConfig) -> _Reception:
-    """run_trial's reception of cfg: its realization, the delay recovered by
-    estimate_delay from the per-symbol (window=1) traces, and _receive. For
-    a window=1 receiver the same two traces also serve compensation and the
-    baseline; for a wider window they serve only the search and are freed
-    before the receiver's own extraction."""
-    k_tx1, k_tx2, rx1, rx2 = _realize(cfg)
-    delay, traces = _NO_DELAY, ()
-    if cfg.vv.window == 1 or _searches(cfg):
-        traces = (extract_phase(rx1, _PER_SYMBOL), extract_phase(rx2, _PER_SYMBOL))
-        if _searches(cfg):
-            delay = estimate_delay(*traces, cfg.max_lag)
-        if cfg.vv.window != 1:
-            traces = ()
-    return _receive(cfg, k_tx1, k_tx2, rx1, rx2, delay, *traces)
+def _single_reception(cfg: TrialConfig) -> _Reception:
+    """The one reception of the one-point group [(0, cfg)] (see _receptions):
+    run_trial's. The exception that stopped it is raised."""
+    [(_, reception)] = _receptions([(0, cfg)])
+    if isinstance(reception, Exception):
+        raise reception
+    return reception
+
+
+def _receptions(points: list[tuple[int, TrialConfig]]):
+    """Yield (at, reception) for each offset of points that share one
+    realization (configs equal but for delay_offset and the estimator): the
+    points `at` that offset, and their _Reception or the exception that
+    stopped it. A step that raises stops the offsets that share it and no
+    other.
+
+    The realization is drawn once, at the first point's offset o0. Channel
+    2's stream at offset o is np.roll(rx2, o0 - o), byte for byte what the
+    channel draws at o (see apply_channel), and so is its per-symbol trace,
+    which is elementwise in the samples: one search on the traces at o0
+    recovers every offset's delay (_estimate_delays; estimate_delay, the same
+    computation, when the only roll is 0).
+
+    At the applied lag L of offset o, channel 1's sample i meets the drawn
+    stream's sample (i - s) mod n, s = (L + o0 - o) mod n: the pairing
+    shift. A per-symbol receiver without mean removal (vv == _PER_SYMBOL)
+    reads nothing of a reception but its paired samples and their traces,
+    so two or more offsets of one pairing shift share one settle pass over
+    all n symbols, on channel 2 rolled by s, and each offset's reception is
+    that pass restricted to its overlap (_restrict). Any other offset runs a
+    pass of its own over its overlap, on the stream at its own offset
+    (_receive): an offset alone at its pairing shift, and every offset of
+    any other receiver, whose whole-trace means round differently on each
+    roll and whose wider windows are cut at the stream's ends.
+
+    A pass that reads the drawn stream unrolled takes the search's channel-2
+    trace, and at window 1 every pass takes its channel-1 trace; at a wider
+    window both are freed before the first pass. The search's channel-2
+    trace is freed before any roll, and a pass's before its receptions are
+    yielded. Channel 2 is rolled from the last pass's stream, which the roll
+    replaces, and each pass is freed before the next is built, so a point's
+    peak is its trial's: one realization beside one reception.
+    """
+    first = points[0][1]
+    n = first.n_symbols
+    by_offset: dict[int, list] = {}
+    for index, cfg in points:
+        by_offset.setdefault(cfg.channel.delay_offset, []).append((index, cfg))
+    o0 = first.channel.delay_offset  # the offset rx2 is drawn at
+    delays, trace1, trace2 = dict.fromkeys(by_offset, _NO_DELAY), None, None
+    try:
+        k_tx1, k_tx2, rx1, rx2 = _realize(first)
+        if first.vv.window == 1 or _searches(first):
+            trace1, trace2 = extract_phase(rx1, _PER_SYMBOL), extract_phase(rx2, _PER_SYMBOL)
+        if _searches(first):
+            rolls = [o0 - offset for offset in by_offset]
+            found = (_estimate_delays(trace1, trace2, rolls, first.max_lag) if rolls != [0]
+                     else [estimate_delay(trace1, trace2, first.max_lag)])
+            delays = dict(zip(by_offset, found))
+        if first.vv.window != 1:
+            trace1 = trace2 = None
+    except Exception as exc:  # noqa: BLE001 - per-point isolation
+        yield from ((at, exc) for at in by_offset.values())
+        return
+    # the offsets of each pass, by pairing shift where a pass can serve several
+    pairings: dict[int, list[int]] = {}
+    for offset, delay in delays.items():
+        shift = (_applied(delay) + o0 - offset) % n
+        pairings.setdefault(shift if first.vv == _PER_SYMBOL else offset, []).append(offset)
+    held = 0  # the roll of the drawn stream that rx2 holds
+    for shift, offsets in pairings.items():
+        settle = None
+        roll = shift if len(offsets) > 1 else o0 - offsets[0]
+        try:
+            if (roll - held) % n:
+                trace2 = None
+                rx2, held = np.roll(rx2, roll - held), roll
+            if len(offsets) > 1:
+                if trace2 is None:
+                    trace2 = extract_phase(rx2, _PER_SYMBOL)
+                keep = max(abs(_applied(delays[offset])) for offset in offsets)
+                settle = _settle_pass(rx1, rx2, trace1, trace2, k_tx1, k_tx2, None, keep)
+                trace2 = None
+        except Exception as exc:  # noqa: BLE001 - per-point isolation
+            yield from ((by_offset[offset], exc) for offset in offsets)
+            continue
+        for offset in offsets:
+            at, delay = by_offset[offset], delays[offset]
+            try:
+                if settle is None:
+                    reception = _receive(at[0][1], k_tx1, k_tx2, rx1, rx2, delay, trace1, trace2)
+                else:
+                    a, _ = _overlap(n, _applied(delay))
+                    reception = _restrict(settle, a.start, a.stop, _applied(delay),
+                                          delay.confident)
+            except Exception as exc:  # noqa: BLE001 - per-point isolation
+                reception = exc
+            trace2 = None  # before any detection
+            yield at, reception
+            del reception
 
 
 def _receive(cfg: TrialConfig, k_tx1, k_tx2, rx1, rx2, delay: AlignmentResult,
-             trace1=None, trace2=None) -> _Reception:
+             trace1, trace2) -> _Reception:
     """The part of run_trial that the estimator and compare_baseline do not
     change, from a realization (see _realize) of cfg's channel and its
     recovered delay: one settle pass (see MARGIN) over the channels' overlap
     at the applied lag, which counts the baseline, restricted to all of it.
-    It does not search: the delay comes from estimate_delay in a trial, from
-    the group's one search in a sweep. The receiver's traces are extracted
-    here with cfg.vv, but for those given (window=1 traces of the same
-    streams). Of cfg it reads only n_symbols and vv, so one realization
-    serves every config that differs in nothing else. Only what _Reception
-    holds outlives it: the traces it extracts are freed when it returns, and
-    it modifies no argument."""
+    It does not search: the delay comes from the group's one search (see
+    _receptions). The receiver's traces are extracted here with cfg.vv, but
+    for those given (window=1 traces of the same streams; None is not
+    given). Of cfg it reads only n_symbols and vv, so one realization serves
+    every config that differs in nothing else. Only what _Reception holds
+    outlives it: the traces it extracts are freed when it returns, and it
+    modifies no argument."""
     if trace1 is None:
         trace1 = extract_phase(rx1, cfg.vv)
     if trace2 is None:
@@ -706,120 +796,32 @@ def _claim_layout(out_dir) -> None:
         fh.write("\n")
 
 
+def _error(exc: BaseException) -> str:
+    """The message a sweep records for a point that exc stopped: its text,
+    or its type's name when it has none (a bare assert)."""
+    return str(exc) or type(exc).__name__
+
+
 def _sweep_group(points: list[tuple[int, TrialConfig]]):
-    """Yield (index, outcome) for sweep points that share one realization:
-    their configs are equal but for delay_offset and the estimator. The
-    outcome is the point's report, equal to run_trial of its config, or the
-    message of the exception that stopped it.
-
-    The realization is drawn once, at the first point's offset o0; channel
-    2's stream at offset o is np.roll(rx2, o0 - o), byte for byte what the
-    channel draws at o (see apply_channel). The per-symbol traces are
-    elementwise in the samples, so channel 2's at offset o is np.roll of its
-    trace at o0 by o0 - o: one search (_estimate_delays) on the traces at o0
-    recovers every offset's delay, right after the realization is drawn.
-
-    At the applied lag L of offset o, channel 1's sample i meets the drawn
-    stream's sample (i - s) mod n, s = (L + o0 - o) mod n: the pairing
-    shift. A per-symbol receiver without mean removal (vv == _PER_SYMBOL)
-    reads nothing of a reception but its paired samples and their traces,
-    so offsets of one pairing shift share one settle pass over all n
-    symbols, on channel 2 rolled by s and its trace extracted from that
-    stream (the roll of the trace at o0, as extraction is elementwise at
-    window 1); each offset's reception is that pass restricted to its
-    overlap (_restrict). Any other receiver takes whole-trace means, whose
-    rounding depends on the roll, or windowed traces, which are cut at the
-    stream's ends and so are no rolls of one another: each offset runs a
-    pass of its own over its overlap (_receive). Points
-    at one offset share one reception and run one detection each. A step
-    that raises fails the points that share it and no other.
-
-    The search's traces are freed before the first pass, but for channel
-    1's at window=1, which every pass reads; channel 2 is rolled from the
-    last pass's stream, which the roll replaces, a shared pass's channel-2
-    trace is freed when the pass returns, before any detection, and each
-    pass is freed before the next is built, so a point's peak is its
-    trial's: one realization beside one reception.
-    """
-    first = points[0][1]
-    n = first.n_symbols
-    by_offset: dict[int, list] = {}
-    for index, cfg in points:
-        by_offset.setdefault(cfg.channel.delay_offset, []).append((index, cfg))
-    o0 = first.channel.delay_offset  # the offset rx2 is drawn at
-    delays, trace1 = dict.fromkeys(by_offset, _NO_DELAY), None
-    try:
-        k_tx1, k_tx2, rx1, rx2 = _realize(first)
-        if first.vv.window == 1 or _searches(first):
-            trace1 = extract_phase(rx1, _PER_SYMBOL)
-        if _searches(first):
-            found = _estimate_delays(trace1, extract_phase(rx2, _PER_SYMBOL),
-                                     [o0 - offset for offset in by_offset], first.max_lag)
-            delays = dict(zip(by_offset, found))
-        if first.vv.window != 1:
-            trace1 = None
-    except Exception as exc:  # noqa: BLE001 - per-point isolation
-        yield from ((index, str(exc)) for index, _ in points)
-        return
-    # each pass's roll of the drawn stream, and the offsets it serves
-    shared = first.vv == _PER_SYMBOL
-    if shared:
-        shifts: dict[int, list[int]] = {}
-        for offset, delay in delays.items():
-            shifts.setdefault((_applied(delay) + o0 - offset) % n, []).append(offset)
-        passes = list(shifts.items())
-    else:
-        passes = [(o0 - offset, [offset]) for offset in by_offset]
-    held = 0  # the roll of the drawn stream that rx2 holds
-    for roll, offsets in passes:
-        settle = None
-        try:
-            if (roll - held) % n:
-                rx2, held = np.roll(rx2, roll - held), roll
-            if shared:
-                keep = max(abs(_applied(delays[offset])) for offset in offsets)
-                settle = _settle_pass(rx1, rx2, trace1, extract_phase(rx2, _PER_SYMBOL),
-                                      k_tx1, k_tx2, None, keep)
-        except Exception as exc:  # noqa: BLE001 - per-point isolation
-            yield from ((index, str(exc)) for offset in offsets for index, _ in by_offset[offset])
-            continue
-        for offset in offsets:
-            at, delay = by_offset[offset], delays[offset]
+    """Yield (index, outcome) for sweep points that share one realization
+    (see _receptions): the point's report, equal to run_trial of its config,
+    or the message (_error) of the exception that stopped it. Points at one
+    offset share its reception and run one detection each. A trial is the
+    group of one point."""
+    for at, reception in _receptions(points):
+        for index, cfg in at:
             try:
-                if settle is None:
-                    reception = _receive(at[0][1], k_tx1, k_tx2, rx1, rx2, delay, trace1)
-                else:
-                    a, _ = _overlap(n, _applied(delay))
-                    reception = _restrict(settle, a.start, a.stop, _applied(delay),
-                                          delay.confident)
+                outcome = (_detect(reception, cfg) if isinstance(reception, _Reception)
+                           else _error(reception))
             except Exception as exc:  # noqa: BLE001 - per-point isolation
-                yield from ((index, str(exc)) for index, _ in at)
-                continue
-            for index, cfg in at:
-                try:
-                    outcome = _detect(reception, cfg)
-                except Exception as exc:  # noqa: BLE001 - per-point isolation
-                    outcome = str(exc)
-                yield index, outcome
-            del reception
+                outcome = _error(exc)
+            yield index, outcome
+        del reception  # before the next one is built
 
 
 def _sweep_group_task(points: list[tuple[int, TrialConfig]]) -> list:
     """_sweep_group's outcomes as a list: a pool worker's task."""
     return list(_sweep_group(points))
-
-
-def _split_offsets(points: list[tuple[int, TrialConfig]], parts: int) -> list[list]:
-    """A group's points split into at most `parts` groups of whole offsets:
-    runs of consecutive offsets (in first-seen order) whose lengths differ
-    by one at most. Each part draws the realization again."""
-    offsets = list(dict.fromkeys(cfg.channel.delay_offset for _, cfg in points))
-    parts = min(parts, len(offsets))
-    part = {offset: j * parts // len(offsets) for j, offset in enumerate(offsets)}
-    split: list[list] = [[] for _ in range(parts)]
-    for point in points:
-        split[part[point[1].channel.delay_offset]].append(point)
-    return split
 
 
 def run_sweep(
@@ -845,16 +847,14 @@ def run_sweep(
     applied lags pair the channels' samples alike share one settle pass,
     each reception a restriction of it; otherwise each offset runs its own.
     Points that also share delay_offset share one reception (see
-    _sweep_group). Every point's report equals run_trial of its own
-    config. Groups run one task each when workers > 1, in a pool of
-    min(workers, tasks) processes, as a forked pool starts all of its
-    processes at once; with fewer groups than workers, each group's offsets
-    are split among ceil(workers / groups) tasks, each drawing the
-    realization and searching for its own offsets' delays (see
-    _split_offsets). Results merge by index. The points of a task lost
-    because a worker died are each run once more on their own, so a point
-    that kills its worker fails and no other does. out_dir is created once
-    the grid is accepted.
+    _receptions). Every point's report equals run_trial of its own config,
+    which runs the group of that one point. When workers > 1 a task is one
+    whole realization, in a pool of min(workers, tasks) processes, as a
+    forked pool starts all of its processes at once; a grid of one
+    realization runs in the calling process, its stages on its threads.
+    Results merge by index. The points of a task lost because a worker died
+    are each run once more on their own, so a point that kills its worker
+    fails and no other does. out_dir is created once the grid is accepted.
     """
     _checks.integer("workers", workers)
     _checks.at_least("workers", workers, 1)
@@ -888,7 +888,7 @@ def run_sweep(
                     json.dump(outcome.to_dict(), fh, indent=2)
                     fh.write("\n")
             except Exception as exc:  # noqa: BLE001 - per-point isolation
-                outcome = str(exc)
+                outcome = _error(exc)
         points[index] = (SweepPoint(index, report=outcome) if isinstance(outcome, BERReport)
                          else SweepPoint(index, error=outcome))
 
@@ -896,16 +896,11 @@ def run_sweep(
         try:
             outcomes = fut.result()
         except Exception as exc:  # noqa: BLE001 - per-point isolation
-            outcomes = [(index, str(exc)) for index, _ in group]
+            outcomes = [(index, _error(exc)) for index, _ in group]
         for index, outcome in outcomes:
             record(index, outcome)
 
     tasks = list(groups.values())
-    if workers > len(tasks) > 0:
-        # fewer realizations than workers: share each one's offsets among
-        # ceil(workers / groups) tasks
-        tasks = [part for group in tasks
-                 for part in _split_offsets(group, -(-workers // len(tasks)))]
     if workers > 1 and len(tasks) > 1:
         lost = []
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:

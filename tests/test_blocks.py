@@ -323,7 +323,7 @@ def test_mean_removed_gather_equals_whole_arrays(window):
         estimator=EstimatorConfig(kappa=4.0),
         max_lag=0,
     )
-    reception = with_block(block, lambda: harness._trial_reception(cfg))
+    reception = with_block(block, lambda: harness._single_reception(cfg))
     # more open symbols than the second block has symbols at all
     assert reception.key.size > 16384 + 1000
     assert_counts_equal(harness._detect(reception, cfg), whole_array_counts(cfg), cfg)
@@ -518,7 +518,7 @@ def test_detection_peak_memory(phase_model, window, remove_mean, bound):
         estimator=EstimatorConfig(kappa=8.0),
         compare_baseline=True,
     )
-    reception = harness._trial_reception(cfg)
+    reception = harness._single_reception(cfg)
     tracemalloc.start()
     try:
         harness._detect(reception, cfg)

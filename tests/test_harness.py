@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import duolink.alignment
 import duolink.channel
 import duolink.harness
 from duolink import _blocks
@@ -34,6 +35,7 @@ from duolink import (
     trial_config_from_dict,
     wilson_interval,
 )
+from duolink.cli import main
 from oracles import CASE_TRUTH_TABLE, LAGGED_WINDOW_33, reference_trial, wilson_reference
 
 
@@ -302,7 +304,7 @@ class TestKappaObjective:
                     for v in (getattr(r, f) for f in r.__dataclass_fields__)]
 
         def receive(c):
-            return duolink.harness._trial_reception(c)
+            return duolink.harness._single_reception(c)
 
         other = replace(cfg, compare_baseline=not cfg.compare_baseline)
         assert fields(receive(cfg)) == fields(receive(other))
@@ -310,6 +312,61 @@ class TestKappaObjective:
         for kappa in kappas:
             trial = replace(cfg, estimator=EstimatorConfig(kappa=kappa))
             assert objective(kappa) == run_trial(trial).ber_compensated
+
+
+class TestTrialWork:
+    @pytest.mark.parametrize("window, extractions", [(1, 2), (33, 4)])
+    @pytest.mark.parametrize("entry", ["run_trial", "kappa_objective"])
+    def test_trial_work_is_its_one_point_group(self, monkeypatch, entry, window, extractions):
+        """A trial receives the sweep group of one point and does exactly a
+        trial's work: one realization, one search of the roll 0 through
+        estimate_delay, the per-symbol traces (which at window 1 also serve
+        the receiver, and at window 33 are followed by the receiver's two),
+        one settle pass that keeps no end symbols, and no roll of channel 2,
+        also at a nonzero delay_offset. kappa_objective makes the same calls
+        once, however many kappas it evaluates."""
+        calls = {"realize": 0, "estimate_delay": 0, "extract_phase": 0}
+        searches, keeps, rolls = [], [], []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        def search(t1, t2, shifts, max_lag):
+            searches.append(list(shifts))
+            return _ESTIMATE_DELAYS(t1, t2, shifts, max_lag)
+
+        def settle_pass(*args):
+            keeps.append(args[-1])
+            return _SETTLE_PASS(*args)
+
+        harness = duolink.harness
+        monkeypatch.setattr(harness, "_realize", counted("realize", _REALIZE))
+        monkeypatch.setattr(harness, "estimate_delay", counted("estimate_delay", estimate_delay))
+        monkeypatch.setattr(harness, "extract_phase",
+                            counted("extract_phase", harness.extract_phase))
+        monkeypatch.setattr(harness, "_estimate_delays", search)
+        monkeypatch.setattr(duolink.alignment, "_estimate_delays", search)
+        monkeypatch.setattr(harness, "_settle_pass", settle_pass)
+        monkeypatch.setattr(harness.np, "roll", lambda *args, **kwargs: rolls.append(args))
+        cfg = TrialConfig(
+            n_symbols=2000,
+            channel=ChannelParams(sigma_common=0.3, sigma_additive=0.15, delay_offset=3, seed=42),
+            vv=VVConfig(window=window, remove_mean=window > 1),
+            max_lag=16,
+        )
+        if entry == "run_trial":
+            assert run_trial(cfg).lag_confident
+        else:
+            objective = kappa_objective(cfg)
+            for kappa in (0.0, 2.0, 8.0):
+                objective(kappa)
+        assert calls == {"realize": 1, "estimate_delay": 1, "extract_phase": extractions}
+        assert searches == [[0]]
+        assert keeps == [0]
+        assert rolls == []
 
 
 @st.composite
@@ -599,34 +656,6 @@ class TestSweep:
         run_sweep(base, self.GROUPED_AXES, out_dir=tmp_path)
         assert calls == {"realize": 2 + 2, "settle_pass": 3 + 2 + 2 + 2}
 
-    # sigma_common 0.3 x kappa x delay_offset: point k * 4 + o, one realization
-    SPLIT_AXES = {"sigma_common": [0.3], "kappa": [0.0, 2.0],
-                  "delay_offset": [0, -5, 20, 7]}
-
-    @pytest.mark.parametrize("workers, tasks", [
-        (2, [[0, 1, 4, 5], [2, 3, 6, 7]]),
-        (3, [[0, 1, 4, 5], [2, 6], [3, 7]]),
-        (8, [[0, 4], [1, 5], [2, 6], [3, 7]]),  # one task per offset at most
-    ])
-    def test_offsets_split_among_idle_workers(self, monkeypatch, workers, tasks):
-        """With fewer realizations than workers, a realization's offsets are
-        split among tasks, whole offsets each, so that the workers share
-        them; a point's kappas stay in its offset's task. Every report still
-        equals run_trial of its config."""
-        submitted = []
-
-        class Recording(duolink.harness.ProcessPoolExecutor):
-            def submit(self, fn, points):
-                submitted.append([index for index, _ in points])
-                return super().submit(fn, points)
-
-        monkeypatch.setattr(duolink.harness, "ProcessPoolExecutor", Recording)
-        base = self.grouped_base(1)
-        points = run_sweep(base, self.SPLIT_AXES, workers=workers)
-        assert submitted == tasks
-        assert [p.report for p in points] == [
-            run_trial(cfg) for cfg in sweep_configs(base, self.SPLIT_AXES)]
-
     # the lag sweep's offsets: their rolls need 497 shifts in one run
     LAG_OFFSETS = [-120, -90, -30, 0, 30, 90, 120]
 
@@ -696,10 +725,17 @@ class TestSweep:
                          for r, o in zip(reports, offsets * 2)]
             assert recovered == [o != 20 for o in offsets * 2]
 
-    @pytest.mark.parametrize("workers", [2, 8])
-    def test_pool_capped_at_task_count(self, monkeypatch, workers):
-        """A pool starts no more processes than it has tasks: a grid of two
-        realizations at workers 2 or 8 builds one pool of two."""
+    @pytest.mark.parametrize("workers, axes, pools", [
+        pytest.param(2, {"sigma_common": [0.2, 0.3]}, [2], id="2"),
+        pytest.param(8, {"sigma_common": [0.2, 0.3]}, [2], id="8"),
+        pytest.param(4, {"kappa": [0.0, 2.0], "delay_offset": [0, -5, 20, 7]}, [],
+                     id="one-realization"),
+    ])
+    def test_pool_capped_at_task_count(self, monkeypatch, workers, axes, pools):
+        """A pool starts no more processes than it has tasks, and a task is
+        one whole realization: a grid of two realizations at workers 2 or 8
+        builds one pool of two, and a grid of one realization (kappa x
+        delay_offset) at workers 4 builds none."""
         sizes = []
 
         class Recording(duolink.harness.ProcessPoolExecutor):
@@ -709,9 +745,8 @@ class TestSweep:
 
         monkeypatch.setattr(duolink.harness, "ProcessPoolExecutor", Recording)
         base = replace(small_config(), n_symbols=2000)
-        axes = {"sigma_common": [0.2, 0.3]}
         points = run_sweep(base, axes, workers=workers)
-        assert sizes == [2]
+        assert sizes == pools
         assert [p.report for p in points] == [run_trial(cfg) for cfg in sweep_configs(base, axes)]
 
     def test_unknown_axis_rejected(self):
@@ -817,7 +852,7 @@ class TestSweep:
         with pytest.raises(ConfigError, match=message):
             sweep_configs(small_config(), axes)
 
-    def test_point_failure_recorded_sweep_continues(self, monkeypatch):
+    def test_point_failure_recorded_sweep_continues(self, tmp_path, monkeypatch, capsys):
         base = replace(small_config(), n_symbols=2000)
 
         def flaky(cfg):
@@ -829,6 +864,23 @@ class TestSweep:
         points = run_sweep(base, {"sigma_common": [0.2, 0.3]})
         assert points[0].error is not None and "injected" in points[0].error
         assert points[1].report is not None
+
+        # an exception without a message, as _detect's assert raises it, is
+        # recorded by its type's name, and the CLI prints that name
+        def bare(reception, cfg):
+            if cfg.channel.sigma_common == 0.2:
+                raise AssertionError
+            return _DETECT(reception, cfg)
+
+        monkeypatch.setattr(duolink.harness, "_realize", _REALIZE)
+        monkeypatch.setattr(duolink.harness, "_detect", bare)
+        points = run_sweep(base, {"sigma_common": [0.2, 0.3]})
+        assert points[0].error == "AssertionError"
+        assert points[1].report is not None
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({**asdict(base), "sweep": {"sigma_common": [0.2, 0.3]}}))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "point 0 failed: AssertionError\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_point_write_failure_recorded_sweep_continues(self, tmp_path, workers):
