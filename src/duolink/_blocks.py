@@ -5,13 +5,15 @@ received streams, the two phase traces and the uint8 transmitted quadrant
 indices. Every stage in between runs over blocks of BLOCK symbols, so its
 temporaries stay the size of one block per thread however long the trial
 is: the fourth-power extraction, the delay search (each block with a margin
-as wide as the shifts it takes) and the settle pass, whose blocks return the open
-symbols' keys and indices. The open symbols are gathered and detected
+as wide as the shifts it takes; a wide run of shifts takes its FFTs over
+sub-blocks of the block, each reading its own margin) and the settle pass,
+whose blocks return the open symbols' keys and indices. The open symbols are gathered and detected
 whole, with no blocks or threads. The payload draws and the channel run
 over their random chunks (channel.CHUNK) instead, and the shaped phase's
 filter over its FFT blocks.
 No report depends on BLOCK; it can move the delay search's peak_correlation
-only by rounding, as it sets the order in which the search's sums are added.
+only by rounding, as it sets the order in which the search's sums are added
+and where its FFTs' sub-blocks start.
 
 The blocks of a stage run on a thread per CPU this process may run on: the
 calling thread and helper threads that `each` starts for the call and joins
@@ -19,7 +21,9 @@ before it returns or raises (numpy releases the interpreter lock inside the
 blocks). No duolink thread is alive between calls, so a process forked after
 a trial has none to miss. Each task writes its own part of an output or
 returns partial results that are added in a fixed order, so no result
-depends on the number of threads.
+depends on the number of threads. No block's work threads on its own:
+numpy's einsum, its FFTs (pocketfft) and its elementwise kernels run each
+call on the calling thread, and nothing calls BLAS on floats.
 """
 
 import os

@@ -11,6 +11,7 @@ on measured BER, assumed unimodal in kappa.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -27,6 +28,16 @@ CONFIDENCE_THRESHOLD = 0.5
 # periodic traces give equal correlations at several lags, which rounding in
 # the overlap sums would otherwise break at random.
 TIE_TOL = 1e-12
+
+# A run of adjacent shifts at least this wide takes the delay search's middle
+# cross terms by FFT correlation, in sub-blocks of _FFT_BLOCK samples;
+# narrower runs take them by einsum, at one multiply-add per shift per
+# sample. Measured per 2**15 block on one CPU (2-vCPU host, numpy 2.4.6;
+# the table is in CHANGES.md), the two cost
+# the same near 64 shifts: einsum 0.86 ms against FFT 0.89 ms at 65, 0.47
+# against 0.92 at 33 (max_lag 16), 3.3 against 0.93 at 257 (max_lag 128).
+FFT_WIDTH = 64
+_FFT_BLOCK = 1 << 13
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -136,12 +147,15 @@ def _estimate_delays(trace1: np.ndarray, trace2: np.ndarray, rolls,
     the traces centered on their whole means (one mean per trace, whatever
     the roll). Every overlap keeps the middle samples p in [max_lag,
     n - max_lag), so one pass over the blocks of _blocks, on their threads,
-    takes the middle's cross terms at every shift the rolls need, one einsum
-    per run of adjacent shifts over a sliding window of c2 read circularly
-    (einsum never threads, so unlike BLAS its rounding is fixed); rolls far
-    apart take runs of their own, so no shift is taken that no roll needs.
-    The same pass sums trace1's middle samples and their squares, and each
-    roll's, whose middle is its shift-0 column of the window. _cuts then
+    takes the middle's cross terms at every shift the rolls need, per run of
+    adjacent shifts against c2 read circularly (_correlate: an einsum over a
+    sliding window for a run narrower than FFT_WIDTH, else an FFT
+    correlation per sub-block; neither threads nor calls BLAS, so the
+    rounding is fixed); rolls far apart take runs of their own, so no shift
+    is taken that no roll needs. The two ways round differently, by about
+    1e-16 of sqrt(sum c1**2 * sum c2**2), which moves a correlation only by
+    rounding. The same pass sums trace1's middle samples and their squares,
+    and each roll's middle samples, read from trace2 on their own. _cuts then
     adds the end samples each overlap keeps, and a cross term adds its end
     products as they do: the far end's, then the near end's from the middle
     outward, so that no product of a cut sample enters it. The block
@@ -181,14 +195,13 @@ def _estimate_delays(trace1: np.ndarray, trace2: np.ndarray, rolls,
         m = c1.size
         cross, sums2 = [], []
         for lo, hi, ds in runs:
-            # w[i] is c2 at sample b.start - hi + i (mod n): column j of the
-            # window's row i pairs c1 at p = b.start + i with shift hi - j
-            w = _circular(t2, b.start - hi, m + hi - lo, mean2)
-            cross.append(np.einsum("ij,i->j", sliding_window_view(w, hi - lo + 1), c1)[::-1])
             for d in ds:
-                c2 = w[hi - d:hi - d + m]
+                c2 = _circular(t2, b.start - d, m, mean2)  # roll d's middle
                 sums2.append([c2.sum(), _dot(c2, c2)])
-            del w, c2  # before the next run's window
+                del c2
+            # column j pairs c1 at p = b.start + i with c2 at p - (hi - j),
+            # the shift hi - j: reversed, the run's shifts lo..hi
+            cross.append(_correlate(c1, t2, b.start - hi, hi - lo + 1, mean2)[::-1])
         return np.array([c1.sum(), _dot(c1, c1)]), cross, np.array(sums2)
 
     parts = _blocks.each(partial, _blocks.blocks(k, n - k))
@@ -204,6 +217,49 @@ def _estimate_delays(trace1: np.ndarray, trace2: np.ndarray, rolls,
             found[d] = _search_roll(t1, t2, d, k, cuts1, ends1, mean2,
                                     run[d - k - lo:d + k + 1 - lo], next(middles))
     return [found[d] for d in rolled]
+
+
+def _correlate(c1: np.ndarray, t2: np.ndarray, start: int, width: int,
+               mean2: float) -> np.ndarray:
+    """The `width` sums sum_i c1[i] * c2[start + i + j], j = 0..width-1, c2
+    being t2 less mean2 read circularly (see _circular).
+
+    A run narrower than FFT_WIDTH takes one einsum over a sliding window of
+    c2 (one multiply-add per shift per sample). A wider run takes them by FFT
+    correlation, irfft(conj(rfft(c1)) * rfft(c2)), over sub-blocks of
+    _FFT_BLOCK samples of c1, zero-padded to a 5-smooth length (an awkward
+    length costs several times as much), each reading its own window of c2;
+    the sub-blocks' sums are added in order. Neither calls BLAS, and neither
+    threads: each block's sums are the same on any thread.
+    """
+    m = c1.size
+    if width < FFT_WIDTH:
+        w = _circular(t2, start, m + width - 1, mean2)
+        return np.einsum("ij,i->j", sliding_window_view(w, width), c1)
+    out = np.zeros(width)
+    for a in range(0, m, _FFT_BLOCK):
+        sub = c1[a:a + _FFT_BLOCK]
+        size = _smooth(sub.size + width - 1)
+        spectrum = np.fft.rfft(sub, size)
+        np.conjugate(spectrum, out=spectrum)
+        spectrum *= np.fft.rfft(_circular(t2, start + a, sub.size + width - 1, mean2), size)
+        out += np.fft.irfft(spectrum, size)[:width]
+        del spectrum  # before the next sub-block's transforms
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _smooth(n: int) -> int:
+    """The least 5-smooth integer (2**a * 3**b * 5**c) not below n: a
+    block's sub-blocks of one run share it."""
+    best, odd = 1 << (n - 1).bit_length(), 1
+    while odd < best:  # odd runs over 3**b * 5**c, each times the least 2**a
+        three = odd
+        while three < best:
+            best = min(best, three << ((n - 1) // three).bit_length())
+            three *= 3
+        odd *= 5
+    return best
 
 
 def _search_roll(t1: np.ndarray, t2: np.ndarray, d: int, k: int,

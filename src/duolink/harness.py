@@ -226,6 +226,25 @@ def kappa_objective(cfg: TrialConfig):
 # decisions are taken, by the float pipeline. The key's received-right bit
 # takes quadrant_indices' comparisons (qpsk._quadrants), whose ties on the
 # axes are exact.
+#
+# At window 1 the trace is the sample's own angle less 1/2, wrapped:
+# t = A - k - 1/2 in (-1/2, 1/2], for k the integer that puts it there.
+# Where t itself lies in (-1/2 + MARGIN, 1/2 - MARGIN), A - k lies in
+# (MARGIN, 1 - MARGIN), so the sample is off the axes by more than rounding
+# and k is its quadrant by the signs of its components (qpsk._quadrants),
+# which the key takes anyway. Then A - m - theta = k + 1/2 + (t - m - theta),
+# and t - m and theta both lie in the hull: where hi - lo + 2 * MARGIN is
+# under 1/2, the last term stays inside (-1/2, 1/2) over all of
+# [lo - MARGIN, hi + MARGIN], and every estimate decides the sample as its
+# own quadrant k. So at window 1 a symbol is settled by the conditions above
+# with this one in place of floor(A - m - theta)'s, as its own quadrants,
+# and no angle is taken. Since one channel's observation is lo and the
+# other's hi, the conditions are the same up to rounding: floor(A - m -
+# theta) is one integer over the hull exactly when hi - lo is under 1/2.
+# Without mean removal t - m is t; with it, t must also meet the bound on
+# its own. Else a sample within rounding of an axis, its fourth power's
+# angle rounded to the wrap edge, has t = 1/2 in the quadrant before its
+# own, and the rule would name the wrong one.
 MARGIN = 1e-9
 NORMAL_POWER = 2.0**-500
 
@@ -418,7 +437,8 @@ def _receptions(points: list[tuple[int, TrialConfig]]):
                 if trace2 is None:
                     trace2 = extract_phase(rx2, _PER_SYMBOL)
                 keep = max(abs(_applied(delays[offset])) for offset in offsets)
-                settle = _settle_pass(rx1, rx2, trace1, trace2, k_tx1, k_tx2, None, keep)
+                settle = _settle_pass(rx1, rx2, trace1, trace2, k_tx1, k_tx2, None, True,
+                                      keep)
                 trace2 = None
         except Exception as exc:  # noqa: BLE001 - per-point isolation
             yield from ((by_offset[offset], exc) for offset in offsets)
@@ -463,16 +483,21 @@ def _receive(cfg: TrialConfig, k_tx1, k_tx2, rx1, rx2, delay: AlignmentResult,
     a, b = _overlap(cfg.n_symbols, lag)
     # the mean removal takes the whole traces' means, not each block's
     means = (trace1.mean(), trace2.mean()) if cfg.vv.remove_mean else None
-    settle = _settle_pass(rx1[a], rx2[b], trace1[a], trace2[b], k_tx1[a], k_tx2[a], means, 0)
+    settle = _settle_pass(rx1[a], rx2[b], trace1[a], trace2[b], k_tx1[a], k_tx2[a], means,
+                          cfg.vv.window == 1, 0)
     return _restrict(settle, 0, settle.size, lag, delay.confident)
 
 
-def _settle_pass(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means, keep: int) -> _Pass:
+def _settle_pass(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means, per_symbol: bool,
+                 keep: int) -> _Pass:
     """The settle pass (see MARGIN) over equal-length arrays, paired sample
     by sample: the received samples, the receiver's phase traces, the
-    transmitted quadrants and the traces' means (None: no mean removal). It
-    keeps the codes of the `keep` symbols at either end (2 * keep must not
-    exceed the length), so that _restrict can leave them out (see _Pass).
+    transmitted quadrants and the traces' means (None: no mean removal).
+    per_symbol says that the traces are the samples' own window-1
+    extractions: a settled symbol is then decided as its own quadrants, and
+    no angle is taken. It keeps the codes of the `keep` symbols at either
+    end (2 * keep must not exceed the length), so that _restrict can leave
+    them out (see _Pass).
 
     The blocks do only the per-symbol work: each adds to the settled
     histogram and returns its open symbols' keys and indices. The open
@@ -505,6 +530,12 @@ def _settle_pass(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means, keep: int) -> _P
         settled = lo > -0.5
         settled &= width < 0.5
         width -= lo
+        if per_symbol:
+            # every estimate leaves each sample in its own quadrant (see MARGIN)
+            settled &= width < 0.5
+            if means is not None:
+                for t in (trace1, trace2):
+                    settled &= np.abs(t[b]) < HALF_PI / 2 - MARGIN
         key = k_tx[0] << 4
         key |= k_tx[1] << 2
         posts = []
@@ -512,6 +543,11 @@ def _settle_pass(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means, keep: int) -> _P
             power = z.real * z.real
             power += z.imag * z.imag
             settled &= power >= NORMAL_POWER
+            if per_symbol:
+                del power
+                posts.append(_quadrants(z.real, z.imag))
+                key |= (posts[j] == k_tx[j]).view(np.uint8) << (1 - j)
+                continue
             # the sample's components, the real part written over its power:
             # arctan2 takes about twice as long on the strided views as on
             # contiguous copies

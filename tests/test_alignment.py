@@ -6,11 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from duolink import KappaSearchResult, adapt_kappa, estimate_delay
-from duolink import _blocks
+from duolink import _blocks, alignment
 from duolink.alignment import (CONFIDENCE_THRESHOLD, TIE_TOL, _cuts, _dot, _estimate_delays,
                                _overlap)
 from oracles import delay_reference, pearson_exact
@@ -98,6 +98,10 @@ def rolled_trace_pairs(draw):
     if draw(st.integers(0, 9)) == 0:
         max_lag = draw(st.integers(n // 2, n))
     return t1, np.roll(t2, -rolls[0]), max_lag, rolls
+
+
+# The lag sweep's rolls at max_lag 128: one run of 497 shifts
+LAG_ROLLS = (-120, -80, -40, 0, 40, 80, 120)
 
 
 def assert_matches_reference(t1, t2, max_lag, result):
@@ -225,6 +229,41 @@ class TestEstimateDelay:
         for d, result in zip(rolls, results):
             assert_matches_reference(t1, np.roll(t2, d), max_lag, result)
 
+    @pytest.mark.parametrize("block, sub", [(7, 3), (64, 20), (_blocks.BLOCK, alignment._FFT_BLOCK)])
+    @settings(max_examples=60, deadline=None)
+    @given(case=rolled_trace_pairs())
+    @example(case=(*CANCELLING_OVERLAP, [0, 1, -8, 3 + 7]))
+    @example(case=(*ENDS_HOLD_THE_VARIANCE, [0, 2, -2, 7, -16]))
+    @example(case=(*ULP_APART, [0, 4, -4, 15, -31, 46]))
+    @example(case=(np.full(300, 0.2), np.full(300, -0.1), 128, LAG_ROLLS))
+    @example(case=(np.full(300, 0.2), noise_trace(300, 15), 128, LAG_ROLLS))
+    @example(case=(noise_trace(20_000, 13), np.roll(noise_trace(20_000, 13), 70)
+                   + noise_trace(20_000, 14), 128, LAG_ROLLS))
+    def test_fft_equals_einsum(self, block, sub, case):
+        """Every run of shifts taken by FFT correlation (FFT_WIDTH 1), and
+        every run taken by einsum (FFT_WIDTH past any run): the same lags and
+        confidence, peak correlations within 1e-12, and each the direct
+        reference's. At blocks of 7 and 64 samples with sub-blocks of 3 and
+        20, and at the defaults, where the 20 000-sample traces cross
+        sub-block edges, so that the blocks and the sub-blocks of c1 and
+        their windows of trace2 start and end everywhere."""
+        t1, t2, max_lag, rolls = case
+        assume(t1.size > 2 * max_lag)
+        got = []
+        for width in (1, 10**9):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_blocks, "BLOCK", block)
+                mp.setattr(alignment, "_FFT_BLOCK", sub)
+                mp.setattr(alignment, "FFT_WIDTH", width)
+                got.append(_estimate_delays(t1, t2, rolls, max_lag))
+        for d, fft, einsum in zip(rolls, *got):
+            assert fft.lag == einsum.lag, d
+            # see assert_matches_reference
+            if abs(einsum.peak_correlation - CONFIDENCE_THRESHOLD) > 1e-12:
+                assert fft.confident == einsum.confident, d
+            assert abs(fft.peak_correlation - einsum.peak_correlation) <= 1e-12, d
+            assert_matches_reference(t1, np.roll(t2, d), max_lag, fft)
+
     def test_group_of_ulp_apart_rolls_equals_single_searches(self):
         """ULP_APART rolled by amounts other than multiples of n: trace2's
         variance is then a few ulps in overlaps that the centered sums keep
@@ -312,28 +351,31 @@ class TestEstimateDelay:
     def test_peak_memory_is_a_few_blocks(self, monkeypatch):
         """On two threads the search holds a few blocks at a time, not a
         copy of a trace (8 B/sym) nor a mask of one (1 B/sym): one search,
-        and a group of seven rolls, which rolls neither trace whole."""
+        and a group of seven rolls, which rolls neither trace whole. At
+        max_lag 16 every run takes the einsum; at max_lag 128 one roll's 257
+        shifts and the lag sweep's 497 take FFT correlation, whose sub-blocks
+        read their own windows of trace2."""
         monkeypatch.setattr(_blocks, "THREADS", 2)
         n = 2**21
         t1 = noise_trace(n, 9)
         t2 = np.roll(t1, -3) + noise_trace(n, 10)
-        for rolls in ((0,), GROUP_ROLLS):
+        for rolls, max_lag in (((0,), 16), (GROUP_ROLLS, 16), ((0,), 128), (LAG_ROLLS, 128)):
             tracemalloc.start()
             try:
                 if rolls == (0,):
-                    results = [estimate_delay(t1, t2, 16)]
+                    results = [estimate_delay(t1, t2, max_lag)]
                 else:
-                    results = _estimate_delays(t1, t2, rolls, 16)
+                    results = _estimate_delays(t1, t2, rolls, max_lag)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             # trace2 rolled by d leads trace1 by 3 - d
             for d, result in zip(rolls, results):
-                if abs(3 - d) <= 16:
+                if abs(3 - d) <= max_lag:
                     assert (result.lag, result.confident) == (3 - d, True)
                 else:
                     assert not result.confident
-            assert peak < 6 * 8 * _blocks.BLOCK, (rolls, peak / n)
+            assert peak < 6 * 8 * _blocks.BLOCK, (rolls, max_lag, peak / n)
 
     def test_ulp_apart_example_merges_under_centering(self):
         """ULP_APART is what its comment says, and the search correlates the

@@ -471,7 +471,10 @@ def test_settle_peak_memory(monkeypatch, window, remove_mean):
     per channel, the power and its square's temporary or the power's buffer,
     reused for the real part, and the imaginary part; a channel's angle is
     freed before the next channel's power exists. Measured on 2 vCPUs
-    (numpy 2.4.6): 12.4 to 13.1 B/sym (2.4 % open). One more block-size
+    (numpy 2.4.6): 12.4 to 13.1 B/sym (2.4 % open). At window 1 the traces
+    are the samples' own, and the pass takes no angle and copies no
+    component (per channel the power, then the quadrants): 9.6 to 11.2
+    B/sym. One more block-size
     float array per thread (2.6 B/sym) fails the bound: holding a copy of
     the real part beside the power peaked at 15.1 to 15.7, and keeping the
     first channel's angle while the second's power is taken at 14.5 to
@@ -487,7 +490,8 @@ def test_settle_peak_memory(monkeypatch, window, remove_mean):
     tracemalloc.start()
     try:
         # each call's result is freed before the next call
-        opened = [harness._restrict(harness._settle_pass(rx1, rx2, t1, t2, k_tx1, k_tx2, means, 0),
+        opened = [harness._restrict(harness._settle_pass(rx1, rx2, t1, t2, k_tx1, k_tx2, means,
+                                                         window == 1, 0),
                                     0, n, 0, False).key.size
                   for _ in range(3)]
         peak = tracemalloc.get_traced_memory()[1]

@@ -8,7 +8,10 @@ boundary met at one end of the estimate's hull, and the wrap edges of the
 mean removal; samples also sit near the axes, the boundaries of the received
 decision, and exactly on them, with signed zero components. Every settled
 decision, and every count, must equal the one that rotating and deciding
-every symbol gives, for each estimator setting and for the baseline.
+every symbol gives, for each estimator setting and for the baseline. Where
+the traces are the samples' own window-1 extractions, both rules are held to
+that: the one that takes each sample's angle, and the window-1 one, which
+decides a settled symbol as its own quadrants.
 """
 
 import numpy as np
@@ -128,11 +131,20 @@ def receptions(draw):
         means=draw(st.none() | st.tuples(angles, angles)), own=draw(st.booleans()))
 
 
-def settle(rx1, rx2, t1, t2, k_tx1, k_tx2, means):
+def settle(rx1, rx2, t1, t2, k_tx1, k_tx2, means, per_symbol):
     """The reception of one settle pass over all of the given arrays, paired
     sample by sample, as a trial restricts its pass."""
-    whole = harness._settle_pass(rx1, rx2, t1, t2, k_tx1, k_tx2, means, 0)
+    whole = harness._settle_pass(rx1, rx2, t1, t2, k_tx1, k_tx2, means, per_symbol, 0)
     return harness._restrict(whole, 0, rx1.size, 0, False)
+
+
+def rules(rx1, rx2, t1, t2):
+    """The settle rules that hold for these traces: the general one (False),
+    and the window-1 one (True) where the traces are the samples' own
+    window-1 extractions, as a window-1 receiver's are."""
+    own = all(np.array_equal(t, extract_phase(z, VVConfig(window=1)))
+              for z, t in ((rx1, t1), (rx2, t2)))
+    return (False, True) if own else (False,)
 
 
 def full_evaluation(rx1, rx2, t1, t2, means, estimator):
@@ -155,13 +167,23 @@ def baseline_evaluation(rx1, rx2, t1, t2):
 @settings(max_examples=300, deadline=None)
 @given(receptions())
 def test_settled_decisions_equal_full_evaluation(reception):
+    for per_symbol in rules(*reception[:4]):
+        check_decisions(reception, per_symbol)
+
+
+def check_decisions(reception, per_symbol) -> int:
+    """Each symbol's settle pass of its own: an open symbol's key, or a
+    settled symbol's decisions, which must be the full evaluation's for every
+    estimator and the baseline's. Returns the number of settled symbols."""
     rx1, rx2, t1, t2, k_tx1, k_tx2, means = reception
     full = [full_evaluation(rx1, rx2, t1, t2, means, est) for est in ESTIMATORS]
     base1, base2 = baseline_evaluation(rx1, rx2, t1, t2)
     k_rx1, k_rx2 = quadrant_indices(rx1), quadrant_indices(rx2)
+    settled = 0
     for s in range(rx1.size):
         one = slice(s, s + 1)
-        r = settle(rx1[one], rx2[one], t1[one], t2[one], k_tx1[one], k_tx2[one], means)
+        r = settle(rx1[one], rx2[one], t1[one], t2[one], k_tx1[one], k_tx2[one], means,
+                   per_symbol)
         # open or settled, the symbol's baseline errors are its decisions'
         assert r.baseline_errors == (GRAY_DISTANCE[k_tx1[s], base1[s]],
                                      GRAY_DISTANCE[k_tx2[s], base2[s]]), s
@@ -181,6 +203,46 @@ def test_settled_decisions_equal_full_evaluation(reception):
         assert (code >> 2 & 3, code & 3) == (base1[s], base2[s]), s
         for est, (post1, post2) in zip(ESTIMATORS, full):
             assert (code >> 2 & 3, code & 3) == (post1[s], post2[s]), (s, est)
+        settled += 1
+    return settled
+
+
+@pytest.mark.parametrize("means", [None, (0.3, -0.6)])
+def test_window_one_rule_at_its_edges(means):
+    """The window-1 rule (see harness.MARGIN) where its conditions turn, on
+    traces that are the samples' own window-1 extractions: an observation
+    t - m within a few MARGIN of -+pi/4, |obs1 - obs2| within a few MARGIN
+    of pi/4, both at once, and a sample on an axis or within rounding of
+    one, whose trace is pi/4 or within rounding of -pi/4 (with these means,
+    channel 1's observation is then inside). Every settled symbol takes the
+    float pipeline's decisions, for each estimator and for the baseline."""
+    rng = np.random.default_rng(34)
+    n = 1200
+    m = np.zeros((2, 1)) if means is None else np.array(means)[:, None]
+    # distances from an edge, inside it for the positive ones
+    near = MARGIN * np.array([-3, -1 - 1e-3, -1 + 1e-3, 0, 1 - 1e-3, 1 + 1e-3, 3])
+    d = rng.choice(near, (2, n)) + rng.uniform(-1e-12, 1e-12, (2, n)) * rng.integers(0, 2, (2, n))
+    kind, a, side = rng.integers(0, 4, n), rng.integers(0, 2, n), rng.choice([-1, 1], n)
+    o = rng.uniform(-QUARTER_PI, QUARTER_PI, (2, n))  # the observations t - m
+    c = np.arange(n)
+    edge, width, both = (kind == 0), (kind == 1), (kind == 2)
+    o[a[edge], c[edge]] = side[edge] * (QUARTER_PI - d[0, edge])
+    o[a[both], c[both]] = side[both] * (QUARTER_PI - d[0, both])
+    apart = width | both
+    o[1 - a[apart], c[apart]] = o[a[apart], c[apart]] - side[apart] * (QUARTER_PI + d[1, apart])
+    quadrants, mags = rng.integers(0, 4, (2, n)), rng.choice([1.0, 0.5], (2, n))
+    rx = mags * np.exp(1j * (QUARTER_PI + quadrants * np.pi / 2 + o + m))
+    # kind 3: channel a's sample on the axis that starts its quadrant, exactly
+    # (with the zero's sign of its quadrant) or turned by +-1e-17
+    axis = kind == 3
+    on = np.array([1, 1j, -1, -1j])[quadrants[a[axis], c[axis]]] * mags[a[axis], c[axis]]
+    on *= rng.choice([1.0, np.exp(1e-17j), np.exp(-1e-17j)], on.size)
+    rx[a[axis], c[axis]] = on
+    t = [extract_phase(z, VVConfig(window=1)) for z in rx]
+    k_tx = rng.integers(0, 4, (2, n)).astype(np.uint8)
+    reception = (rx[0], rx[1], t[0], t[1], k_tx[0], k_tx[1], means)
+    settled = check_decisions(reception, True)
+    assert 0 < settled < n
 
 
 @settings(max_examples=150, deadline=None)
@@ -191,10 +253,16 @@ def test_counts_equal_full_evaluation(reception):
 
 def check_counts(reception):
     """The reports of the settle pass and the detection of the open symbols
-    count what the full evaluation counts, for each estimator setting."""
+    count what the full evaluation counts, for each estimator setting and
+    each rule that holds for the traces."""
+    for per_symbol in rules(*reception[:4]):
+        check_rule_counts(reception, per_symbol)
+
+
+def check_rule_counts(reception, per_symbol):
     rx1, rx2, t1, t2, k_tx1, k_tx2, means = reception
     n = rx1.size
-    r = settle(rx1, rx2, t1, t2, k_tx1, k_tx2, means)
+    r = settle(rx1, rx2, t1, t2, k_tx1, k_tx2, means, per_symbol)
     assert r.valid_symbols == n
     k_rx1, k_rx2 = quadrant_indices(rx1), quadrant_indices(rx2)
     base1, base2 = baseline_evaluation(rx1, rx2, t1, t2)
@@ -251,7 +319,7 @@ def test_mean_removed_observations_at_the_wrap_edges(means):
                      k_tx=rng.integers(0, 4, (2, size)), means=means, own=False)
 
     rx1, rx2, t1, t2, k_tx1, k_tx2, _ = reception(rng.choice(at_edge, n // 2))
-    r = settle(rx1, rx2, t1, t2, k_tx1, k_tx2, means)
+    r = settle(rx1, rx2, t1, t2, k_tx1, k_tx2, means, False)
     assert r.settled.sum() == 0
     assert r.key.size == n // 2
     check_counts(reception(rng.choice(inside + at_edge, n)))
@@ -296,10 +364,13 @@ def test_restriction_equals_pass_over_its_range(block, with_means, data):
     their gathered samples and observations byte for byte, at every block
     size (the ends then fall in one block or span several)."""
     arrays, means, keep, lo, hi = data.draw(restricted_passes(with_means))
+    # the window-1 rule where it holds, as a window-1 receiver takes it
+    per_symbol = rules(*arrays[:4])[-1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_blocks, "BLOCK", block)
-        got = harness._restrict(harness._settle_pass(*arrays, means, keep), lo, hi, 3, True)
-        want = settle(*(a[lo:hi] for a in arrays), means)
+        got = harness._restrict(harness._settle_pass(*arrays, means, per_symbol, keep), lo, hi,
+                                3, True)
+        want = settle(*(a[lo:hi] for a in arrays), means, per_symbol)
     assert (got.valid_symbols, got.estimated_lag, got.lag_confident) == (hi - lo, 3, True)
     assert got.settled.tobytes() == want.settled.tobytes()
     assert got.baseline_errors == want.baseline_errors
@@ -312,7 +383,7 @@ def test_restriction_beyond_the_kept_ends_rejected():
         kinds=["free"] * 6, j=[0] * 6, edges=[QUARTER_PI] * 6, o=np.zeros((2, 6)),
         t=np.zeros((2, 6)), mags=np.ones((2, 6)), quadrants=np.zeros((2, 6), int),
         k_tx=np.zeros((2, 6), int), means=None, own=True)
-    whole = harness._settle_pass(rx1, rx2, t1, t2, k_tx1, k_tx2, None, 2)
+    whole = harness._settle_pass(rx1, rx2, t1, t2, k_tx1, k_tx2, None, True, 2)
     assert harness._restrict(whole, 2, 4, 0, False).valid_symbols == 2
     for lo, hi in ((3, 6), (0, 3)):
         with pytest.raises(ValueError, match="kept end symbols"):
