@@ -7,10 +7,11 @@ temporaries stay the size of one block per thread however long the trial
 is: the fourth-power extraction, the delay search (each block with a margin
 as wide as the shifts it takes; a wide run of shifts takes its FFTs over
 sub-blocks of the block, each reading its own margin) and the settle pass,
-whose blocks return the open symbols' keys and indices. The open symbols are gathered and detected
-whole, with no blocks or threads. The payload draws and the channel run
-over their random chunks (channel.CHUNK) instead, and the shaped phase's
-filter over its FFT blocks.
+whose blocks return the open symbols' keys and indices and are cut where
+the pass's reading of channel 2 wraps, so that each reads views. The open
+symbols are gathered and detected whole, with no blocks or threads. The
+payload draws and the channel run over their random chunks (channel.CHUNK)
+instead, and the shaped phase's filter over its FFT blocks.
 No report depends on BLOCK; it can move the delay search's peak_correlation
 only by rounding, as it sets the order in which the search's sums are added
 and where its FFTs' sub-blocks start.

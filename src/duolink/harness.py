@@ -321,13 +321,14 @@ class _Reception:
 
 @dataclass(frozen=True)
 class _Pass:
-    """A settle pass over `size` paired symbols (see _settle_pass), as
-    _restrict reads it: the histogram of the settled symbols' codes, which
-    counts both receivers; the baseline's histogram, which adds the open
-    symbols' baseline codes to it; the codes of the `keep` symbols at either
-    end (head and tail), an open symbol's as _CODES plus its baseline code;
-    and the open symbols' gathered (rx1, rx2, obs1, obs2, key), in symbol
-    order."""
+    """A settle pass over `size` symbols of channel 1, each paired with the
+    sample of channel 2 that it meets (see _settle_pass), as _restrict reads
+    it: the histogram of the settled symbols' codes, which counts both
+    receivers; the baseline's histogram, which adds the open symbols'
+    baseline codes to it; the codes of the `keep` symbols at either end
+    (head and tail), an open symbol's as _CODES plus its baseline code; and
+    the open symbols' gathered (rx1, rx2, obs1, obs2, key), in symbol order,
+    channel 2's gathered across its wrap."""
 
     settled: np.ndarray
     baseline: np.ndarray
@@ -381,23 +382,24 @@ def _receptions(points: list[tuple[int, TrialConfig]]):
 
     At the applied lag L of offset o, channel 1's sample i meets the drawn
     stream's sample (i - s) mod n, s = (L + o0 - o) mod n: the pairing
-    shift. A per-symbol receiver without mean removal (vv == _PER_SYMBOL)
-    reads nothing of a reception but its paired samples and their traces,
-    so two or more offsets of one pairing shift share one settle pass over
-    all n symbols, on channel 2 rolled by s, and each offset's reception is
-    that pass restricted to its overlap (_restrict). Any other offset runs a
-    pass of its own over its overlap, on the stream at its own offset
-    (_receive): an offset alone at its pairing shift, and every offset of
-    any other receiver, whose whole-trace means round differently on each
-    roll and whose wider windows are cut at the stream's ends.
+    shift. One settle pass serves the offsets of a pairing: it runs over the
+    union of their overlaps, keeping the end symbols that each leaves out,
+    and each offset's reception is the pass restricted to its overlap
+    (_restrict). A per-symbol receiver without mean removal (vv ==
+    _PER_SYMBOL) reads nothing of a reception but its paired samples and
+    their traces, so its offsets pair by shift, and its pass reads the drawn
+    stream and trace at the shift: channel 2 is never rolled. Any other
+    receiver pairs by offset, on the stream at its own offset, rolled from
+    the last pass's stream, which the roll replaces: its whole-trace means
+    round differently on each roll, and its wider windows are cut at the
+    stream's ends.
 
-    A pass that reads the drawn stream unrolled takes the search's channel-2
-    trace, and at window 1 every pass takes its channel-1 trace; at a wider
-    window both are freed before the first pass. The search's channel-2
-    trace is freed before any roll, and a pass's before its receptions are
-    yielded. Channel 2 is rolled from the last pass's stream, which the roll
-    replaces, and each pass is freed before the next is built, so a point's
-    peak is its trial's: one realization beside one reception.
+    At window 1 the search's channel-1 trace serves every pass, and its
+    channel-2 trace the first; at a wider window both are freed before the
+    first pass. Every other trace is extracted for its pass and freed
+    before its receptions are yielded, and each pass is freed before the
+    next is built, so a point's peak is its trial's: one realization beside
+    one reception.
     """
     first = points[0][1]
     n = first.n_symbols
@@ -420,104 +422,87 @@ def _receptions(points: list[tuple[int, TrialConfig]]):
     except Exception as exc:  # noqa: BLE001 - per-point isolation
         yield from ((at, exc) for at in by_offset.values())
         return
-    # the offsets of each pass, by pairing shift where a pass can serve several
+    by_shift = first.vv == _PER_SYMBOL
+    # the offsets of each pass: by pairing shift, or by offset
     pairings: dict[int, list[int]] = {}
     for offset, delay in delays.items():
         shift = (_applied(delay) + o0 - offset) % n
-        pairings.setdefault(shift if first.vv == _PER_SYMBOL else offset, []).append(offset)
+        pairings.setdefault(shift if by_shift else offset, []).append(offset)
     held = 0  # the roll of the drawn stream that rx2 holds
-    for shift, offsets in pairings.items():
-        settle = None
-        roll = shift if len(offsets) > 1 else o0 - offsets[0]
+    for pairing, offsets in pairings.items():
+        # channel 1's symbols [lo, hi) that the offsets' overlaps span
+        overlaps = [_overlap(n, _applied(delays[offset]))[0] for offset in offsets]
+        lo, hi = min(a.start for a in overlaps), max(a.stop for a in overlaps)
         try:
-            if (roll - held) % n:
-                trace2 = None
-                rx2, held = np.roll(rx2, roll - held), roll
-            if len(offsets) > 1:
-                if trace2 is None:
-                    trace2 = extract_phase(rx2, _PER_SYMBOL)
-                keep = max(abs(_applied(delays[offset])) for offset in offsets)
-                settle = _settle_pass(rx1, rx2, trace1, trace2, k_tx1, k_tx2, None, True,
-                                      keep)
-                trace2 = None
+            if by_shift:
+                start = (lo - pairing) % n
+            else:
+                roll, start = o0 - pairing, lo - _applied(delays[pairing])
+                if (roll - held) % n:
+                    trace2 = None
+                    rx2, held = np.roll(rx2, roll - held), roll
+            t1, t2 = (extract_phase(z, first.vv) if t is None else t
+                      for z, t in ((rx1, trace1), (rx2, trace2)))
+            trace2 = None  # the search's serves one pass
+            # the mean removal takes the whole traces' means, not each block's
+            means = (t1.mean(), t2.mean()) if first.vv.remove_mean else None
+            keep = max(max(a.start - lo, hi - a.stop) for a in overlaps)
+            settle = _settle_pass(rx1[lo:hi], rx2, t1[lo:hi], t2, k_tx1[lo:hi], k_tx2[lo:hi],
+                                  start, means, first.vv.window == 1, keep)
+            del t1, t2  # before any detection
         except Exception as exc:  # noqa: BLE001 - per-point isolation
             yield from ((by_offset[offset], exc) for offset in offsets)
             continue
-        for offset in offsets:
+        for offset, a in zip(offsets, overlaps):
             at, delay = by_offset[offset], delays[offset]
             try:
-                if settle is None:
-                    reception = _receive(at[0][1], k_tx1, k_tx2, rx1, rx2, delay, trace1, trace2)
-                else:
-                    a, _ = _overlap(n, _applied(delay))
-                    reception = _restrict(settle, a.start, a.stop, _applied(delay),
-                                          delay.confident)
+                reception = _restrict(settle, a.start - lo, a.stop - lo, _applied(delay),
+                                      delay.confident)
             except Exception as exc:  # noqa: BLE001 - per-point isolation
                 reception = exc
-            trace2 = None  # before any detection
             yield at, reception
             del reception
+        del settle  # before the next pass is built
 
 
-def _receive(cfg: TrialConfig, k_tx1, k_tx2, rx1, rx2, delay: AlignmentResult,
-             trace1, trace2) -> _Reception:
-    """The part of run_trial that the estimator and compare_baseline do not
-    change, from a realization (see _realize) of cfg's channel and its
-    recovered delay: one settle pass (see MARGIN) over the channels' overlap
-    at the applied lag, which counts the baseline, restricted to all of it.
-    It does not search: the delay comes from the group's one search (see
-    _receptions). The receiver's traces are extracted here with cfg.vv, but
-    for those given (window=1 traces of the same streams; None is not
-    given). Of cfg it reads only n_symbols and vv, so one realization serves
-    every config that differs in nothing else. Only what _Reception holds
-    outlives it: the traces it extracts are freed when it returns, and it
-    modifies no argument."""
-    if trace1 is None:
-        trace1 = extract_phase(rx1, cfg.vv)
-    if trace2 is None:
-        trace2 = extract_phase(rx2, cfg.vv)
-    # channel 2's received stream and trace are read through views; its
-    # payload is indexed as channel 1's, as the channel shifts only the
-    # received stream
-    lag = _applied(delay)
-    a, b = _overlap(cfg.n_symbols, lag)
-    # the mean removal takes the whole traces' means, not each block's
-    means = (trace1.mean(), trace2.mean()) if cfg.vv.remove_mean else None
-    settle = _settle_pass(rx1[a], rx2[b], trace1[a], trace2[b], k_tx1[a], k_tx2[a], means,
-                          cfg.vv.window == 1, 0)
-    return _restrict(settle, 0, settle.size, lag, delay.confident)
-
-
-def _settle_pass(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means, per_symbol: bool,
+def _settle_pass(rx1, rx2, trace1, trace2, k_tx1, k_tx2, start: int, means, per_symbol: bool,
                  keep: int) -> _Pass:
-    """The settle pass (see MARGIN) over equal-length arrays, paired sample
-    by sample: the received samples, the receiver's phase traces, the
-    transmitted quadrants and the traces' means (None: no mean removal).
-    per_symbol says that the traces are the samples' own window-1
-    extractions: a settled symbol is then decided as its own quadrants, and
-    no angle is taken. It keeps the codes of the `keep` symbols at either
-    end (2 * keep must not exceed the length), so that _restrict can leave
-    them out (see _Pass).
+    """The settle pass (see MARGIN) over channel 1's symbols, each paired
+    with a sample of channel 2: equal-length arrays of channel 1's received
+    samples and phase trace and of the transmitted quadrants, channel 2's
+    whole received stream and trace, read circularly from its sample
+    `start` on (channel 1's symbol i meets channel 2's (start + i) mod its
+    length), and the traces' means (None: no mean removal). per_symbol says
+    that the traces are the samples' own window-1 extractions: a settled
+    symbol is then decided as its own quadrants, and no angle is taken. It
+    keeps the codes of the `keep` symbols at either end (2 * keep must not
+    exceed the length), so that _restrict can leave them out (see _Pass).
 
     The blocks do only the per-symbol work: each adds to the settled
-    histogram and returns its open symbols' keys and indices. The open
-    symbols are then handled once, all together: their baseline decided
-    from the float pipeline and coded, then they are gathered and the mean
-    removal applied, so the gathered samples are rotated by minus their
-    channel's mean and the observations are the traces less the mean,
+    histogram and returns its open symbols' keys and indices. They are cut
+    at channel 2's wrap, so that every block reads views of both channels.
+    The open symbols are then handled once, all together: their baseline
+    decided from the float pipeline and coded, then they are gathered and
+    the mean removal applied, so the gathered samples are rotated by minus
+    their channel's mean and the observations are the traces less the mean,
     wrapped.
     """
     n = k_tx1.size
+    seam = min(rx2.size - start, n)  # the pass's symbols before channel 2's wrap
     removed = (0.0, 0.0) if means is None else means
     margin = MARGIN * _QUARTER_TURNS
     head, tail = np.empty(keep, dtype=np.uint16), np.empty(keep, dtype=np.uint16)
     ends = ((head, 0), (tail, n - keep))  # each with its first symbol's index
 
     def settle(b: slice):
-        rx, k_tx = (rx1[b], rx2[b]), (k_tx1[b], k_tx2[b])
+        # channel 2's samples of the block: from `start` on, or past its wrap
+        to = start if b.start < seam else start - rx2.size
+        b2 = slice(b.start + to, b.stop + to)
+        rx, k_tx = (rx1[b], rx2[b2]), (k_tx1[b], k_tx2[b])
+        traces = (trace1[b], trace2[b2])
         # the estimate's hull, widened by MARGIN, in quarter turns: lo and
         # hi - lo, from the observations t - m unwrapped
-        obs = [t[b] - m for t, m in zip((trace1, trace2), removed)]
+        obs = [t - m for t, m in zip(traces, removed)]
         lo = np.minimum(*obs)
         lo *= _QUARTER_TURNS
         lo -= margin
@@ -534,8 +519,8 @@ def _settle_pass(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means, per_symbol: bool
             # every estimate leaves each sample in its own quadrant (see MARGIN)
             settled &= width < 0.5
             if means is not None:
-                for t in (trace1, trace2):
-                    settled &= np.abs(t[b]) < HALF_PI / 2 - MARGIN
+                for t in traces:
+                    settled &= np.abs(t) < HALF_PI / 2 - MARGIN
         key = k_tx[0] << 4
         key |= k_tx[1] << 2
         posts = []
@@ -567,29 +552,43 @@ def _settle_pass(rx1, rx2, trace1, trace2, k_tx1, k_tx2, means, per_symbol: bool
         hist = np.bincount(code, minlength=_CODES) - np.bincount(code[at], minlength=_CODES)
         # the codes of the end symbols in this block, the open ones as
         # _CODES (their baseline codes are added once they are decided)
-        for end, start in ends:
-            lo_p, hi_p = max(b.start, start), min(b.stop, start + keep)
+        for end, first in ends:
+            lo_p, hi_p = max(b.start, first), min(b.stop, first + keep)
             if lo_p < hi_p:
                 code[at] = _CODES
-                end[lo_p - start:hi_p - start] = code[lo_p - b.start:hi_p - b.start]
+                end[lo_p - first:hi_p - first] = code[lo_p - b.start:hi_p - b.start]
         at_key = key[at]
         at += b.start
         return hist, at_key, at
 
-    parts = _blocks.each(settle, _blocks.blocks(0, n))
+    parts = _blocks.each(settle, [*_blocks.blocks(0, seam), *_blocks.blocks(seam, n)])
     settled = sum((p[0] for p in parts), np.zeros(_CODES, dtype=np.int64))
     key = np.concatenate([p[1] for p in parts])
     at = np.concatenate([p[2] for p in parts])
     del parts
+    wrapped = np.searchsorted(at, seam)  # the first open symbol past channel 2's wrap
+
+    def gather(x: np.ndarray, j: int) -> np.ndarray:
+        """Channel j's array x at the open symbols. Channel 2's is read
+        through a view up to its wrap: only the open symbols past it take an
+        index array."""
+        if j == 0:
+            return x[at]
+        out = np.empty(at.size, x.dtype)
+        # every index is in range: "clip" only spares the buffer of "raise"
+        np.take(x[start:], at[:wrapped], out=out[:wrapped], mode="clip")
+        np.take(x, at[wrapped:] - seam, out=out[wrapped:], mode="clip")
+        return out
+
     # the baseline's codes, its open symbols decided by the float pipeline
-    base = _code(key, *(quadrant_indices(apply_compensation(z[at], t[at]))
-                        for z, t in ((rx1, trace1), (rx2, trace2))))
+    base = _code(key, *(quadrant_indices(apply_compensation(gather(z, j), gather(t, j)))
+                        for j, (z, t) in enumerate(((rx1, trace1), (rx2, trace2)))))
     baseline = np.bincount(base, minlength=_CODES) + settled
-    for end, start in ends:
-        i, j = np.searchsorted(at, (start, start + keep)).tolist()
-        end[at[i:j] - start] += base[i:j]
+    for end, first in ends:
+        i, j = np.searchsorted(at, (first, first + keep)).tolist()
+        end[at[i:j] - first] += base[i:j]
     del base
-    opened = [rx1[at], rx2[at], trace1[at], trace2[at]]
+    opened = [gather(rx1, 0), gather(rx2, 1), gather(trace1, 0), gather(trace2, 1)]
     del at
     if means is not None:
         # one channel at a time, the traces less m in place: the gathered

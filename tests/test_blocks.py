@@ -423,17 +423,19 @@ def test_trial_peak_memory_without_spare_copies(monkeypatch, phase_model, window
     pytest.param(1, False, 0.3, (3, 12, -9), id="1-False-shared"),
 ])
 def test_sweep_group_peak_is_its_trials(monkeypatch, window, remove_mean, sigma_common, offsets):
-    """A sweep's realization serves three offsets, two of them rolled; its
-    peak is that of the largest of the three run_trials. The group's one
-    delay search runs before any settle pass, and its traces are freed
-    before the first one, but for channel 1's at window 1, which every pass
-    reads. Channel 2's stream is rolled from the last one, which is then
-    freed, and each pass is freed before the next is built: keeping the
+    """A sweep's realization serves three offsets, two of them not the
+    drawn one; its peak is that of the largest of the three run_trials. The
+    group's one delay search runs before any settle pass, and its traces are
+    freed before the first one, but for channel 1's at window 1, which every
+    pass reads. At window 1 each pass reads the drawn channel 2 at its
+    pairing shift, and its channel-2 trace is freed before any detection; at
+    window 33 channel 2 is rolled to each offset from the last one, which is
+    then freed. Each pass is freed before the next is built: keeping the
     drawn stream beside a rolled one adds 16 B/sym here, the last reception
     beside the next 11. At sigma_common 0.5 no lag is confident, so each
     offset pairs the channels its own way and runs a pass of its own; at 0.3
     all three lags are, within max_lag 16, and the three offsets share one
-    pass, whose channel-2 trace is freed before the first detection."""
+    pass."""
     monkeypatch.setattr(_blocks, "THREADS", 2)
     n = 2**18
     base = TrialConfig(
@@ -490,7 +492,7 @@ def test_settle_peak_memory(monkeypatch, window, remove_mean):
     tracemalloc.start()
     try:
         # each call's result is freed before the next call
-        opened = [harness._restrict(harness._settle_pass(rx1, rx2, t1, t2, k_tx1, k_tx2, means,
+        opened = [harness._restrict(harness._settle_pass(rx1, rx2, t1, t2, k_tx1, k_tx2, 0, means,
                                                          window == 1, 0),
                                     0, n, 0, False).key.size
                   for _ in range(3)]

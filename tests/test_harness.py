@@ -43,6 +43,8 @@ _REALIZE = duolink.harness._realize
 _DETECT = duolink.harness._detect
 _SETTLE_PASS = duolink.harness._settle_pass
 _ESTIMATE_DELAYS = duolink.harness._estimate_delays
+_EXTRACT_PHASE = duolink.harness.extract_phase
+_ROLL = np.roll
 KILLED_SIGMA = 0.25
 KILLED_OFFSET = -3
 
@@ -594,7 +596,7 @@ class TestSweep:
     GROUPED_AXES = {"sigma_common": [0.0, 0.3], "kappa": [0.0, 2.0, float("inf")],
                     "delay_offset": [0, -5, 20]}
     # some of each realization's point files: the resumed realizations are
-    # drawn at offsets -5 and 20, and rolled to the others
+    # drawn at offsets -5 and 20, and paired with the others
     RESUMED = (1, 5, 7, 11, 12, 16)
 
     @staticmethod
@@ -610,7 +612,7 @@ class TestSweep:
     @pytest.mark.parametrize("window", [1, 33])
     def test_grouped_points_equal_run_trial(self, tmp_path, window, workers):
         """Points that differ only in kappa or delay_offset carry one seed, so
-        run_sweep draws their realization once and rolls channel 2 to each
+        run_sweep draws their realization once and pairs channel 2 with each
         offset; every report still equals run_trial of its own config. The
         grid holds a sigma_common of 0, kappas 0, 2 and Infinity, and offsets
         0, -5 and 20; 20 is beyond max_lag, so its lag is not confident and
@@ -686,28 +688,43 @@ class TestSweep:
     # offsets 0, -5, 7 and 12 are recovered at max_lag 16, 20 is not
     PAIRING_OFFSETS = [0, -5, 7, 20, 12]
 
-    @pytest.mark.parametrize("window, remove_mean, max_lag, offsets, passes", [
-        (1, False, 16, PAIRING_OFFSETS, 2),
+    @pytest.mark.parametrize("window, remove_mean, max_lag, offsets, passes, rolls, extractions", [
+        (1, False, 16, PAIRING_OFFSETS, 2, 0, 3),
         # no search (n <= 2 * max_lag): offsets 0 and n pair alike
-        (1, False, 1000, [0, -5, 2000], 2),
-        (33, True, 16, PAIRING_OFFSETS, 5),
-        (1, True, 16, PAIRING_OFFSETS, 5),
+        (1, False, 1000, [0, -5, 2000], 2, 0, 3),
+        (33, True, 16, PAIRING_OFFSETS, 5, 4, 2 + 2 * 5),
+        (1, True, 16, PAIRING_OFFSETS, 5, 4, 2 + 4),
     ], ids=["w1-recovered", "w1-no-search", "w33", "w1-mean-removed"])
     def test_one_pass_per_pairing(self, monkeypatch, window, remove_mean, max_lag, offsets,
-                                  passes):
+                                  passes, rolls, extractions):
         """A per-symbol receiver without mean removal runs one settle pass
         per pairing shift (lag - offset mod n): the recovered offsets share
         one, and an unrecovered offset, or any offset of a group that does
         not search, pairs at a shift of its own, unless it lies n away from
-        another. Window 33, and window 1 with the mean removal, run a pass per
-        offset. Every report equals run_trial of its config."""
-        calls = []
+        another. Its passes read the drawn channel 2 at their shifts: no
+        roll, and after the per-symbol traces, which serve the first pass,
+        one channel-2 extraction per later pass. Window 33, and window 1
+        with the mean removal, run a pass per offset, on channel 2 rolled to
+        it: a roll per offset but the drawn one (0), and the receiver's
+        traces per pass (at window 1 only channel 2's, and none for the
+        first). Every report equals run_trial of its config."""
+        calls, rolled, extracted = [], [], []
 
         def counted(*args):
             calls.append(args[-1])
             return _SETTLE_PASS(*args)
 
+        def roll(a, shift):
+            rolled.append(shift)
+            return _ROLL(a, shift)
+
+        def extract(*args):
+            extracted.append(args[1])
+            return _EXTRACT_PHASE(*args)
+
         monkeypatch.setattr(duolink.harness, "_settle_pass", counted)
+        monkeypatch.setattr(duolink.harness.np, "roll", roll)
+        monkeypatch.setattr(duolink.harness, "extract_phase", extract)
         n = 2000
         base = replace(self.grouped_base(window), max_lag=max_lag,
                        vv=VVConfig(window=window, remove_mean=remove_mean))
@@ -717,6 +734,8 @@ class TestSweep:
         reports = [p.report for p in points]
         assert reports == [run_trial(cfg) for cfg in sweep_configs(base, axes)]
         assert len(calls) == passes
+        assert len(rolled) == rolls
+        assert len(extracted) == extractions
         if (window, remove_mean) == (1, False):
             shifts = {(r.estimated_lag - r.config.channel.delay_offset) % n for r in reports}
             assert len(shifts) == passes

@@ -134,7 +134,7 @@ def receptions(draw):
 def settle(rx1, rx2, t1, t2, k_tx1, k_tx2, means, per_symbol):
     """The reception of one settle pass over all of the given arrays, paired
     sample by sample, as a trial restricts its pass."""
-    whole = harness._settle_pass(rx1, rx2, t1, t2, k_tx1, k_tx2, means, per_symbol, 0)
+    whole = harness._settle_pass(rx1, rx2, t1, t2, k_tx1, k_tx2, 0, means, per_symbol, 0)
     return harness._restrict(whole, 0, rx1.size, 0, False)
 
 
@@ -362,20 +362,36 @@ def test_restriction_equals_pass_over_its_range(block, with_means, data):
     """A pass restricted to [lo, hi) is the pass over just that range's
     arrays: the same settled histogram, baseline errors and open symbols,
     their gathered samples and observations byte for byte, at every block
-    size (the ends then fall in one block or span several)."""
+    size (the ends then fall in one block or span several).
+
+    Channel 2 is read circularly from a start, in arrays up to three
+    samples longer than the pass: its arrays NaN-padded and np.roll-ed by
+    the start, so that the pass meets no NaN. Every start gives the pass
+    over the unrolled arrays: 0 (no wrap), and the starts that put the wrap
+    after the pass's first symbol, half a block into its second block and
+    at that block's end (each taken mod the arrays' length)."""
     arrays, means, keep, lo, hi = data.draw(restricted_passes(with_means))
     # the window-1 rule where it holds, as a window-1 receiver takes it
     per_symbol = rules(*arrays[:4])[-1]
+    rx1, rx2, t1, t2, k_tx1, k_tx2 = arrays
+    pad = data.draw(st.integers(0, 3))
+    padded = [np.concatenate((a, np.full(pad, np.nan, a.dtype))) for a in (rx2, t2)]
+    size = padded[0].size
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_blocks, "BLOCK", block)
-        got = harness._restrict(harness._settle_pass(*arrays, means, per_symbol, keep), lo, hi,
-                                3, True)
         want = settle(*(a[lo:hi] for a in arrays), means, per_symbol)
-    assert (got.valid_symbols, got.estimated_lag, got.lag_confident) == (hi - lo, 3, True)
-    assert got.settled.tobytes() == want.settled.tobytes()
-    assert got.baseline_errors == want.baseline_errors
-    for name in ("rx1", "rx2", "obs1", "obs2", "key"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        # the pass's symbols before the wrap
+        for seam in (size, 1, block + block // 2 + 1, 2 * block):
+            start = (size - seam) % size
+            z2, u2 = (np.roll(a, start) for a in padded)
+            got = harness._restrict(
+                harness._settle_pass(rx1, z2, t1, u2, k_tx1, k_tx2, start, means, per_symbol,
+                                     keep), lo, hi, 3, True)
+            assert (got.valid_symbols, got.estimated_lag, got.lag_confident) == (hi - lo, 3, True)
+            assert got.settled.tobytes() == want.settled.tobytes(), start
+            assert got.baseline_errors == want.baseline_errors, start
+            for name in ("rx1", "rx2", "obs1", "obs2", "key"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (name, start)
 
 
 def test_restriction_beyond_the_kept_ends_rejected():
@@ -383,7 +399,7 @@ def test_restriction_beyond_the_kept_ends_rejected():
         kinds=["free"] * 6, j=[0] * 6, edges=[QUARTER_PI] * 6, o=np.zeros((2, 6)),
         t=np.zeros((2, 6)), mags=np.ones((2, 6)), quadrants=np.zeros((2, 6), int),
         k_tx=np.zeros((2, 6), int), means=None, own=True)
-    whole = harness._settle_pass(rx1, rx2, t1, t2, k_tx1, k_tx2, None, True, 2)
+    whole = harness._settle_pass(rx1, rx2, t1, t2, k_tx1, k_tx2, 0, None, True, 2)
     assert harness._restrict(whole, 2, 4, 0, False).valid_symbols == 2
     for lo, hi in ((3, 6), (0, 3)):
         with pytest.raises(ValueError, match="kept end symbols"):
